@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run one ineqlab benchmark workload and print its metrics as JSON.
 
-    python3 bench/run.py --workload saddle --seed 1 --seconds 40 --trace 0
+    python3 bench/run.py --workload saddle --seed 1 --seconds 30 --trace 0
 
 Run from the repository root; ``ineqlab`` is imported from ``src/``. The run
 sets up its inputs from the seed (several times, to time set-up), then runs
@@ -39,11 +39,18 @@ import numpy as np
 
 import checks
 import spans
+import speed
 import workloads
 from workloads import ScenarioOp, SweepOp
 
 ROOT = Path(__file__).resolve().parent.parent
-SETUP_REPEATS = 5
+SETUP_REPEATS = 25
+#: Wall time between two probe readings (see speed.py).
+SAMPLE_INTERVAL_S = 0.1
+#: The probe reading that counts as reference speed. A time is reported at
+#: reference speed: divided by the mean probe reading while it was taken,
+#: over this (see README.md).
+PROBE_REFERENCE_S = 0.004
 #: random_economy draws per sweep batch checked against the M-matrix oracle.
 ORACLE_DRAWS = 25
 
@@ -69,17 +76,17 @@ def set_up(workload: str, seed: int):
     return ineqlab, ops, configs
 
 
-def run_pass(ineqlab, ops, out: Path, tracer):
+def run_pass(ineqlab, ops, out: Path, tracer, clock):
     """Run every op once through the program's public entry points.
 
-    Returns each op's wall time and each op's result: RunArtifacts, a
-    SweepReport, or the IneqLabError the op raised.
+    Returns each op's time on ``clock`` and each op's result: RunArtifacts,
+    a SweepReport, or the IneqLabError the op raised.
     """
     times, results = {}, {}
     for op in ops:
         if tracer is not None:
             tracer.op = op.name
-        start = time.perf_counter()
+        start = clock()
         try:
             if isinstance(op, SweepOp):
                 results[op.name] = ineqlab.value_theory.fmt_sweep(
@@ -89,7 +96,7 @@ def run_pass(ineqlab, ops, out: Path, tracer):
                 results[op.name] = ineqlab.scenario.run_scenario(config, out)
         except ineqlab.errors.IneqLabError as exc:
             results[op.name] = exc
-        times[op.name] = time.perf_counter() - start
+        times[op.name] = clock() - start
     return times, results
 
 
@@ -168,19 +175,28 @@ def check_first_pass(ineqlab, ops, configs, results, seed) -> list[str]:
     return problems
 
 
-def measure(args, work: Path) -> dict:
+def measure(args, work: Path, sampler: speed.Sampler) -> dict:
+    """Set up, run passes for ``args.seconds`` and check the first pass.
+
+    Every time is taken on ``sampler.clock`` and reported at reference
+    speed, by the probe readings taken while it ran.
+    """
+    clock = sampler.clock
     setup_times = []
+    first_reading = len(sampler.readings)
     for _ in range(SETUP_REPEATS):
-        start = time.perf_counter()
+        start = clock()
         ineqlab, ops, configs = set_up(args.workload, args.seed)
-        setup_times.append(time.perf_counter() - start)
+        setup_times.append(clock() - start)
+    setup_slowness = sampler.mean_since(first_reading) / PROBE_REFERENCE_S
 
     first_out, out = work / "first", work / "pass"
     first_out.mkdir()
     out.mkdir()
     start = time.perf_counter()
-    op_times, first = run_pass(ineqlab, ops, first_out, None)
-    elapsed = sum(op_times.values())
+    first_reading = len(sampler.readings)
+    op_times, first = run_pass(ineqlab, ops, first_out, None, clock)
+    elapsed = time.perf_counter() - start
     reference = digest(ops, first, first_out, keep=True)
     failed = sum(isinstance(r, Exception) for r in first.values())
     attempted = len(ops)
@@ -188,15 +204,20 @@ def measure(args, work: Path) -> dict:
 
     tracer = None
     if args.trace:
-        tracer = spans.Tracer()
+        tracer = spans.Tracer(clock)
         tracer.install(ineqlab)
-    passes = [] if tracer else [op_times]
+    # (op times, slowness) of each timed pass
+    passes = [] if tracer else [
+        (op_times, sampler.mean_since(first_reading) / PROBE_REFERENCE_S)]
     while not passes or time.perf_counter() - start + elapsed <= args.seconds:
         if tracer:
             tracer.pass_index = len(passes)
-        op_times, results = run_pass(ineqlab, ops, out, tracer)
-        elapsed = sum(op_times.values())
-        passes.append(op_times)
+        pass_start = time.perf_counter()
+        first_reading = len(sampler.readings)
+        op_times, results = run_pass(ineqlab, ops, out, tracer, clock)
+        passes.append(
+            (op_times, sampler.mean_since(first_reading) / PROBE_REFERENCE_S))
+        elapsed = time.perf_counter() - pass_start
         attempted += len(ops)
         failed += sum(isinstance(r, Exception) for r in results.values())
         if digest(ops, results, out, keep=False) != reference:
@@ -207,27 +228,30 @@ def measure(args, work: Path) -> dict:
         tracer.uninstall()  # the checks' own calls into the program are no pass
 
     problems += check_first_pass(ineqlab, ops, configs, first, args.seed)
-    pass_times = [sum(p.values()) for p in passes]
+    pass_times = [sum(times.values()) / slowness for times, slowness in passes]
     print(f"{args.workload} seed {args.seed}: passes "
-          + " ".join(f"{t:.3f}" for t in pass_times) + " s", file=sys.stderr)
+          + " ".join(f"{sum(times.values()):.3f}" for times, _ in passes)
+          + " s, at reference speed "
+          + " ".join(f"{t:.3f}" for t in pass_times)
+          + f" s; {len(sampler.readings)} probe readings", file=sys.stderr)
     for problem in problems:
         print(f"CHECK FAILED {problem}", file=sys.stderr)
 
-    # Each op at its fastest: the pass time with the machine's slow spells
-    # left out, op by op.
-    fastest = {op.name: min(range(len(passes)), key=lambda i: passes[i][op.name])
-               for op in ops}
-    best_pass_s = sum(passes[i][name] for name, i in fastest.items())
+    order = sorted(range(len(passes)), key=pass_times.__getitem__)
+    median = order[(len(order) - 1) // 2]
     if tracer:
         span_file = work / "spans.jsonl"
         tracer.write(span_file)
-        found = spans.layer_metrics([s for s in spans.read_spans(span_file)
-                                     if s["pass"] == fastest[s["op"]]])
-        found["trace.pass_s"] = (best_pass_s, "s")
+        kept = [s for s in spans.read_spans(span_file) if s["pass"] == median]
+        for span in kept:
+            span["busy_s"] /= passes[median][1]
+            span["self_s"] /= passes[median][1]
+        found = spans.layer_metrics(kept)
+        found["trace.pass_s"] = (pass_times[median], "s")
     else:
         found = {
-            "pass_s": (best_pass_s, "s"),
-            "setup_s": (statistics.median(setup_times), "s"),
+            "pass_s": (pass_times[median], "s"),
+            "setup_s": (statistics.median(setup_times) / setup_slowness, "s"),
             "peak_rss_mb": (peak_rss_mb, "MB"),
         }
     return {
@@ -253,9 +277,12 @@ def main(argv=None) -> int:
     run_root = ROOT / ".bench_run"
     run_root.mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix=f"{args.workload}-", dir=run_root))
+    sampler = speed.Sampler(SAMPLE_INTERVAL_S)
+    sampler.start()
     try:
-        result = measure(args, work)
+        result = measure(args, work, sampler)
     finally:
+        sampler.stop()
         shutil.rmtree(work, ignore_errors=True)
         try:
             run_root.rmdir()

@@ -43,9 +43,11 @@ ROW_STATS = tuple(f"{module}.{name}" for module in ("ramsey", "olg")
 
 
 class Tracer:
-    """Collects spans for the pass and op named in ``pass_index`` and ``op``."""
+    """Collects spans for the pass and op named in ``pass_index`` and ``op``,
+    timed on ``clock``."""
 
-    def __init__(self):
+    def __init__(self, clock=time.perf_counter):
+        self.clock = clock
         self.pass_index = 0
         self.op = ""
         self._records: dict[tuple, list] = {}
@@ -67,18 +69,18 @@ class Tracer:
         self._originals.clear()
 
     def _wrap(self, fn, layer: str):
-        stack, records = self._stack, self._records
+        stack, records, clock = self._stack, self._records, self.clock
 
         @wraps(fn)
         def traced(*args, **kwargs):
             parent = stack[-1][0] if stack else None
             frame = [layer, 0.0]
             stack.append(frame)
-            start = time.perf_counter()
+            start = clock()
             try:
                 result = fn(*args, **kwargs)
             finally:
-                busy = time.perf_counter() - start
+                busy = clock() - start
                 stack.pop()
                 if stack:
                     stack[-1][1] += busy

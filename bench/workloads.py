@@ -92,7 +92,7 @@ SADDLE_SEEDED = (("autarky", 1), ("autarky", 3), ("market", 2), ("market", 4))
 
 
 def saddle(seed: int) -> list:
-    """The scenario ops, then the theorem sweeps."""
+    """The bundled scenarios, then the seeded fixed-technology ones."""
     rng = np.random.default_rng([seed, 1])
     ops = _bundled_scenarios()
     for market, households in SADDLE_SEEDED:
@@ -101,7 +101,7 @@ def saddle(seed: int) -> list:
         ops.append(ScenarioOp(name, scenario_text(
             name, "ramsey", market, "exogenous", SADDLE_ECONOMY, dist,
             SADDLE_HORIZON)))
-    return ops + theorem_sweeps(seed)
+    return ops
 
 
 #: The economy and holdings of tests/test_ramsey.py::test_equalization_and_ray,
@@ -155,10 +155,8 @@ SWEEP_SIZES = (3, 5, 8, 10)
 SWEEP_TRIALS = 400
 
 
-def theorem_sweeps(seed: int) -> list:
-    """Theorem sweeps, one batch per size, each with its own seed. They run in
-    the ``saddle`` workload: as a workload of their own, ten 30 s runs spread
-    by up to 28 %, more than any bound the benchmark may set."""
+def fmt_sweep(seed: int) -> list:
+    """Theorem sweeps, one batch per size, each with its own seed."""
     rng = np.random.default_rng([seed, 4])
     return [SweepOp(f"sweep-n{n}", SWEEP_TRIALS, n, int(rng.integers(2**31)))
             for n in SWEEP_SIZES]
@@ -168,4 +166,5 @@ WORKLOADS = {
     "saddle": saddle,
     "ak_newton": ak_newton,
     "wide": wide,
+    "fmt_sweep": fmt_sweep,
 }
