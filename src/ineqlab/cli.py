@@ -26,10 +26,11 @@ from .olg import cobweb_data
 from .scenario import (
     RunArtifacts,
     ScenarioConfig,
-    _atomic_write,
-    _fmt,
+    atomic_write,
+    format_float,
     parse_scenario,
     run_scenario,
+    steady_state_for,
 )
 from .svgplot import line_chart
 from .value_theory import fmt_sweep
@@ -89,19 +90,17 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_steady_state(args) -> int:
     config = _load_config(args.config)
-    from .scenario import _steady_for
-
-    steady = _steady_for(config)
+    steady = steady_state_for(config)
     print(f"case {config.regime.case_label()}")
     if steady.holding_star is not None:
-        print(f"holding* = {_fmt(steady.holding_star)}")
+        print(f"holding* = {format_float(steady.holding_star)}")
         if steady.consumption_star is not None:
-            print(f"consumption* = {_fmt(steady.consumption_star)}")
+            print(f"consumption* = {format_float(steady.consumption_star)}")
     else:
         print("holding* = n/a (balanced growth ray)")
-    print(f"r* = {_fmt(steady.interest_star)}")
-    print(f"g* = {_fmt(steady.growth_star)}")
-    print(f"r* - g* = {_fmt(steady.interest_star - steady.growth_star)}")
+    print(f"r* = {format_float(steady.interest_star)}")
+    print(f"g* = {format_float(steady.growth_star)}")
+    print(f"r* - g* = {format_float(steady.interest_star - steady.growth_star)}")
     return EXIT_OK
 
 
@@ -136,21 +135,21 @@ def _cmd_cobweb(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = [",".join(["b", "next_b", "diagonal"])]
     for b, m in zip(data.levels, data.mapped):
-        rows.append(",".join([_fmt(b), _fmt(m), _fmt(b)]))
+        rows.append(",".join([format_float(b), format_float(m), format_float(b)]))
     csv_path = out / f"{config.name}_cobweb.csv"
     if args.format in (None, "csv", "both"):
-        _atomic_write(csv_path, "\r\n".join(rows) + "\r\n")
+        atomic_write(csv_path, "\r\n".join(rows) + "\r\n")
         print(f"wrote {csv_path}")
     if args.format in ("svg", "both"):
         svg_path = out / f"{config.name}_cobweb.svg"
-        _atomic_write(svg_path, line_chart(
+        atomic_write(svg_path, line_chart(
             [("map", data.levels, data.mapped),
              ("diagonal", data.levels, data.diagonal)],
             title=f"{config.name}: bequest map",
             xlabel="b(t)", ylabel="b(t+1)",
         ))
         print(f"wrote {svg_path}")
-    print(f"steady state b* = {_fmt(data.b_star)}")
+    print(f"steady state b* = {format_float(data.b_star)}")
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from .core import (
 )
 from .errors import UnknownFigure
 from .olg import cobweb_data, olg_simulate
-from .scenario import _atomic_write, _fmt
+from .scenario import atomic_write, format_float
 from .svgplot import line_chart
 
 FIGURE_NAMES = ("fig1", "fig2", "figA1", "figA2", "figA3", "figA4")
@@ -43,7 +43,7 @@ def _csv(rows, header) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
-            cell if isinstance(cell, str) else _fmt(cell) for cell in row
+            cell if isinstance(cell, str) else format_float(cell) for cell in row
         ))
     return "\r\n".join(lines) + "\r\n"
 
@@ -53,11 +53,11 @@ def _emit(out: Path, name: str, fmt: str, csv_text: str | None,
     written = []
     if csv_text is not None and fmt in ("csv", "both"):
         path = out / f"{name}.csv"
-        _atomic_write(path, csv_text)
+        atomic_write(path, csv_text)
         written.append(path)
     if svg_text is not None and fmt in ("svg", "both"):
         path = out / f"{name}.svg"
-        _atomic_write(path, svg_text)
+        atomic_write(path, svg_text)
         written.append(path)
     return written
 
@@ -122,8 +122,7 @@ def _surface(out: Path, name: str, fmt: str, ak: bool) -> list[Path]:
             else:
                 Y = math.sqrt(K * L)
             rows.append([K, L, Y])
-    return _emit(out, name, "csv" if fmt != "svg" else "csv",
-                 _csv(rows, ["K", "L", "Y"]), None)
+    return _emit(out, name, "csv", _csv(rows, ["K", "L", "Y"]), None)
 
 
 def _figA2(out: Path, fmt: str) -> list[Path]:

@@ -16,12 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    OLG_AUTARKY_EXOG,
     EconomyParams,
-    Family,
-    Market,
     Regime,
     SteadyState,
-    Technology,
     Trajectory,
     WealthDistribution,
     validate_params,
@@ -238,9 +236,6 @@ def olg_mean_map(b: float, params: EconomyParams) -> float:
     return params.tfp * b ** params.alpha / (2.0 + params.theta)
 
 
-_EXOG_PROBE = Regime(Family.OLG, Market.AUTARKY, Technology.EXOGENOUS)
-
-
 def cobweb_data(params: EconomyParams, b_min: float, b_max: float,
                 n_points: int = 200) -> CobwebData:
     """Sample the mean-bequest map for a cobweb plot (fixed technology only)."""
@@ -248,7 +243,7 @@ def cobweb_data(params: EconomyParams, b_min: float, b_max: float,
         raise NonPositiveInput("need 0 < b_min < b_max")
     if n_points < 2:
         raise NonPositiveInput("n_points must be >= 2")
-    validate_params(params, _EXOG_PROBE)
+    validate_params(params, OLG_AUTARKY_EXOG)
     levels = np.linspace(b_min, b_max, n_points)
     mapped = params.tfp * levels ** params.alpha / (2.0 + params.theta)
     b_star = (params.tfp / (2.0 + params.theta)) ** (1.0 / (1.0 - params.alpha))

@@ -156,6 +156,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
     name = need("name")
     if not isinstance(name, str) or not name:
         raise ValidationError("name", "name must be a nonempty string")
+    # the name becomes a file name inside the output directory
+    if "/" in name or "\\" in name or name in (".", ".."):
+        raise ValidationError(
+            "name", f"name must not contain / or \\ or be . or ..; got {name!r}")
 
     def enum_of(key: str, table: dict):
         value = need(key)
@@ -277,15 +281,26 @@ def render_scenario(config: ScenarioConfig) -> str:
 # running
 
 
-def _fmt(x: float) -> str:
+def format_float(x: float) -> str:
+    """Shortest text that reads back as the same float64."""
     return repr(float(x))
 
 
-def _atomic_write(path: Path, data: str):
+def atomic_write(path: Path, data: str):
+    """Write ``data`` to ``path`` through a temporary file and a rename.
+
+    Newlines are written as given. The file gets the mode a plain ``open``
+    would give it, 0o666 less the process umask.
+    """
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(data)
+        # umask can only be read by setting it; 0o077 keeps anything created
+        # by another thread in between private
+        umask = os.umask(0o077)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -321,17 +336,20 @@ def trajectory_csv_text(traj: Trajectory, params: EconomyParams,
     rows = [",".join(TRAJECTORY_COLUMNS)]
     L = traj.population
     for i in range(len(traj)):
-        t = _fmt(traj.times[i])
+        t = format_float(traj.times[i])
         for h in range(L):
             rows.append(",".join([
-                t, str(h), _fmt(traj.holdings[i, h]), _fmt(traj.consumption[i, h]),
-                _fmt(y[i, h]), "", "", "", "", "",
+                t, str(h), format_float(traj.holdings[i, h]),
+                format_float(traj.consumption[i, h]), format_float(y[i, h]),
+                "", "", "", "", "",
             ]))
         rows.append(",".join([
-            t, "agg", _fmt(traj.mean_holding[i]),
-            _fmt(traj.consumption[i].mean()), _fmt(traj.mean_output[i]),
-            _fmt(traj.interest[i]), _fmt(traj.growth[i]), _fmt(traj.gini[i]),
-            _fmt(traj.cv[i]), _fmt(traj.interest[i] - traj.growth[i]),
+            t, "agg", format_float(traj.mean_holding[i]),
+            format_float(traj.consumption[i].mean()),
+            format_float(traj.mean_output[i]), format_float(traj.interest[i]),
+            format_float(traj.growth[i]), format_float(traj.gini[i]),
+            format_float(traj.cv[i]),
+            format_float(traj.interest[i] - traj.growth[i]),
         ]))
     return "\r\n".join(rows) + "\r\n"
 
@@ -340,14 +358,16 @@ def metrics_csv_text(traj: Trajectory) -> str:
     rows = [",".join(METRICS_COLUMNS)]
     for i in range(len(traj)):
         rows.append(",".join([
-            _fmt(traj.times[i]), _fmt(traj.gini[i]), _fmt(traj.cv[i]),
-            _fmt(traj.ratio_max_min[i]), _fmt(traj.interest[i]),
-            _fmt(traj.growth[i]), _fmt(traj.interest[i] - traj.growth[i]),
+            format_float(traj.times[i]), format_float(traj.gini[i]),
+            format_float(traj.cv[i]), format_float(traj.ratio_max_min[i]),
+            format_float(traj.interest[i]), format_float(traj.growth[i]),
+            format_float(traj.interest[i] - traj.growth[i]),
         ]))
     return "\r\n".join(rows) + "\r\n"
 
 
-def _steady_for(config: ScenarioConfig) -> SteadyState:
+def steady_state_for(config: ScenarioConfig) -> SteadyState:
+    """The steady state (or balanced ray) of the configured economy."""
     if config.regime.is_olg:
         return olg_steady_state(config.params, config.regime)
     return ramsey_steady_state(config.params, config.regime)
@@ -358,27 +378,31 @@ def summary_text(config: ScenarioConfig, steady: SteadyState,
     p = config.params
     lines = [
         f"scenario {config.name}  [case {config.regime.case_label()}]",
-        (f"params: tfp={_fmt(p.tfp)} alpha={_fmt(p.alpha)} theta={_fmt(p.theta)} "
-         f"gamma={_fmt(p.gamma)} population={p.population}"),
+        (f"params: tfp={format_float(p.tfp)} alpha={format_float(p.alpha)} "
+         f"theta={format_float(p.theta)} gamma={format_float(p.gamma)} "
+         f"population={p.population}"),
     ]
     if steady.holding_star is not None:
         lines.append(
-            f"steady state: holding*={_fmt(steady.holding_star)} "
-            f"r*={_fmt(steady.interest_star)} g*={_fmt(steady.growth_star)}"
+            f"steady state: holding*={format_float(steady.holding_star)} "
+            f"r*={format_float(steady.interest_star)} "
+            f"g*={format_float(steady.growth_star)}"
         )
     else:
         lines.append(
-            f"steady state: balanced ray, r*={_fmt(steady.interest_star)} "
-            f"g*={_fmt(steady.growth_star)}"
+            f"steady state: balanced ray, r*={format_float(steady.interest_star)} "
+            f"g*={format_float(steady.growth_star)}"
         )
     i = len(traj) - 1
     lines.append(
-        f"terminal t={_fmt(traj.times[i])}: mean holding={_fmt(traj.mean_holding[i])} "
-        f"gini={_fmt(traj.gini[i])} cv={_fmt(traj.cv[i])}"
+        f"terminal t={format_float(traj.times[i])}: "
+        f"mean holding={format_float(traj.mean_holding[i])} "
+        f"gini={format_float(traj.gini[i])} cv={format_float(traj.cv[i])}"
     )
     lines.append(
-        f"r - g: terminal r={_fmt(traj.interest[i])} g={_fmt(traj.growth[i])} "
-        f"r-g={_fmt(traj.interest[i] - traj.growth[i])}"
+        f"r - g: terminal r={format_float(traj.interest[i])} "
+        f"g={format_float(traj.growth[i])} "
+        f"r-g={format_float(traj.interest[i] - traj.growth[i])}"
     )
     lines.append(f"converged: {'yes' if traj.converged else 'NO (' + traj.note + ')'}")
     return "\n".join(lines) + "\n"
@@ -406,7 +430,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path = "out",
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    steady = _steady_for(config)
+    steady = steady_state_for(config)
     dist0 = WealthDistribution(np.asarray(config.initial_distribution))
     if config.regime.is_olg:
         traj = olg_simulate(
@@ -422,10 +446,10 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path = "out",
     traj_path = metrics_path = svg_path = None
     if want_csv:
         traj_path = out / f"{config.name}_trajectory.csv"
-        _atomic_write(traj_path, trajectory_csv_text(traj, config.params,
-                                                     config.regime))
+        atomic_write(traj_path, trajectory_csv_text(traj, config.params,
+                                                    config.regime))
         metrics_path = out / f"{config.name}_metrics.csv"
-        _atomic_write(metrics_path, metrics_csv_text(traj))
+        atomic_write(metrics_path, metrics_csv_text(traj))
     if want_svg:
         svg_path = out / f"{config.name}.svg"
         series = [
@@ -433,7 +457,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path = "out",
             for h in range(traj.population)
         ]
         series.append(("mean", traj.times, traj.mean_holding))
-        _atomic_write(svg_path, line_chart(
+        atomic_write(svg_path, line_chart(
             series, title=f"{config.name} [{config.regime.case_label()}]",
             xlabel="time", ylabel="holding",
         ))

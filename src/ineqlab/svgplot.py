@@ -15,6 +15,14 @@ _W, _H = 640, 420
 _ML, _MR, _MT, _MB = 62, 16, 34, 46
 
 
+def _text(s: str) -> str:
+    """``s`` as XML character data, as ``xml.sax.saxutils.escape`` gives it.
+
+    Importing saxutils pulls in urllib.request and ssl, about 6 MB of RSS.
+    """
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _num(x: float) -> str:
     return f"{x:.6g}"
 
@@ -31,6 +39,7 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
 
     ``series`` is an iterable of (label, xs, ys); ``markers`` an optional
     iterable of (label, xs, ys) drawn as small circles instead of lines.
+    Title, axis labels and legend entries are escaped as XML text.
     """
     series = [(str(lbl), np.asarray(xs, float), np.asarray(ys, float))
               for lbl, xs, ys in series]
@@ -61,7 +70,7 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
     if title:
         parts.append(
             f'<text x="{_W // 2}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
+            f'font-family="sans-serif" font-size="14">{_text(title)}</text>'
         )
     # axes
     parts.append(
@@ -93,13 +102,13 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
     if xlabel:
         parts.append(
             f'<text x="{_W // 2}" y="{_H - 10}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12">{xlabel}</text>'
+            f'font-family="sans-serif" font-size="12">{_text(xlabel)}</text>'
         )
     if ylabel:
         parts.append(
             f'<text x="16" y="{_H // 2}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" '
-            f'transform="rotate(-90 16 {_H // 2})">{ylabel}</text>'
+            f'transform="rotate(-90 16 {_H // 2})">{_text(ylabel)}</text>'
         )
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
@@ -115,7 +124,7 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
         )
         parts.append(
             f'<text x="{_W - _MR - 92}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="10">{label}</text>'
+            f'font-size="10">{_text(label)}</text>'
         )
     for idx, (label, xs, ys) in enumerate(markers):
         color = PALETTE[(idx + len(series)) % len(PALETTE)]

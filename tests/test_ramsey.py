@@ -371,6 +371,32 @@ class TestShootMarketAk:
         x = traj.consumption.mean(axis=1) / traj.mean_holding
         assert abs(x[-1] - mu) <= 1e-4 * mu
 
+    def test_closed_form_balanced_path(self):
+        p = EconomyParams(tfp=3.0, alpha=0.5, theta=0.1, gamma=2.0, population=3)
+        a0 = np.array([1.0, 2.0, 5.0])
+        traj = shoot_saddle_path(WealthDistribution(a0), p, RAMSEY_MARKET_AK,
+                                 ShootingConfig(dt=0.01))
+        m = p.ak_scale()
+        r = 0.5 * m
+        g = (r - 0.1) / 2.0
+        exact = a0 * np.exp(g * traj.times)[:, None]
+        assert np.max(np.abs(traj.holdings / exact - 1.0)) <= 1e-12
+        c0 = 0.5 * m * a0.mean() + (r - g) * a0
+        assert np.max(np.abs(traj.consumption[0] / c0 - 1.0)) <= 1e-14
+        assert np.max(np.abs(traj.gini - traj.gini[0])) <= 1e-15
+        # the budget da = wage + r a - c then grows every holding at g
+        for i in (0, len(traj) - 1):
+            dk, _ = ramsey_rhs(state(traj.holdings[i], traj.consumption[i]), p,
+                               RAMSEY_MARKET_AK)
+            assert np.allclose(dk, g * traj.holdings[i], rtol=1e-12, atol=0.0)
+
+    def test_decompose_rejects_ak_market(self):
+        traj = shoot_saddle_path(WealthDistribution([1.0, 2.0]), AK_MARKET,
+                                 RAMSEY_MARKET_AK, ShootingConfig(dt=0.01))
+        with pytest.raises(WrongRegime):
+            market_decompose(traj, WealthDistribution([1.0, 2.0]), AK_MARKET,
+                             RAMSEY_MARKET_AK)
+
 
 AK_AUTARKY = EconomyParams(tfp=0.5, alpha=0.5, theta=0.05, gamma=2.0,
                            population=2)
@@ -403,6 +429,32 @@ class TestShootAutarkyAk:
         realized = np.log(traj.mean_holding[-1] / traj.mean_holding[0]) / (
             traj.times[-1] - traj.times[0])
         assert realized == pytest.approx(g_star, rel=1e-3)
+
+
+class TestRecordStride:
+    @pytest.mark.parametrize("regime, params, holdings, controls", [
+        (RAMSEY_AUTARKY_EXOG, FAST_EXOG, [20.0],
+         {"dt": 0.1, "terminal_band": 1e-3}),
+        (RAMSEY_MARKET_EXOG,
+         EconomyParams(tfp=1.0, alpha=0.5, theta=0.1, gamma=1.0, population=2),
+         [12.0, 20.0], {"dt": 0.1, "terminal_band": 1e-3}),
+        (RAMSEY_MARKET_AK, AK_MARKET, [1.0, 2.0], {"dt": 0.01}),
+        (RAMSEY_AUTARKY_AK, AK_AUTARKY, [1.0, 1.5],
+         {"dt": 0.1, "terminal_band": 1e-2}),
+    ], ids=["autarky-exog", "market-exog", "market-ak", "autarky-ak"])
+    def test_every_tenth_row_plus_last(self, regime, params, holdings, controls):
+        dist = WealthDistribution(holdings)
+        full = shoot_saddle_path(dist, params, regime, ShootingConfig(**controls))
+        thin = shoot_saddle_path(dist, params, regime,
+                                 ShootingConfig(record_stride=10, **controls))
+        keep = list(range(0, len(full), 10))
+        if keep[-1] != len(full) - 1:
+            keep.append(len(full) - 1)
+        assert len(keep) > 10
+        for name in ("times", "holdings", "consumption", "mean_holding",
+                     "mean_output", "interest", "growth", "gini", "cv",
+                     "ratio_max_min"):
+            assert np.array_equal(getattr(thin, name), getattr(full, name)[keep])
 
 
 class TestConfigValidation:

@@ -1,5 +1,8 @@
 """Scenario parsing, rendering, running, and output determinism."""
 
+import json
+import os
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +103,13 @@ initial_distribution = [1.0]
             parse_scenario(doc)
         assert condition in str(err.value)
 
+    @pytest.mark.parametrize("name", ["../x", "a/b", "a\\b", ".", ".."])
+    def test_name_must_stay_inside_out_dir(self, name):
+        doc = MINIMAL.replace('name = "smoke"', f"name = {json.dumps(name)}")
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(doc)
+        assert err.value.field == "name"
+
     def test_quoted_and_bare_strings_agree(self):
         bare = parse_scenario(MINIMAL)
         quoted = parse_scenario(MINIMAL.replace("= olg", '= "olg"'))
@@ -120,7 +130,7 @@ def configs(draw):
     gamma = draw(st.floats(0.5, 4.0))
     alpha = draw(st.floats(0.1, 0.9))
     if tech is Technology.ENDOGENOUS_AK and family is Family.OLG:
-        tfp = draw(st.floats(2.6 + theta, 8.0))
+        tfp = draw(st.floats(2.0 + theta, 8.0, exclude_min=True))
     elif tech is Technology.ENDOGENOUS_AK:
         tfp = draw(st.floats(0.2, 8.0))
         # dynasty AK admits a balanced path only with g > 0 and r > g
@@ -236,6 +246,23 @@ outputs = [csv]
         artifacts = run_scenario(with_svg, tmp_path)
         assert artifacts.svg is not None and artifacts.trajectory_csv is None
         assert artifacts.svg.read_text().startswith("<svg")
+
+    def test_svg_escapes_markup_in_name(self, tmp_path):
+        doc = MINIMAL.replace('name = "smoke"', 'name = "a&b<c"')
+        artifacts = run_scenario(parse_scenario(doc + "outputs = [svg]\n"),
+                                 tmp_path)
+        root = ET.parse(artifacts.svg).getroot()
+        texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "a&b<c [(1)]" in texts
+
+    def test_artifacts_have_normal_permissions(self, tmp_path):
+        old_umask = os.umask(0o022)
+        try:
+            artifacts = run_scenario(parse_scenario(MINIMAL), tmp_path)
+        finally:
+            os.umask(old_umask)
+        for path in (artifacts.trajectory_csv, artifacts.metrics_csv):
+            assert path.stat().st_mode & 0o777 == 0o644
 
     def test_summary_contains_steady_state_and_r_minus_g(self, tmp_path):
         config = parse_scenario(MINIMAL)
