@@ -207,6 +207,16 @@ class WealthDistribution:
         return self.holdings
 
 
+def check_population(dist: WealthDistribution, params: EconomyParams):
+    """One holding per household: the spillover scale and the market mean
+    both count on it."""
+    if len(dist) != params.population:
+        raise OutOfRange(
+            "holdings",
+            f"{len(dist)} holdings for a population of {params.population}",
+        )
+
+
 @dataclass(frozen=True)
 class SteadyState:
     """Closed-form long-run target of a regime.

@@ -22,6 +22,7 @@ from .core import (
     SteadyState,
     Trajectory,
     WealthDistribution,
+    check_population,
     validate_params,
 )
 from .errors import NegativeBequest, NonPositiveInput, ThetaZeroNoSteadyState, WrongRegime
@@ -145,6 +146,7 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
     validate_params(params, regime)
     if not regime.is_olg:
         raise WrongRegime("olg_simulate requires an OLG regime")
+    check_population(dist0, params)
     if max_generations < 1:
         raise NonPositiveInput("max_generations must be >= 1")
 
@@ -194,9 +196,9 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
         mean_output=mean_output,
         interest=np.asarray(interest),
         growth=np.asarray(growth),
-        gini=np.array([gini(holdings[i]) for i in range(n)]),
-        cv=np.array([coefficient_of_variation(holdings[i]) for i in range(n)]),
-        ratio_max_min=np.array([ratio_max_min(holdings[i]) for i in range(n)]),
+        gini=gini(holdings),
+        cv=coefficient_of_variation(holdings),
+        ratio_max_min=ratio_max_min(holdings),
         regime=regime,
         converged=converged,
         savings_rate=1.0 / (2.0 + params.theta),

@@ -1,4 +1,4 @@
-"""Continuous-time dynasty models: Euler growth, RK4, saddle-path shooting.
+"""Continuous-time dynasty models: Euler growth, RK4, saddle-path solvers.
 
 The four benchmarks share one state layout, per-household (holding,
 consumption) pairs, but differ in how holdings feed production:
@@ -11,16 +11,16 @@ consumption) pairs, but differ in how holdings feed production:
 The market economy with the spillover technology is on its balanced path
 from t = 0, so it is written down in closed form: the interest rate is
 constant, and every household's holding and consumption grow at the common
-rate g from levels fixed by its budget. The other three cases are solved by
-shooting on initial consumption. Fixed-technology saddles (an autarky
-household, or the aggregate of a market economy) are 2-D, and a scalar
-bisection suffices: shots that blow up in capital mean consumption started
-too low, shots that crash it mean too high. A fixed-technology market
-economy then decomposes into household asset paths that are linear in the
-aggregate prices, and each household's consumption gap solves a linear
-equation. The autarky spillover case needs a genuinely multidimensional
-search, done by damped Newton on the initial consumption vector with horizon
-continuation.
+rate g from levels fixed by its budget. Under fixed technology, an autarky
+household and the aggregate of a market economy obey the same 2-D system,
+whose stable manifold is one policy c = phi(k). It is computed once per
+solve by time elimination (integrating dc/dk outward from the steady state),
+and every path then rides the 1-D equation k' = f(k) - phi(k), all
+households as one vector. A fixed-technology market economy decomposes into
+household asset paths that are linear in the aggregate prices, and each
+household's consumption gap solves a linear equation. The autarky spillover
+case needs a genuinely multidimensional search, done by damped Newton on the
+initial consumption vector with horizon continuation.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .core import (
     SteadyState,
     Trajectory,
     WealthDistribution,
+    check_population,
     validate_params,
 )
 from .errors import (
@@ -73,23 +74,24 @@ class RamseyState:
 class ShootingConfig:
     """Solver controls for saddle-path shooting.
 
-    ``horizon`` of None picks a per-regime default; ``terminal_band`` is the
-    relative distance from the steady state (or balanced ray) that counts as
-    arrival. ``bisection_tol`` is the relative bracket width at which the
-    search stops (the default exhausts float64). ``record_stride`` keeps
-    every n-th step of the recorded path, plus its last.
+    ``horizon`` caps the solved path's time; None picks a per-regime
+    default. Fixed-technology paths stop on arrival, so a long cap costs
+    nothing there. ``terminal_band`` is the relative distance from the
+    steady state (or balanced ray) that counts as arrival. ``max_iterations``
+    bounds the horizon continuation of the autarky spillover solve.
+    ``record_stride`` keeps every n-th step of the recorded path, plus its
+    last.
     """
 
     horizon: float | None = None
     dt: float = 1e-2
-    bisection_tol: float = 1e-15
     max_iterations: int = 200
     terminal_band: float = 1e-4
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.terminal_band <= 0.0 or self.bisection_tol <= 0.0:
-            raise NonPositiveInput("dt, terminal_band, bisection_tol must be > 0")
+        if self.dt <= 0.0 or self.terminal_band <= 0.0:
+            raise NonPositiveInput("dt and terminal_band must be > 0")
         if self.horizon is not None and self.horizon <= self.dt:
             raise NonPositiveInput("horizon must exceed dt")
         if self.max_iterations < 1 or self.record_stride < 1:
@@ -239,107 +241,148 @@ def ramsey_steady_state(params: EconomyParams, regime: Regime) -> SteadyState:
 
 
 # ---------------------------------------------------------------------------
-# scalar (2-D) shooting for point targets: autarky households and the
-# aggregate of a fixed-technology market economy
+# fixed technology: one saddle policy c = phi(k) for every autarky household
+# and for the aggregate of a market economy
+
+_POLICY_STEPS = 500  # RK4 steps in log k on either side of k*
+_POLICY_REFINE = 40  # table points per step
+_POLICY_MARGIN = 0.05  # in log k, beyond the starts and k*
+_CHUNK = 4096  # table points per vectorised RK4 step
 
 
-def _scalar_rhs_exog(params: EconomyParams):
-    A, alpha, theta, gamma = params.tfp, params.alpha, params.theta, params.gamma
-
-    def rhs(k, c):
-        return A * k ** alpha - c, c * (alpha * A * k ** (alpha - 1.0) - theta) / gamma
-
-    return rhs
-
-
-_LOW, _HIGH = -1, 1
+def _rk4_step(f, x, y, h):
+    """One classical RK4 step of y' = f(x, y), on floats or arrays."""
+    d1 = f(x, y)
+    d2 = f(x + 0.5 * h, y + 0.5 * h * d1)
+    d3 = f(x + 0.5 * h, y + 0.5 * h * d2)
+    d4 = f(x + h, y + h * d3)
+    return y + (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
 
 
-def _classify_point_shot(rhs, k0, c0, k_star, c_star, T, dt, guards):
-    """Integrate a 2-D shot; decide whether c0 was too low or too high.
+@dataclass(frozen=True)
+class _Policy:
+    """The saddle policy of a fixed-technology economy, tabulated for one dt.
 
-    Capital escaping upward (or consumption collapsing) means consumption
-    started too low; capital crashing (or consumption exploding) too high.
-    A shot that survives to the horizon is classified by which side of the
-    target capital it ends on.
+    ``consumption`` holds phi at the capital levels in ``grid``, and
+    ``step`` the RK4 map of k' = f(k) - phi(k) over one dt there, so one
+    step of a ride is one np.interp call for all households at once.
+    ``lam_s`` is the stable root at the steady state (k*, c*).
     """
-    # Floats, not the shared numpy step _rk4: numpy's per-call overhead on a
-    # 2-D state outweighs the arithmetic. 3500 steps take 0.0075 s here and
-    # 0.29 s through _rk4 (Python 3.11, numpy 2.4, one Xeon vCPU). A saddle
-    # policy function would remove this bisection and the loop with it.
-    k_lo, k_hi, c_lo, c_hi = guards
-    k, c = k0, c0
-    n = int(round(T / dt))
-    for _ in range(n):
-        dk1, dc1 = rhs(k, c)
-        k2, c2 = k + 0.5 * dt * dk1, c + 0.5 * dt * dc1
-        if k2 <= 0.0 or c2 <= 0.0:
-            return _HIGH if k2 <= 0.0 else _LOW
-        dk2, dc2 = rhs(k2, c2)
-        k3, c3 = k + 0.5 * dt * dk2, c + 0.5 * dt * dc2
-        if k3 <= 0.0 or c3 <= 0.0:
-            return _HIGH if k3 <= 0.0 else _LOW
-        dk3, dc3 = rhs(k3, c3)
-        k4, c4 = k + dt * dk3, c + dt * dc3
-        if k4 <= 0.0 or c4 <= 0.0:
-            return _HIGH if k4 <= 0.0 else _LOW
-        dk4, dc4 = rhs(k4, c4)
-        k += dt * (dk1 + 2.0 * dk2 + 2.0 * dk3 + dk4) / 6.0
-        c += dt * (dc1 + 2.0 * dc2 + 2.0 * dc3 + dc4) / 6.0
-        if k < k_lo or c > c_hi:
-            return _HIGH
-        if k > k_hi or c < c_lo:
-            return _LOW
-    return _LOW if k > k_star else _HIGH
+
+    k_star: float
+    c_star: float
+    lam_s: float
+    grid: np.ndarray
+    consumption: np.ndarray
+    step: np.ndarray
 
 
-def _shoot_point_scalar(k0: float, params: EconomyParams, config: ShootingConfig,
-                        T: float) -> float:
-    """Bisect c(0) so the 2-D fixed-technology path lands on the saddle."""
+def _saddle_policy(params: EconomyParams, k0: np.ndarray, dt: float) -> _Policy:
+    """Tabulate c = phi(k) over [min(k0, k*), max(k0, k*)] and a margin.
+
+    Time elimination: on the saddle path dc/dk = c (f'(k) - theta) /
+    (gamma (f(k) - c)), and in u = log k, as k f'(k) = alpha f(k),
+    dc/du = c (alpha f - theta k) / (gamma (f - c)). RK4 in u runs outward
+    from (k*, c*) on either side. The first node comes from the manifold's
+    Taylor expansion at k*, whose slope is theta - lam_s for the stable
+    root lam_s of lam^2 - theta lam + c* f''(k*) / gamma. Run outward, the
+    unstable root pulls neighbouring curves onto the manifold, so an early
+    error dies out. The nodes and their exact slopes give a cubic Hermite
+    interpolant, sampled _POLICY_REFINE times per step for np.interp.
+    """
+    A, alpha, theta, gamma = params.tfp, params.alpha, params.theta, params.gamma
     target = ramsey_steady_state(params, RAMSEY_AUTARKY_EXOG)
     k_star, c_star = target.holding_star, target.consumption_star
-    rhs = _scalar_rhs_exog(params)
-    f_k0 = params.tfp * k0 ** params.alpha
-    guards = (
-        0.3 * min(k0, k_star),
-        2.5 * max(k0, k_star),
-        1e-6 * c_star,
-        10.0 * max(c_star, f_k0),
-    )
-    lo = 1e-9 * c_star
-    hi = 2.0 * max(c_star, f_k0)
-    if _classify_point_shot(rhs, k0, lo, k_star, c_star, T, config.dt, guards) != _LOW:
-        raise ShootingFailed("lower bracket did not classify as too-low consumption")
-    expansions = 0
-    while _classify_point_shot(rhs, k0, hi, k_star, c_star, T, config.dt, guards) != _HIGH:
-        hi *= 2.0
-        expansions += 1
-        if expansions > 60:
-            raise ShootingFailed("could not bracket initial consumption from above")
-    for _ in range(config.max_iterations):
-        if hi - lo <= config.bisection_tol * hi:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        side = _classify_point_shot(rhs, k0, mid, k_star, c_star, T, config.dt, guards)
-        if side == _LOW:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    f2 = alpha * (alpha - 1.0) * A * k_star ** (alpha - 2.0)
+    f3 = (alpha - 2.0) * f2 / k_star
+    lam_s = 0.5 * (theta - math.sqrt(theta * theta - 4.0 * c_star * f2 / gamma))
+    s = theta - lam_s
+    # phi''(k*): differentiate phi' (f - phi) = phi (f' - theta) / gamma twice
+    q = ((2.0 * s * f2 + c_star * f3) / gamma - s * f2) / (3.0 * lam_s - theta)
+
+    def slope(u, c):
+        k = math.exp(u)
+        y = A * k ** alpha
+        return c * (alpha * y - theta * k) / (gamma * (y - c))
+
+    u_star = math.log(k_star)
+    ends = (math.log(min(float(k0.min()), k_star)) - _POLICY_MARGIN,
+            math.log(max(float(k0.max()), k_star)) + _POLICY_MARGIN)
+    t = np.arange(_POLICY_REFINE) / _POLICY_REFINE
+    hermite = np.array([(1.0 + 2.0 * t) * (1.0 - t) ** 2, t * (1.0 - t) ** 2,
+                        t * t * (3.0 - 2.0 * t), t * t * (t - 1.0)])
+    grid, consumption = [], []
+    for end in ends:
+        h = (end - u_star) / _POLICY_STEPS
+        d = k_star * math.expm1(h)
+        c = c_star + d * (s + 0.5 * q * d)
+        nodes = [(c_star, s * k_star), (c, slope(u_star + h, c))]
+        for i in range(1, _POLICY_STEPS):
+            c = _rk4_step(slope, u_star + i * h, c, h)
+            nodes.append((c, slope(u_star + (i + 1) * h, c)))
+        C, D = np.array(nodes[::-1] if h < 0.0 else nodes).T
+        h = abs(h)
+        left = np.arange(_POLICY_STEPS) + t[:, None]
+        grid.append(np.exp(min(end, u_star) + h * left.T).ravel())
+        consumption.append((np.column_stack(
+            [C[:-1], h * D[:-1], C[1:], h * D[1:]]) @ hermite).ravel())
+    # the upper side's last node closes the table
+    grid = np.concatenate(grid + [[math.exp(ends[1])]])
+    consumption = np.concatenate(consumption + [C[-1:]])
+
+    def drift(_, k):
+        return A * k ** alpha - np.interp(k, grid, consumption)
+
+    # in chunks: whole-grid temporaries raised the process's peak memory
+    step = np.concatenate([_rk4_step(drift, 0.0, grid[i:i + _CHUNK], dt)
+                           for i in range(0, grid.size, _CHUNK)])
+    if step.min() < grid[0] or step.max() > grid[-1]:
+        raise ShootingFailed(f"dt={dt} overshoots the saddle policy; take a smaller dt")
+    return _Policy(k_star, c_star, lam_s, grid, consumption, step)
 
 
-def _default_horizon_exog(params: EconomyParams, k0_values, config: ShootingConfig):
-    if config.horizon is not None:
-        return config.horizon
-    theta = params.theta
-    spans = []
-    for k0 in np.atleast_1d(k0_values):
-        fp = params.alpha * params.tfp * float(k0) ** (params.alpha - 1.0)
-        gap = abs(fp - theta)
-        spans.append(500.0 if gap == 0.0 else 10.0 / gap)
-    return float(min(500.0, max(50.0, max(spans))))
+def _ride(policy: _Policy, k0: np.ndarray, n_steps: int,
+          arrival=(math.inf, -math.inf)) -> np.ndarray:
+    """Capital rows of k' = f(k) - phi(k) from k0, one column per household.
+
+    Stops at the first row whose entries all lie in the ``arrival``
+    interval (lo, hi); by default it takes all n_steps.
+    """
+    lo, hi = arrival
+    grid, step = policy.grid, policy.step
+    k = k0
+    rows = [k]
+    for _ in range(n_steps):
+        k = np.interp(k, grid, step)
+        rows.append(k)
+        if lo <= k.min() and k.max() <= hi:
+            break
+    return np.stack(rows)
+
+
+def _ride_into_band(k0: np.ndarray, params: EconomyParams, config: ShootingConfig):
+    """Ride the saddle policy from k0 into the terminal band; (times, K, C)."""
+    policy = _saddle_policy(params, k0, config.dt)
+    k_star, c_star, band = policy.k_star, policy.c_star, config.terminal_band
+    # phi rises through (k*, c*), so the band in (k, c) is an interval of k
+    k_lo, k_hi = np.interp([c_star * (1.0 - band), c_star * (1.0 + band)],
+                           policy.consumption, policy.grid)
+    lo, hi = max(k_star * (1.0 - band), k_lo), min(k_star * (1.0 + band), k_hi)
+    T = config.horizon
+    if T is None:
+        # deviations shrink like e^(lam_s t) near k*; the ride stops on
+        # arrival, so allowing twice that time costs nothing
+        reach = min(hi - k_star, k_star - lo)
+        dev = max(float(np.max(np.abs(k0 - k_star))), reach)
+        T = 2.0 * (math.log(dev / reach) + 1.0) / -policy.lam_s
+    K = _ride(policy, k0, int(round(T / config.dt)), (lo, hi))
+    if not (lo <= K[-1].min() and K[-1].max() <= hi):
+        raise ShootingFailed(
+            f"no arrival in the terminal band by horizon {T}; "
+            f"widen the horizon or the band"
+        )
+    times = config.dt * np.arange(K.shape[0])
+    return times, K, np.interp(K, policy.grid, policy.consumption)
 
 
 # ---------------------------------------------------------------------------
@@ -418,9 +461,9 @@ def _ramsey_trajectory(times, K, C, params, regime, converged, note=""):
         mean_output=mean_output,
         interest=r,
         growth=growth,
-        gini=np.array([gini(K[i]) for i in range(n)]),
-        cv=np.array([coefficient_of_variation(K[i]) for i in range(n)]),
-        ratio_max_min=np.array([ratio_max_min(K[i]) for i in range(n)]),
+        gini=gini(K),
+        cv=coefficient_of_variation(K),
+        ratio_max_min=ratio_max_min(K),
         regime=regime,
         converged=converged,
         note=note,
@@ -432,87 +475,13 @@ def _ramsey_trajectory(times, K, C, params, regime, converged, note=""):
 
 
 def _shoot_autarky_exog(dist0, params, regime, config):
-    k0 = dist0.as_array()
-    target = ramsey_steady_state(params, regime)
-    k_star, c_star = target.holding_star, target.consumption_star
-    T = _default_horizon_exog(params, k0, config)
-    c0 = np.array([
-        _shoot_point_scalar(float(k), params, config, T) for k in k0
-    ])
-    band = config.terminal_band
-
-    def arrived(k, c):
-        return bool(
-            np.max(np.abs(k - k_star)) <= band * k_star
-            and np.max(np.abs(c - c_star)) <= band * c_star
-        )
-
-    times, K, C, stopped, feasible = _integrate_vector(
-        k0, c0, params, regime, config.dt, int(round(T / config.dt)),
-        stop_fn=arrived,
-    )
-    if not stopped:
-        raise ShootingFailed(
-            f"no joint arrival in the terminal band by horizon {T} "
-            f"(feasible={feasible}); widen the horizon or the band"
-        )
+    times, K, C = _ride_into_band(dist0.as_array(), params, config)
     return _ramsey_trajectory(times, K, C, params, regime, converged=True)
 
 
 # ---------------------------------------------------------------------------
 # market regimes: the spillover economy in closed form; fixed technology as
 # an aggregate saddle plus a linear household decomposition
-
-
-def _integrate_market_aggregate(k0, c0, params, dt, n_steps, stop_fn=None):
-    """Jointly integrate the fixed-technology aggregate saddle and its bases.
-
-    State is (k, c, phi, pg): the homogeneous solution phi of the asset
-    equation and the response pg to one unit of initial consumption growing
-    at the common factor c(t)/c(0). Household assets then follow by
-    superposition in deviations from the mean:
-    a_i(t) = k(t) + phi * (a_i(0) - k(0)) - (c_i(0) - c(0)) * pg.
-    """
-    # Float tuples, not the shared numpy step: 3500 steps take 0.023-0.026 s
-    # here and 0.074-0.085 s as a numpy 4-vector (same machine as
-    # _classify_point_shot). A saddle policy function for the aggregate
-    # would remove this loop.
-    A, alpha, theta, gamma = params.tfp, params.alpha, params.theta, params.gamma
-    inv_c0 = 1.0 / c0
-
-    def rhs(s):
-        k, c, phi, pg = s
-        r = alpha * A * k ** (alpha - 1.0)
-        return A * k ** alpha - c, c * (r - theta) / gamma, r * phi, r * pg + c * inv_c0
-
-    s = (k0, c0, 1.0, 0.0)
-    rows = [s]
-    times = [0.0]
-    for i in range(1, n_steps + 1):
-        d1 = rhs(s)
-        s2 = tuple(s[j] + 0.5 * dt * d1[j] for j in range(4))
-        if s2[0] <= 0.0 or s2[1] <= 0.0:
-            break
-        d2 = rhs(s2)
-        s3 = tuple(s[j] + 0.5 * dt * d2[j] for j in range(4))
-        if s3[0] <= 0.0 or s3[1] <= 0.0:
-            break
-        d3 = rhs(s3)
-        s4 = tuple(s[j] + dt * d3[j] for j in range(4))
-        if s4[0] <= 0.0 or s4[1] <= 0.0:
-            break
-        d4 = rhs(s4)
-        s = tuple(
-            s[j] + (dt / 6.0) * (d1[j] + 2.0 * d2[j] + 2.0 * d3[j] + d4[j])
-            for j in range(4)
-        )
-        if s[0] <= 0.0 or s[1] <= 0.0:
-            break
-        times.append(i * dt)
-        rows.append(s)
-        if stop_fn is not None and stop_fn(s[0], s[1]):
-            break
-    return np.asarray(times), np.asarray(rows)
 
 
 def _shoot_market(dist0, params, regime, config):
@@ -536,26 +505,9 @@ def _shoot_market(dist0, params, regime, config):
                                   regime, converged=True,
                                   note="closed-form balanced path")
 
-    target = ramsey_steady_state(params, regime)
-    k_star, c_star = target.holding_star, target.consumption_star
-    T = _default_horizon_exog(params, kbar0, config)
-    cbar0 = _shoot_point_scalar(kbar0, params, config, T)
-    band = config.terminal_band
-
-    def arrived(k, c):
-        return abs(k - k_star) <= band * k_star and abs(c - c_star) <= band * c_star
-
-    times, rows = _integrate_market_aggregate(
-        kbar0, cbar0, params, config.dt, int(round(T / config.dt)),
-        stop_fn=arrived,
-    )
-    k_path, c_path = rows[:, 0], rows[:, 1]
-    if not arrived(k_path[-1], c_path[-1]):
-        raise ShootingFailed(
-            f"aggregate path missed the terminal band by horizon {T}"
-        )
+    times, K, C = _ride_into_band(np.array([kbar0]), params, config)
     aggregate = _ramsey_trajectory(
-        times, k_path[:, None], c_path[:, None], params, regime, converged=True,
+        times, K, C, params, regime, converged=True,
         note="aggregate (per-capita) path",
     )
     if len(dist0) == 1:
@@ -567,8 +519,11 @@ def market_decompose(aggregate: Trajectory, a0: WealthDistribution,
                      params: EconomyParams, regime: Regime) -> Trajectory:
     """Expand a fixed-technology aggregate market path into household paths.
 
-    Each household consumes its own initial level grown by the common factor;
-    its assets obey the linear equation da = wage + r a - c. Working in
+    The aggregate is ridden again from its initial capital on its own grid,
+    along the same saddle policy; it must match that ride, or
+    DecompositionInconsistent is raised. Each household consumes its own
+    initial level grown by the common factor; its assets obey the linear
+    equation da = wage + r a - c. Working in
     deviations from the aggregate, a_i = kbar + phi * (a_i0 - kbar0) -
     (c_i0 - cbar0) * pg, the initial consumption gap of each household is
     the root of a linear equation: it makes the deviation's drift vanish at
@@ -596,16 +551,20 @@ def market_decompose(aggregate: Trajectory, a0: WealthDistribution,
     steps = np.diff(aggregate.times)
     if not np.allclose(steps, dt, rtol=0.0, atol=1e-12 * max(dt, 1.0)):
         raise DecompositionInconsistent("aggregate trajectory must use a uniform grid")
-    cbar0 = float(aggregate.consumption[0, 0])
-    n_steps = len(aggregate.times) - 1
-
-    times, rows = _integrate_market_aggregate(kbar0, cbar0, params, dt, n_steps)
-    if times.shape[0] != aggregate.times.shape[0]:
+    # re-ride the aggregate on its own grid; it must be the saddle path
+    policy = _saddle_policy(params, np.array([kbar0]), dt)
+    k_path = _ride(policy, np.array([kbar0]), len(aggregate.times) - 1)[:, 0]
+    c_path = np.interp(k_path, policy.grid, policy.consumption)
+    gap = max(np.max(np.abs(aggregate.mean_holding / k_path - 1.0)),
+              np.max(np.abs(aggregate.consumption[:, 0] / c_path - 1.0)))
+    if gap > 1e-8:
         raise DecompositionInconsistent(
-            "could not re-integrate the aggregate path on its own grid"
+            f"aggregate is not the saddle path from its initial capital "
+            f"(max relative gap {gap:.3e})"
         )
-    k_path, c_path, phi, pg = rows.T
+    cbar0 = float(c_path[0])
     growth_factor = c_path / cbar0
+    phi, pg = _aggregate_bases(policy, params, k_path, cbar0, dt)
 
     # terminal drift of the deviation, dc G_T - r_T (phi_T da - dc pg_T),
     # is zero at this consumption gap
@@ -631,9 +590,33 @@ def market_decompose(aggregate: Trajectory, a0: WealthDistribution,
             f"(max relative error {agg_err:.3e})"
         )
     return _ramsey_trajectory(
-        times, assets, consumption, params, regime, converged=True,
+        aggregate.times, assets, consumption, params, regime, converged=True,
         note="household decomposition of the aggregate path",
     )
+
+
+def _aggregate_bases(policy, params, k_path, cbar0, dt):
+    """The decomposition's bases phi and pg along the aggregate's ride.
+
+    They solve phi' = r phi with phi(0) = 1, and pg' = r pg + c / cbar0 with
+    pg(0) = 0, where r and c follow the aggregate k, all three by RK4 at dt.
+    Both equations are linear, so one step maps (phi, pg) to (M phi,
+    M pg + N): one RK4 step of every row at once, from phi = 1 and pg = 0,
+    gives M and N, and the bases are then a running product and sum.
+    """
+    A, alpha = params.tfp, params.alpha
+
+    def joint(_, z):
+        k, phi, pg = z
+        c = np.interp(k, policy.grid, policy.consumption)
+        r = alpha * A * k ** (alpha - 1.0)
+        return np.array([A * k ** alpha - c, r * phi, r * pg + c / cbar0])
+
+    n = k_path.size - 1
+    start = np.array([k_path[:-1], np.ones(n), np.zeros(n)])
+    _, M, N = _rk4_step(joint, 0.0, start, dt)
+    phi = np.concatenate([[1.0], np.cumprod(M)])
+    return phi, phi * np.concatenate([[0.0], np.cumsum(N / phi[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +649,8 @@ def _integrate_endog_autarky(k0, c0, params, dt, n_steps):
     Pure-float inner loop: this sits inside the Newton continuation's
     finite-difference Jacobian, where numpy overhead on tiny vectors
     dominates runtime. With three households, 40 steps take 0.77 ms here
-    and 4.9 ms through the shared numpy step _rk4 (same machine as
-    _classify_point_shot). Batching the Newton shots into one numpy
+    and 4.9 ms through the shared numpy step _rk4 (Python 3.11, numpy 2.4,
+    one Xeon vCPU). Batching the Newton shots into one numpy
     integration would remove this loop.
     """
     m = params.ak_scale()
@@ -894,6 +877,7 @@ def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,
     validate_params(params, regime)
     if regime.is_olg:
         raise WrongRegime("shoot_saddle_path requires a Ramsey regime")
+    check_population(dist0, params)
     if config is None:
         config = ShootingConfig()
     if regime.is_market:

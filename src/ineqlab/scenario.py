@@ -88,7 +88,6 @@ _KNOWN_KEYS = {
     "horizon.stop_tol",
     "horizon.time",
     "horizon.dt",
-    "horizon.bisection_tol",
     "horizon.max_iterations",
     "horizon.terminal_band",
     "horizon.record_stride",
@@ -215,9 +214,6 @@ def parse_scenario(text: str) -> ScenarioConfig:
     shooting = ShootingConfig(
         horizon=horizon_time,
         dt=as_number("horizon.dt", pick("horizon.dt", 1e-2)),
-        bisection_tol=as_number(
-            "horizon.bisection_tol", pick("horizon.bisection_tol", 1e-15)
-        ),
         max_iterations=as_int(
             "horizon.max_iterations", pick("horizon.max_iterations", 200)
         ),
@@ -268,7 +264,6 @@ def render_scenario(config: ScenarioConfig) -> str:
         ("horizon.stop_tol", json.dumps(config.stop_tol)),
         ("horizon.time", json.dumps(sc.horizon)),
         ("horizon.dt", json.dumps(sc.dt)),
-        ("horizon.bisection_tol", json.dumps(sc.bisection_tol)),
         ("horizon.max_iterations", json.dumps(sc.max_iterations)),
         ("horizon.terminal_band", json.dumps(sc.terminal_band)),
         ("horizon.record_stride", json.dumps(sc.record_stride)),

@@ -1,6 +1,7 @@
 """Dynasty models: vector field, RK4, steady states, saddle-path shooting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ineqlab import (
+    OLG_MARKET_AK,
     OLG_MARKET_EXOG,
     RAMSEY_AUTARKY_AK,
     RAMSEY_AUTARKY_EXOG,
@@ -20,13 +22,16 @@ from ineqlab import (
     WealthDistribution,
     euler_growth,
     market_decompose,
+    olg_simulate,
     ramsey_rhs,
     ramsey_steady_state,
     rk4_step,
     shoot_saddle_path,
 )
 from ineqlab.errors import (
+    DecompositionInconsistent,
     NonPositiveInput,
+    OutOfRange,
     ShootingFailed,
     StateLeftDomain,
     ThetaZeroNoSteadyState,
@@ -265,6 +270,80 @@ class TestShootAutarkyExog:
                               RAMSEY_AUTARKY_EXOG, config)
 
 
+FIXED_REGIMES = pytest.mark.parametrize(
+    "regime", [RAMSEY_AUTARKY_EXOG, RAMSEY_MARKET_EXOG], ids=["autarky", "market"])
+
+
+def in_band(traj, band):
+    """The last row of the mean path lies in the band around (25, 5)."""
+    k = traj.mean_holding[-1]
+    c = traj.consumption[-1].mean()
+    return abs(k / 25.0 - 1.0) <= band * (1 + 1e-12) and \
+        abs(c / 5.0 - 1.0) <= band * (1 + 1e-12)
+
+
+class TestSaddlePolicy:
+    """Fixed-technology solves ride the saddle policy c = phi(k)."""
+
+    @FIXED_REGIMES
+    def test_starts_that_bisection_missed_arrive(self, regime):
+        # a bisected c(0) left these starts 1e-5 to 1e-4 off (k*, c*)
+        config = ShootingConfig(horizon=175.0, dt=0.05, terminal_band=1e-4)
+        for k0 in (5.15, 5.3, 5.45, 5.6, 5.65, 6.2, 6.6, 6.9, 7.1, 7.35,
+                   8.5, 51.6):
+            traj = shoot_saddle_path(WealthDistribution([k0]), FAST_EXOG,
+                                     regime, config)
+            assert in_band(traj, 1e-4), k0
+
+    @FIXED_REGIMES
+    def test_tight_band_arrives(self, regime):
+        config = ShootingConfig(horizon=500.0, dt=0.05, terminal_band=1e-6)
+        for k0 in (5.0, 60.0):
+            traj = shoot_saddle_path(WealthDistribution([k0]), FAST_EXOG,
+                                     regime, config)
+            assert in_band(traj, 1e-6), k0
+            assert 4000 < len(traj) < 5000
+
+    @FIXED_REGIMES
+    def test_default_horizon_arrives_from_far_below(self, regime):
+        config = ShootingConfig(dt=0.05, terminal_band=1e-4)
+        for k0 in (5.0, 8.0):
+            traj = shoot_saddle_path(WealthDistribution([k0]), FAST_EXOG,
+                                     regime, config)
+            assert in_band(traj, 1e-4), k0
+
+    def test_thousand_households_arrive(self):
+        p = EconomyParams(tfp=1.0, alpha=0.5, theta=0.1, gamma=1.0,
+                          population=1000)
+        k0 = np.random.default_rng(5).uniform(5.0, 60.0, 1000)
+        config = ShootingConfig(horizon=175.0, dt=0.05, terminal_band=1e-3)
+        traj = shoot_saddle_path(WealthDistribution(k0), p,
+                                 RAMSEY_AUTARKY_EXOG, config)
+        assert np.array_equal(traj.holdings[0], k0)
+        assert np.max(np.abs(traj.holdings[-1] / 25.0 - 1.0)) <= 1e-3
+        assert np.max(np.abs(traj.consumption[-1] / 5.0 - 1.0)) <= 1e-3 * (1 + 1e-12)
+
+    @FIXED_REGIMES
+    def test_initial_consumption_matches_bisection(self, regime):
+        # c(0) as bisected to float64 by shooting the 2-D system
+        config = ShootingConfig(horizon=175.0, dt=0.05, terminal_band=1e-3)
+        for k0, c0 in ((5.0, 1.4191770222877231), (12.0, 2.786025822380111),
+                       (60.0, 10.283376045146252), (80.0, 13.105721686334316)):
+            traj = shoot_saddle_path(WealthDistribution([k0]), FAST_EXOG,
+                                     regime, config)
+            assert traj.consumption[0, 0] == pytest.approx(c0, rel=1e-8)
+
+    def test_holdings_must_match_population(self):
+        p = EconomyParams(tfp=3.0, alpha=0.5, theta=0.1, gamma=2.0, population=2)
+        three = WealthDistribution([1.0, 2.0, 3.0])
+        with pytest.raises(OutOfRange) as err:
+            shoot_saddle_path(three, p, RAMSEY_MARKET_AK)
+        assert err.value.field == "holdings"
+        with pytest.raises(OutOfRange) as err:
+            olg_simulate(three, p, OLG_MARKET_AK)
+        assert err.value.field == "holdings"
+
+
 class TestShootMarketExog:
     def test_decompose_steady_state_budget(self):
         # hand-built stationary aggregate: households keep their assets and
@@ -331,6 +410,23 @@ class TestShootMarketExog:
                           population=2)
         with pytest.raises(DecompositionInconsistent):
             market_decompose(agg, WealthDistribution([50.0, 100.0]), p,
+                             RAMSEY_MARKET_EXOG)
+
+    def test_aggregate_off_the_saddle_path_rejected(self):
+        # the steady capital with too much consumption is not a saddle path
+        n = 11
+        agg = Trajectory(
+            times=0.05 * np.arange(n), holdings=np.full((n, 1), 100.0),
+            consumption=np.full((n, 1), 11.0),
+            mean_holding=np.full(n, 100.0), mean_output=np.full(n, 10.0),
+            interest=np.full(n, 0.05), growth=np.zeros(n),
+            gini=np.zeros(n), cv=np.zeros(n), ratio_max_min=np.ones(n),
+            regime=RAMSEY_MARKET_EXOG, converged=True,
+        )
+        p = EconomyParams(tfp=1.0, alpha=0.5, theta=0.05, gamma=1.0,
+                          population=2)
+        with pytest.raises(DecompositionInconsistent):
+            market_decompose(agg, WealthDistribution([50.0, 150.0]), p,
                              RAMSEY_MARKET_EXOG)
 
 
@@ -421,9 +517,10 @@ class TestShootAutarkyAk:
 
     def test_single_household_rides_ray(self):
         config = ShootingConfig(dt=0.025, terminal_band=1e-4)
-        traj = shoot_saddle_path(WealthDistribution([2.0]), AK_AUTARKY,
+        params = replace(AK_AUTARKY, population=1)
+        traj = shoot_saddle_path(WealthDistribution([2.0]), params,
                                  RAMSEY_AUTARKY_AK, config)
-        m = AK_AUTARKY.ak_scale()
+        m = params.ak_scale()
         g_star = (0.5 * m - 0.05) / 2.0
         dt = traj.times[1] - traj.times[0]
         realized = np.log(traj.mean_holding[-1] / traj.mean_holding[0]) / (

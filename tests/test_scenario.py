@@ -51,6 +51,10 @@ class TestParse:
             parse_scenario(doc)
         assert err.value.field == "alpha"
 
+    def test_bisection_tolerance_key_is_gone(self):
+        with pytest.raises(ValidationError):
+            parse_scenario(MINIMAL + "horizon.bisection_tol = 1e-15\n")
+
     def test_distribution_length_mismatch(self):
         doc = MINIMAL + "params.population = 3\n"
         with pytest.raises(ValidationError) as err:
