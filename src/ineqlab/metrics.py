@@ -1,9 +1,4 @@
-"""Distribution statistics, mean-preserving spreads, and the r-vs-g report.
-
-``gini``, ``coefficient_of_variation`` and ``ratio_max_min`` take one
-distribution (a WealthDistribution or a vector) and return a float, or a 2-D
-array with one distribution per row and return one value per row.
-"""
+"""Distribution statistics, mean-preserving spreads, and the r-vs-g report."""
 
 from __future__ import annotations
 
@@ -23,50 +18,41 @@ from .errors import (
 def _values(dist) -> np.ndarray:
     if isinstance(dist, WealthDistribution):
         return dist.as_array()
-    x = np.asarray(dist, dtype=float)
-    return x if x.ndim == 2 else x.reshape(-1)
+    return np.asarray(dist, dtype=float).reshape(-1)
 
 
-def _result(x: np.ndarray, values):
-    """A float for one distribution, an array of one value per row for 2-D."""
-    return values if x.ndim == 2 else float(values)
-
-
-def gini(dist) -> float | np.ndarray:
+def gini(dist) -> float:
     """Mean absolute difference over twice the mean: sum|x_i - x_j| / (2 n^2 mu).
 
     Population-weighted, no small-sample correction; ranges over [0, 1 - 1/n].
     Accepts a WealthDistribution or any nonnegative vector (zeros allowed).
     """
     x = _values(dist)
-    if x.shape[-1] == 0 or np.any(x < 0.0):
+    if x.size == 0 or np.any(x < 0.0):
         raise OutOfRange("values", "gini needs a nonempty nonnegative vector")
-    total = x.sum(axis=-1)
-    if np.any(total == 0.0):
+    total = x.sum()
+    if total == 0.0:
         raise AllZero("gini undefined for an all-zero vector")
-    n = x.shape[-1]
-    xs = np.sort(x, axis=-1)
+    n = x.size
+    xs = np.sort(x)
     # sum_i sum_j |x_i - x_j| = 2 * sum_k (2k + 1 - n) * x_(k) for sorted x
     weights = 2.0 * np.arange(n) + 1.0 - n
-    return _result(x, xs @ weights / (n * total))
+    return float(np.dot(weights, xs) / (n * total))
 
 
-def coefficient_of_variation(dist) -> float | np.ndarray:
+def coefficient_of_variation(dist) -> float:
     """Population standard deviation over the mean."""
     x = _values(dist)
-    mu = x.mean(axis=-1)
-    if np.any(mu == 0.0):
+    mu = x.mean()
+    if mu == 0.0:
         raise AllZero("cv undefined for an all-zero vector")
-    return _result(x, x.std(axis=-1) / mu)
+    return float(x.std() / mu)
 
 
-def ratio_max_min(dist) -> float | np.ndarray:
-    """Largest over smallest entry; inf where the smallest is zero."""
+def ratio_max_min(dist) -> float:
     x = _values(dist)
-    lo = x.min(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = x.max(axis=-1) / lo
-    return _result(x, np.where(lo == 0.0, np.inf, ratio))
+    lo = x.min()
+    return float(np.inf) if lo == 0.0 else float(x.max() / lo)
 
 
 @dataclass(frozen=True)

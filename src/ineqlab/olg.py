@@ -196,9 +196,9 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
         mean_output=mean_output,
         interest=np.asarray(interest),
         growth=np.asarray(growth),
-        gini=gini(holdings),
-        cv=coefficient_of_variation(holdings),
-        ratio_max_min=ratio_max_min(holdings),
+        gini=np.array([gini(holdings[i]) for i in range(n)]),
+        cv=np.array([coefficient_of_variation(holdings[i]) for i in range(n)]),
+        ratio_max_min=np.array([ratio_max_min(holdings[i]) for i in range(n)]),
         regime=regime,
         converged=converged,
         savings_rate=1.0 / (2.0 + params.theta),

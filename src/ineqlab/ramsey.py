@@ -461,9 +461,9 @@ def _ramsey_trajectory(times, K, C, params, regime, converged, note=""):
         mean_output=mean_output,
         interest=r,
         growth=growth,
-        gini=gini(K),
-        cv=coefficient_of_variation(K),
-        ratio_max_min=ratio_max_min(K),
+        gini=np.array([gini(K[i]) for i in range(n)]),
+        cv=np.array([coefficient_of_variation(K[i]) for i in range(n)]),
+        ratio_max_min=np.array([ratio_max_min(K[i]) for i in range(n)]),
         regime=regime,
         converged=converged,
         note=note,

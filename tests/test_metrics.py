@@ -27,28 +27,6 @@ def gini_double_loop(x):
     return sum(abs(a - b) for a in x for b in x) / (2.0 * n * n * x.mean())
 
 
-class TestRowStatistics:
-    """A 2-D input gives one value per row, as the 1-D call on that row."""
-
-    @pytest.mark.parametrize("households", [1, 2, 4, 1000])
-    def test_rows_match_single_calls(self, households):
-        x = np.random.default_rng(households).uniform(0.1, 50.0, (7, households))
-        for stat in (gini, coefficient_of_variation, ratio_max_min):
-            rows = stat(x)
-            assert rows.shape == (7,)
-            for i in range(7):
-                single = stat(x[i])
-                assert isinstance(single, float)
-                assert rows[i] == pytest.approx(single, rel=1e-14, abs=1e-14)
-
-    def test_all_zero_row_raises(self):
-        x = np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])
-        for stat in (gini, coefficient_of_variation):
-            with pytest.raises(AllZero):
-                stat(x)
-        assert ratio_max_min(x)[1] == np.inf
-
-
 class TestGini:
     def test_perfect_equality(self):
         assert gini([1.0, 1.0, 1.0]) == 0.0
