@@ -50,7 +50,12 @@ class StateLeftDomain(IneqLabError):
 
 
 class ShootingFailed(IneqLabError):
-    """Saddle-path search exhausted its iteration budget or never bracketed."""
+    """Saddle-path search failed to find a path into the terminal band.
+
+    The path did not arrive by the horizon, dt was too coarse for the
+    solve, or the autarky spillover Newton solve did not converge within
+    ``max_iterations`` or left the positive domain at every damping.
+    """
 
 
 class DecompositionInconsistent(IneqLabError):

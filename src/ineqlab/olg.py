@@ -11,6 +11,7 @@ balanced growth ray.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,13 @@ from .core import (
     check_population,
     validate_params,
 )
-from .errors import NegativeBequest, NonPositiveInput, ThetaZeroNoSteadyState, WrongRegime
+from .errors import (
+    NegativeBequest,
+    NonPositiveInput,
+    OutOfRange,
+    ThetaZeroNoSteadyState,
+    WrongRegime,
+)
 from .metrics import coefficient_of_variation, gini, ratio_max_min
 
 
@@ -141,7 +148,8 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
     Stops early once the distribution is within ``stop_tol`` of the steady
     level (fixed technology) or once relative dispersion around the mean
     falls below ``stop_tol`` (endogenous technology). Failure to converge is
-    flagged on the returned trajectory, never raised.
+    flagged on the returned trajectory, never raised; a generation whose
+    holdings overflow float64 raises OutOfRange, naming that generation.
     """
     validate_params(params, regime)
     if not regime.is_olg:
@@ -172,9 +180,17 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
     converged = settled(b, bbar)
 
     while not converged and len(rows_b) - 1 < max_generations:
-        rep = olg_step(WealthDistribution._trusted(b, dist0.floor), params, regime)
-        b = rep.next.as_array()
-        bbar = float(b.mean())
+        # a growing economy can leave float64; that is checked right after
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = olg_step(WealthDistribution._trusted(b, dist0.floor), params, regime)
+            b = rep.next.as_array()
+            bbar = float(b.mean())
+        if not math.isfinite(bbar):
+            raise OutOfRange(
+                "holdings",
+                f"generation {len(rows_b)} overflows float64 (its mean holding "
+                f"is {bbar}); lower max_generations or raise stop_tol",
+            )
         rows_b.append(b)
         interest.append(rep.interest)
         growth.append(rep.average_growth - 1.0)

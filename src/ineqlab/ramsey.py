@@ -19,8 +19,11 @@ and every path then rides the 1-D equation k' = f(k) - phi(k), all
 households as one vector. A fixed-technology market economy decomposes into
 household asset paths that are linear in the aggregate prices, and each
 household's consumption gap solves a linear equation. The autarky spillover
-case needs a genuinely multidimensional search, done by damped Newton on the
-initial consumption vector with horizon continuation.
+case needs a genuinely multidimensional search: multiple shooting, one
+Newton solve over every segment of [0, T] at once, with the Jacobian from
+the variational equations integrated alongside the state. Equal autarky
+households are on the balanced ray from t = 0 and take the market's closed
+form. Every integration is the one RK4 step ``_rk4_step``.
 """
 
 from __future__ import annotations
@@ -75,12 +78,14 @@ class ShootingConfig:
     """Solver controls for saddle-path shooting.
 
     ``horizon`` caps the solved path's time; None picks a per-regime
-    default. Fixed-technology paths stop on arrival, so a long cap costs
-    nothing there. ``terminal_band`` is the relative distance from the
-    steady state (or balanced ray) that counts as arrival. ``max_iterations``
-    bounds the horizon continuation of the autarky spillover solve.
-    ``record_stride`` keeps every n-th step of the recorded path, plus its
-    last.
+    default. Fixed-technology and autarky spillover paths stop on arrival,
+    so a long cap costs nothing there, and a path that has not arrived by
+    the cap raises ShootingFailed. A spillover path that starts on its ray
+    is recorded over the whole horizon. ``terminal_band`` is the relative
+    distance from the steady state (or balanced ray) that counts as
+    arrival. ``max_iterations`` caps the Newton iterations of the autarky
+    spillover solve. ``record_stride`` keeps every n-th step of the
+    recorded path, plus its last.
     """
 
     horizon: float | None = None
@@ -168,40 +173,33 @@ def rk4_step(state: RamseyState, dt: float, params: EconomyParams,
         raise WrongRegime("rk4_step requires a Ramsey regime")
     if dt <= 0.0:
         raise NonPositiveInput("dt must be > 0")
-    out = _rk4(state.holdings.as_array(), state.consumption, dt, params, regime)
-    if out is None:
-        raise StateLeftDomain(
-            f"state left the positive domain during a step at t={state.time} "
-            f"with dt={dt} (regime {regime.case_label()}, params {params})"
-        )
+    L = len(state.holdings)
+    message = (f"state left the positive domain during a step at t={state.time} "
+               f"with dt={dt} (regime {regime.case_label()}, params {params})")
+
+    def field(_, y):
+        if not np.all(y > 0.0):
+            raise StateLeftDomain(message)
+        return np.concatenate(_rhs_arrays(y[:L], y[L:], params, regime))
+
+    y = _rk4_step(field, state.time,
+                  np.concatenate([state.holdings.as_array(), state.consumption]), dt)
+    if not np.all(y > 0.0):
+        raise StateLeftDomain(message)
     return RamseyState(
         time=state.time + dt,
-        holdings=WealthDistribution._trusted(out[0], state.holdings.floor),
-        consumption=out[1],
+        holdings=WealthDistribution._trusted(y[:L], state.holdings.floor),
+        consumption=y[L:],
     )
 
 
-def _rk4(k, c, h, params, regime):
-    """One classical RK4 step of the joint system, as a new (k, c) pair.
-
-    Returns None as soon as a stage input or the result leaves the positive
-    domain.
-    """
-    dk, dc = _rhs_arrays(k, c, params, regime)
-    sum_k, sum_c = dk, dc
-    # stages 2-4: (offset along the previous slope, weight in the average)
-    for offset, weight in ((0.5, 2.0), (0.5, 2.0), (1.0, 1.0)):
-        ks, cs = k + offset * h * dk, c + offset * h * dc
-        if not _positive(ks, cs):
-            return None
-        dk, dc = _rhs_arrays(ks, cs, params, regime)
-        sum_k, sum_c = sum_k + weight * dk, sum_c + weight * dc
-    kn, cn = k + (h / 6.0) * sum_k, c + (h / 6.0) * sum_c
-    return (kn, cn) if _positive(kn, cn) else None
-
-
-def _positive(k, c) -> bool:
-    return bool(np.all(k > 0.0) and np.all(c > 0.0))
+def _rk4_step(f, x, y, h):
+    """One classical RK4 step of y' = f(x, y), on floats or arrays."""
+    d1 = f(x, y)
+    d2 = f(x + 0.5 * h, y + 0.5 * h * d1)
+    d3 = f(x + 0.5 * h, y + 0.5 * h * d2)
+    d4 = f(x + h, y + h * d3)
+    return y + (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
 
 
 def ramsey_steady_state(params: EconomyParams, regime: Regime) -> SteadyState:
@@ -248,15 +246,6 @@ _POLICY_STEPS = 500  # RK4 steps in log k on either side of k*
 _POLICY_REFINE = 40  # table points per step
 _POLICY_MARGIN = 0.05  # in log k, beyond the starts and k*
 _CHUNK = 4096  # table points per vectorised RK4 step
-
-
-def _rk4_step(f, x, y, h):
-    """One classical RK4 step of y' = f(x, y), on floats or arrays."""
-    d1 = f(x, y)
-    d2 = f(x + 0.5 * h, y + 0.5 * h * d1)
-    d3 = f(x + 0.5 * h, y + 0.5 * h * d2)
-    d4 = f(x + h, y + h * d3)
-    return y + (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
 
 
 @dataclass(frozen=True)
@@ -385,49 +374,6 @@ def _ride_into_band(k0: np.ndarray, params: EconomyParams, config: ShootingConfi
     return times, K, np.interp(K, policy.grid, policy.consumption)
 
 
-# ---------------------------------------------------------------------------
-# recording integrator for the joint vector system
-
-
-def _integrate_vector(k0: np.ndarray, c0: np.ndarray, params: EconomyParams,
-                      regime: Regime, dt: float, n_steps: int, stop_fn=None):
-    """Integrate the joint system, recording every step; early stop via stop_fn.
-
-    When a full step leaves the positive domain, the step is retried with up
-    to six local halvings of dt before the shot is declared infeasible.
-    Returns (times, K, C, stopped, feasible).
-    """
-
-    def substeps(k, c, h, depth):
-        # one interval of length h, recursively halved on domain exit
-        out = _rk4(k, c, h, params, regime)
-        if out is not None or depth >= 6:
-            return out
-        half = substeps(k, c, 0.5 * h, depth + 1)
-        if half is None:
-            return None
-        return substeps(half[0], half[1], 0.5 * h, depth + 1)
-
-    k = k0.astype(float)
-    c = c0.astype(float)
-    times, K, C = [0.0], [k], [c]
-    stopped = False
-    feasible = True
-    for i in range(1, n_steps + 1):
-        out = substeps(k, c, dt, 0)
-        if out is None:
-            feasible = False
-            break
-        k, c = out
-        times.append(i * dt)
-        K.append(k)
-        C.append(c)
-        if stop_fn is not None and stop_fn(k, c):
-            stopped = True
-            break
-    return np.asarray(times), np.stack(K), np.stack(C), stopped, feasible
-
-
 def _ramsey_trajectory(times, K, C, params, regime, converged, note=""):
     alpha, theta, gamma = params.alpha, params.theta, params.gamma
     n = times.shape[0]
@@ -484,27 +430,36 @@ def _shoot_autarky_exog(dist0, params, regime, config):
 # an aggregate saddle plus a linear household decomposition
 
 
+def _balanced_path(a0, params, regime, config):
+    """The closed-form path of a spillover economy that is on its ray at t = 0.
+
+    Under a capital market r = alpha m is constant, so every household is
+    on its balanced path from t = 0: a_i = a_i0 e^(gt), c_i = c_i0 e^(gt),
+    with c_i0 the wage plus the interest on a_i0 beyond what growth
+    retains. Equal autarky households farm the mean, so their path is the
+    same, with c_i0 = mu a_i0.
+    """
+    m = params.ak_scale()
+    r = params.alpha * m
+    g = (r - params.theta) / params.gamma
+    # the default horizon is the one a float64 shot could hold the ray
+    # for; it is kept so that the recorded rows stay the same
+    T = config.horizon if config.horizon is not None else max(
+        2.0, math.log(config.terminal_band / (256.0 * _EPS)) / (m - g))
+    times = np.arange(int(round(T / config.dt)) + 1) * config.dt
+    growth = np.exp(g * times)[:, None]
+    c0 = (1.0 - params.alpha) * m * float(a0.mean()) + (r - g) * a0
+    return _ramsey_trajectory(times, growth * a0, growth * c0, params,
+                              regime, converged=True,
+                              note="closed-form balanced path")
+
+
 def _shoot_market(dist0, params, regime, config):
     a0 = dist0.as_array()
-    kbar0 = float(a0.mean())
     if regime.is_endogenous:
-        # r = alpha m is constant, so every household is on its balanced
-        # path from t = 0: a_i = a_i0 e^(gt), c_i = c_i0 e^(gt), with c_i0
-        # the wage plus the interest on a_i0 beyond what growth retains
-        m = params.ak_scale()
-        r = params.alpha * m
-        g = (r - params.theta) / params.gamma
-        # the default horizon is the one a float64 shot could hold the ray
-        # for; it is kept so that the recorded rows stay the same
-        T = config.horizon if config.horizon is not None else max(
-            2.0, math.log(config.terminal_band / (256.0 * _EPS)) / (m - g))
-        times = np.arange(int(round(T / config.dt)) + 1) * config.dt
-        growth = np.exp(g * times)[:, None]
-        c0 = (1.0 - params.alpha) * m * kbar0 + (r - g) * a0
-        return _ramsey_trajectory(times, growth * a0, growth * c0, params,
-                                  regime, converged=True,
-                                  note="closed-form balanced path")
+        return _balanced_path(a0, params, regime, config)
 
+    kbar0 = float(a0.mean())
     times, K, C = _ride_into_band(np.array([kbar0]), params, config)
     aggregate = _ramsey_trajectory(
         times, K, C, params, regime, converged=True,
@@ -620,7 +575,10 @@ def _aggregate_bases(policy, params, k_path, cbar0, dt):
 
 
 # ---------------------------------------------------------------------------
-# autarky with spillover: multidimensional shooting by damped Newton
+# autarky with spillover: multiple shooting by Newton with exact Jacobians
+
+_NEWTON_TOL = 1e-12  # on the detrended matching and terminal residuals
+_MIN_DAMPING = 2.0 ** -30  # smallest Newton step fraction tried
 
 
 def _asym_rates(params: EconomyParams):
@@ -643,224 +601,167 @@ def _asym_rates(params: EconomyParams):
     return mu, lam_plus, lam_minus, slope
 
 
-def _integrate_endog_autarky(k0, c0, params, dt, n_steps):
-    """Fast fixed-grid integration; returns terminal (k, c) or None on exit.
+def _variational_field(params: EconomyParams, L: int):
+    """The autarky spillover field, stacked with its variational equations.
 
-    Pure-float inner loop: this sits inside the Newton continuation's
-    finite-difference Jacobian, where numpy overhead on tiny vectors
-    dominates runtime. With three households, 40 steps take 0.77 ms here
-    and 4.9 ms through the shared numpy step _rk4 (Python 3.11, numpy 2.4,
-    one Xeon vCPU). Batching the Newton shots into one numpy
-    integration would remove this loop.
+    Y holds one segment per leading index: the state s = (k, c) in column 0
+    and the sensitivities Phi = ds/ds0 in the others. The field is
+    homogeneous of degree one in s, so Df(s) s = f(s), and one product
+    Df(s) Y gives the drift of the state and of Phi together. RK4 on the
+    stacked system is the exact derivative of the RK4 map of s.
     """
     m = params.ak_scale()
     alpha, theta, gamma = params.alpha, params.theta, params.gamma
-    one_minus_alpha = 1.0 - alpha
-    inv_gamma = 1.0 / gamma
-    L = len(k0)
-    inv_L = 1.0 / L
-    k = [float(x) for x in k0]
-    c = [float(x) for x in c0]
 
-    def rhs(kk, cc):
-        # mpk_i = alpha * y_i / k_i reuses the output power
-        kb_term = m * (sum(kk) * inv_L) ** one_minus_alpha
-        dk = [0.0] * L
-        dc = [0.0] * L
-        for i in range(L):
-            y = kb_term * kk[i] ** alpha
-            dk[i] = y - cc[i]
-            dc[i] = (alpha * y / kk[i] - theta) * inv_gamma * cc[i]
-        return dk, dc
+    def field(_, Y):
+        Yk, Yc = Y[:, :L], Y[:, L:]
+        k, c = Yk[:, :, :1], Yc[:, :, :1]
+        kbar = k.mean(axis=1, keepdims=True)
+        y = m * kbar ** (1.0 - alpha) * k ** alpha
+        mpk = alpha * y / k
+        # d kbar / d k_j = 1 / L spills into every household's output
+        spill = Yk.sum(axis=1, keepdims=True) / (L * kbar)
+        dk = mpk * Yk + (1.0 - alpha) * y * spill - Yc
+        dc = (((1.0 - alpha) * mpk * c / gamma) * (spill - Yk / k)
+              + ((mpk - theta) / gamma) * Yc)
+        return np.concatenate([dk, dc], axis=1)
 
-    half = 0.5 * dt
-    sixth = dt / 6.0
-    for _ in range(n_steps):
-        dk1, dc1 = rhs(k, c)
-        k2 = [k[i] + half * dk1[i] for i in range(L)]
-        c2 = [c[i] + half * dc1[i] for i in range(L)]
-        if min(k2) <= 0.0 or min(c2) <= 0.0:
-            return None
-        dk2, dc2 = rhs(k2, c2)
-        k3 = [k[i] + half * dk2[i] for i in range(L)]
-        c3 = [c[i] + half * dc2[i] for i in range(L)]
-        if min(k3) <= 0.0 or min(c3) <= 0.0:
-            return None
-        dk3, dc3 = rhs(k3, c3)
-        k4 = [k[i] + dt * dk3[i] for i in range(L)]
-        c4 = [c[i] + dt * dc3[i] for i in range(L)]
-        if min(k4) <= 0.0 or min(c4) <= 0.0:
-            return None
-        dk4, dc4 = rhs(k4, c4)
-        k = [k[i] + sixth * (dk1[i] + 2.0 * (dk2[i] + dk3[i]) + dk4[i])
-             for i in range(L)]
-        c = [c[i] + sixth * (dc1[i] + 2.0 * (dc2[i] + dc3[i]) + dc4[i])
-             for i in range(L)]
-        if min(k) <= 0.0 or min(c) <= 0.0:
-            return None
-    return np.asarray(k), np.asarray(c)
+    return field
 
 
-def _ray_residual(c0, k0, params, mu, dt, T):
-    out = _integrate_endog_autarky(k0, c0, params, dt, int(round(T / dt)))
-    if out is None:
-        return None
-    k, c = out
-    kbar = k.mean()
-    res = (k[:-1] / kbar - 1.0).tolist()
-    res.append(c.mean() / (mu * kbar) - 1.0)
-    return np.asarray(res)
+def _newton_step(G, gap, tail, B, L):
+    """The multiple-shooting Newton update of every node, in O(S) memory.
 
-
-def _newton_stage(c0, k0, params, mu, dt, T, tol, max_iters=12):
-    """Damped Newton on initial consumption; residual is ray distance at T."""
-    L = c0.size
-    best = c0
-    nr = np.inf
-    for _ in range(max_iters):
-        r = _ray_residual(best, k0, params, mu, dt, T)
-        if r is None:
-            return None, np.inf
-        nr = float(np.max(np.abs(r)))
-        if nr < tol:
-            return best, nr
-        J = np.empty((L, L))
-        for j in range(L):
-            h = 1e-7 * best[j]
-            cp = best.copy()
-            cp[j] += h
-            rp = _ray_residual(cp, k0, params, mu, dt, T)
-            if rp is None:
-                return best, nr
-            J[:, j] = (rp - r) / h
-        try:
-            step = np.linalg.solve(J, r)
-        except np.linalg.LinAlgError:
-            return best, nr
-        lam = 1.0
-        improved = False
-        while lam > 1e-8:
-            cand = best - lam * step
-            if np.all(cand > 0.0):
-                rc = _ray_residual(cand, k0, params, mu, dt, T)
-                if rc is not None and float(np.max(np.abs(rc))) < nr:
-                    best = cand
-                    improved = True
-                    break
-            lam *= 0.5
-        if not improved:
-            return best, nr
-    return best, nr
-
-
-def _sweep_stage(c0, k0, params, mu, dt, T, tol, sweeps=8):
-    """Coordinate-wise bisection fallback for a stalled Newton stage.
-
-    Household i's relative-capital residual falls as its own consumption
-    rises; the aggregate ratio residual rises with the last household's
-    consumption. Each sweep bisects every coordinate once on its residual.
+    Solves G_j d_j - d_(j+1) = -gap_j for j < S - 1 and
+    B G_(S-1) d_(S-1) = -tail, with node 0's holdings fixed. A backward
+    sweep carries the terminal condition to every node as L orthonormal
+    constraints C_j d_j = e_j; they span the directions in which the
+    segments amplify errors. The forward sweep then takes node 0's
+    consumption from C_0, and every later node from the continuity
+    condition with its component in those directions replaced by the
+    constraint, so rounding cannot grow along the path.
     """
-    L = c0.size
-    c = c0.copy()
-    for _ in range(sweeps):
-        for i in range(L):
-            direction = -1.0 if i < L - 1 else 1.0
-
-            def resid_i(ci):
-                probe = c.copy()
-                probe[i] = ci
-                r = _ray_residual(probe, k0, params, mu, dt, T)
-                return None if r is None else direction * r[i]
-
-            lo, hi = 0.6 * c[i], 1.4 * c[i]
-            r_lo, r_hi = resid_i(lo), resid_i(hi)
-            if r_lo is None or r_hi is None or r_lo * r_hi > 0.0:
-                continue
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                r_mid = resid_i(mid)
-                if r_mid is None:
-                    break
-                if abs(r_mid) < 0.1 * tol or hi - lo < 1e-14 * hi:
-                    lo = hi = mid
-                    break
-                if (r_lo < 0.0) == (r_mid < 0.0):
-                    lo, r_lo = mid, r_mid
-                else:
-                    hi, r_hi = mid, r_mid
-            c[i] = 0.5 * (lo + hi)
-        r = _ray_residual(c, k0, params, mu, dt, T)
-        if r is not None and float(np.max(np.abs(r))) < tol:
-            break
-    return c
+    S, n, _ = G.shape
+    C, e = B @ G[-1], -tail
+    constraints = [None] * S
+    for j in range(S - 1, -1, -1):
+        Q, R = np.linalg.qr(C.T)
+        C, e = Q.T, np.linalg.solve(R.T, e)
+        constraints[j] = C, e
+        if j:
+            C, e = C @ G[j - 1], e - C @ gap[j - 1]
+    step = np.zeros((S, n))
+    step[0, L:] = np.linalg.solve(C[:, L:], e)
+    for j in range(S - 1):
+        C, e = constraints[j + 1]
+        p = G[j] @ step[j] + gap[j]
+        step[j + 1] = p - C.T @ (C @ p - e)
+    return step
 
 
 def _shoot_autarky_endog(dist0, params, regime, config):
+    """Multiple shooting over [0, T] by Newton with exact Jacobians.
+
+    Time is cut into S segments of the same number of dt steps, each about
+    a third of the fastest unstable time 1 / max(mu, lam_plus) long, so no
+    segment amplifies an error much (Lipton, Poterba, Sachs and Summers
+    1982). The unknowns are c(0) and the state at every later node,
+    detrended by kbar0 e^(gt); the field is homogeneous of degree one, so a
+    segment integrates its detrended state directly. The conditions are
+    continuity at every node and, at T, the linearised stable manifold
+    c_i - cbar = mu slope (k_i - kbar), cbar = mu kbar. All segments and
+    their variational equations run as one RK4 batch; a Newton step that
+    takes a segment out of the positive domain is halved. T is the time the
+    linearised dispersion needs to fall to half the band, capped by the
+    horizon. The path is recorded from the converged segments and stops at
+    arrival. Equal holdings sit on the ray at t = 0 and take the closed
+    form.
+    """
     k0 = dist0.as_array()
+    if np.all(k0 == k0[0]):
+        return _balanced_path(k0, params, regime, config)
+    L = k0.size
+    n = 2 * L
     mu, lam_plus, lam_minus, slope = _asym_rates(params)
+    g = params.ak_scale() - mu
+    dt, band = config.dt, config.terminal_band
+    steps = max(1, round(1.0 / (3.0 * max(mu, lam_plus) * dt)))
+    seg = steps * dt
+    decay = math.exp(-g * seg)  # detrends one segment's end to the next node
     kbar0 = float(k0.mean())
-    x0 = k0 / kbar0 - 1.0
-    c0 = mu * kbar0 * (1.0 + slope * x0)
+    T = math.log(max(float(np.max(np.abs(k0 / kbar0 - 1.0))), band)
+                 / (0.5 * band)) / -lam_minus
+    limit = round(config.horizon / dt) if config.horizon is not None else math.inf
+    S = max(1, math.ceil(min(T / seg, limit / steps)))
+    field = _variational_field(params, L)
+    # the terminal conditions are linear in the state: B s(T) = 0
+    centre = np.eye(L) - 1.0 / L
+    B = np.block([[-mu * slope * centre[:-1], centre[:-1]],
+                  [np.full((1, L), -mu / L), np.full((1, L), 1.0 / L)]])
+    sensitivity = np.broadcast_to(np.eye(n), (S, n, n))
 
-    rate = max(mu, lam_plus)
-    dev0 = float(np.max(np.abs(x0)))
-    if config.horizon is not None:
-        T_need = config.horizon
-    elif dev0 <= config.terminal_band:
-        T_need = max(4.0 / rate, 2.0)
-    else:
-        T_need = math.log(dev0 / (0.5 * config.terminal_band)) / abs(lam_minus)
-    T_float = math.log(0.05 / _EPS) / rate  # residual floor hits float64 here
-    stage_tol = 1e-8
+    def evaluate(nodes):
+        """(gaps, terminal residual, Jacobians, rows), or None off the domain."""
+        Y = np.concatenate([nodes[:, :, None], sensitivity], axis=2)
+        rows = [nodes]
+        with np.errstate(all="ignore"):  # checked below
+            for _ in range(steps):
+                Y = _rk4_step(field, 0.0, Y, dt)
+                rows.append(Y[:, :, 0].copy())
+        if not (np.all(np.isfinite(Y)) and np.all(Y[:, :, 0] > 0.0)):
+            return None
+        ends = decay * Y[:, :, 0]
+        return ends[:-1] - nodes[1:], B @ ends[-1], decay * Y[:, :, 1:], rows
 
-    T = min(2.5 / rate, T_need)
-    dT = 1.5 / rate
-    solved_T = 0.0
-    used_fallback = False
-    for _ in range(config.max_iterations):
-        cand, nr = _newton_stage(c0, k0, params, mu, config.dt, T, tol=1e-10)
-        if (cand is None or nr > stage_tol) and solved_T == 0.0 and not used_fallback:
-            # initial guess not good enough for Newton: refine by sweeps once
-            c0 = _sweep_stage(c0, k0, params, mu, config.dt, T, tol=1e-6)
-            used_fallback = True
-            continue
-        if cand is None or nr > stage_tol:
-            if dT > 0.2 / rate and solved_T > 0.0:
-                T = min(solved_T + 0.5 * dT, T_need)
-                dT *= 0.5
-                continue
+    # first guess: the linearised stable manifold, taken in logs so that it
+    # stays positive far from the ray: log(k_i / kbar) decays like
+    # e^(lam_minus t), and c_i = mu kbar (k_i / kbar)^slope
+    rel = (k0 / kbar0) ** np.exp(lam_minus * seg * np.arange(S))[:, None]
+    nodes = np.hstack([rel, mu * rel ** slope])
+    out = evaluate(nodes)
+    if out is None:
+        raise ShootingFailed("the first guess of the saddle path left the positive "
+                             "domain; take a smaller dt")
+    for iteration in range(config.max_iterations + 1):
+        gap, tail, G, rows = out
+        residual = max(np.max(np.abs(gap), initial=0.0), np.max(np.abs(tail)))
+        if residual <= _NEWTON_TOL:
             break
-        c0 = cand
-        solved_T = T
-        if T >= min(T_need, T_float):
-            break
-        dT *= 1.3
-        T = min(T + dT, T_need, T_float)
-    if solved_T == 0.0:
+        if iteration == config.max_iterations:
+            raise ShootingFailed(
+                f"Newton did not converge in {config.max_iterations} "
+                f"iterations (residual {residual:.3e})")
+        try:
+            step = _newton_step(G, gap, tail, B, L)
+        except np.linalg.LinAlgError:
+            raise ShootingFailed("singular multiple-shooting Newton system") from None
+        damping = 1.0
+        while (trial := evaluate(nodes + damping * step)) is None:
+            damping *= 0.5
+            if damping < _MIN_DAMPING:
+                raise ShootingFailed(
+                    "every damped Newton step left the positive domain")
+        nodes, out = nodes + damping * step, trial
+
+    # the path from the converged segments, rescaled: segment j's rows
+    # start at node j, and the last segment's end closes the path
+    rows = np.stack(rows)
+    w = kbar0 * np.exp(g * seg * np.arange(S))
+    path = np.vstack([(rows[:-1] * w[:, None]).transpose(1, 0, 2)
+                      .reshape(S * steps, n), w[-1] * rows[-1, -1]])
+    K, C = path[:, :L], path[:, L:]
+    kbar = K.mean(axis=1)
+    off = np.maximum(np.max(np.abs(K / kbar[:, None] - 1.0), axis=1),
+                     np.abs(C.mean(axis=1) / (mu * kbar) - 1.0))
+    arrived = 1 + np.flatnonzero(off[1:] <= band)
+    if not arrived.size or arrived[0] > limit:
+        cap = "" if config.horizon is None else f" (horizon cap {config.horizon:g})"
         raise ShootingFailed(
-            "multidimensional shooting never produced an on-ray shot"
-        )
-
-    band = config.terminal_band
-
-    def on_ray(k, c):
-        kbar = k.sum() / k.size
-        dev = np.max(np.abs(k / kbar - 1.0))
-        agg = abs(c.sum() / c.size / (mu * kbar) - 1.0)
-        return bool(max(dev, agg) <= band)
-
-    horizon = max(solved_T, min(T_need, T_float))
-    times, K, C, stopped, feasible = _integrate_vector(
-        k0, c0, params, regime, config.dt, int(round(horizon / config.dt)),
-        stop_fn=on_ray,
-    )
-    if not stopped and not on_ray(K[-1], C[-1]):
-        raise ShootingFailed(
-            f"path did not reach the equalised ray band {band} by t={horizon}; "
-            f"float64 limits this regime to bands above "
-            f"~{dev0 * math.exp(lam_minus * T_float):.1e}"
-        )
-    return _ramsey_trajectory(times, K, C, params, regime, converged=True)
+            f"autarky spillover path did not arrive in the band {band} by "
+            f"t={min(S * seg, limit * dt):g}{cap}; widen the horizon or the band")
+    end = arrived[0] + 1
+    return _ramsey_trajectory(dt * np.arange(end), K[:end], C[:end], params,
+                              regime, converged=True)
 
 
 def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,
@@ -871,8 +772,9 @@ def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,
     Consumption levels at time zero are solved so the path enters the
     terminal band around the steady state (fixed technology) or the balanced
     growth ray (spillover technology) within the horizon; the recorded
-    trajectory stops at arrival. The spillover market economy is on its
-    balanced path from the start and is recorded over the whole horizon.
+    trajectory stops at arrival. A spillover economy that starts on its
+    ray (any market, or equal autarky holdings) is on its balanced path
+    from the start and is recorded over the whole horizon.
     """
     validate_params(params, regime)
     if regime.is_olg:

@@ -1,6 +1,8 @@
 """Bequest dynamics: one-step formulas, steady states, growth accounting."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from ineqlab import (
     olg_step,
     ratio_step,
 )
-from ineqlab.errors import NonPositiveInput, WrongRegime
+from ineqlab.errors import NonPositiveInput, OutOfRange, WrongRegime
 
 
 def params_exog(theta=0.0, L=2, alpha=0.5, tfp=1.0):
@@ -251,6 +253,25 @@ class TestSimulate:
                                stop_tol=0.0)
         assert np.all(autarky.mean_holding <= market.mean_holding + 1e-12)
         assert np.all(autarky.mean_holding[1:] < market.mean_holding[1:])
+
+    @pytest.mark.parametrize("regime", [OLG_MARKET_AK, OLG_AUTARKY_AK])
+    def test_overflow_is_a_typed_error(self, regime):
+        # the mean grows about 4.7-fold a generation, m / (2 + theta), and
+        # leaves float64 long before 1000 generations
+        p = params_ak(tfp=3.0, theta=0.0, L=10)
+        start = WealthDistribution(np.arange(1.0, 11.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange, match=r"generation \d+") as info:
+                olg_simulate(start, p, regime, max_generations=1000, stop_tol=0.0)
+        named = int(re.search(r"generation (\d+)", str(info.value)).group(1))
+        b = start
+        with np.errstate(over="ignore", invalid="ignore"):
+            for generation in range(1, named):
+                b = olg_step(b, p, regime).next
+                assert np.isfinite(b.as_array().mean())
+            last = olg_step(b, p, regime).next.as_array()
+            assert not np.isfinite(last.mean())
 
 
 class TestRatioStep:

@@ -498,6 +498,16 @@ AK_AUTARKY = EconomyParams(tfp=0.5, alpha=0.5, theta=0.05, gamma=2.0,
                            population=2)
 
 
+def ray_gaps(traj, params):
+    """max|k_i / kbar - 1| per row, and the last row's |cbar / kbar - mu| / mu."""
+    dev = np.max(np.abs(traj.holdings / traj.mean_holding[:, None] - 1.0),
+                 axis=1)
+    m = params.ak_scale()
+    mu = m - (params.alpha * m - params.theta) / params.gamma
+    ratio = traj.consumption[-1].mean() / traj.mean_holding[-1]
+    return dev, abs(ratio - mu) / mu
+
+
 class TestShootAutarkyAk:
     def test_equalization_and_ray(self):
         config = ShootingConfig(dt=0.025, terminal_band=5e-3)
@@ -514,6 +524,65 @@ class TestShootAutarkyAk:
         assert abs(x[-1] - mu) <= 5e-3 * mu
         # capital grows: the ray is a growth path, not a point
         assert traj.mean_holding[-1] > traj.mean_holding[0]
+
+    @pytest.mark.parametrize("holdings, dt", [
+        ([1.0, 4.0], 0.05), ([1.0, 4.0], 0.1),
+        ([1.0, 3.0, 4.0], 0.05), ([1.0, 3.0, 4.0], 0.1),
+        ([1.0, 2.0, 3.0, 4.0, 5.0], 0.1),
+    ])
+    def test_unequal_starts_arrive(self, holdings, dt):
+        # starts far from the ray, where the linearised first guess is poor
+        params = replace(AK_AUTARKY, population=len(holdings))
+        traj = shoot_saddle_path(WealthDistribution(holdings), params,
+                                 RAMSEY_AUTARKY_AK,
+                                 ShootingConfig(dt=dt, terminal_band=5e-3))
+        dev, ray_gap = ray_gaps(traj, params)
+        assert dev[-1] <= 5e-3
+        assert np.all(np.diff(dev) <= 0.0)
+        assert ray_gap <= 5e-3
+
+    def test_initial_consumption_does_not_depend_on_the_band(self):
+        dist = WealthDistribution([1.0, 2.0])
+        loose, tight = (shoot_saddle_path(
+            dist, AK_AUTARKY, RAMSEY_AUTARKY_AK,
+            ShootingConfig(dt=0.1, terminal_band=band)) for band in (5e-3, 1e-5))
+        assert len(tight) > len(loose)
+        np.testing.assert_allclose(loose.consumption[0], tight.consumption[0],
+                                   rtol=1e-7, atol=0.0)
+
+    def test_horizon_caps_the_path(self):
+        dist = WealthDistribution([1.0, 2.0])
+        with pytest.raises(ShootingFailed, match="horizon cap 5"):
+            shoot_saddle_path(dist, AK_AUTARKY, RAMSEY_AUTARKY_AK,
+                              ShootingConfig(horizon=5.0, dt=0.1,
+                                             terminal_band=5e-3))
+        default, capped = (shoot_saddle_path(
+            dist, AK_AUTARKY, RAMSEY_AUTARKY_AK,
+            ShootingConfig(horizon=horizon, dt=0.1, terminal_band=5e-3))
+            for horizon in (None, 60.0))
+        np.testing.assert_allclose(capped.consumption[0],
+                                   default.consumption[0], rtol=1e-8, atol=0.0)
+
+    def test_max_iterations_caps_newton(self):
+        with pytest.raises(ShootingFailed, match="did not converge in 1 "):
+            shoot_saddle_path(WealthDistribution([1.0, 2.0]), AK_AUTARKY,
+                              RAMSEY_AUTARKY_AK,
+                              ShootingConfig(dt=0.1, terminal_band=5e-3,
+                                             max_iterations=1))
+
+    def test_equal_holdings_ride_the_ray_in_closed_form(self):
+        params = replace(AK_AUTARKY, population=3)
+        traj = shoot_saddle_path(WealthDistribution([2.0, 2.0, 2.0]), params,
+                                 RAMSEY_AUTARKY_AK,
+                                 ShootingConfig(dt=0.1, terminal_band=5e-3))
+        m = params.ak_scale()
+        g_star = (0.5 * m - 0.05) / 2.0
+        path = 2.0 * np.exp(g_star * traj.times)[:, None]
+        assert len(traj) > 2
+        np.testing.assert_allclose(traj.holdings, np.repeat(path, 3, axis=1),
+                                   rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(traj.consumption, (m - g_star) * traj.holdings,
+                                   rtol=1e-12, atol=0.0)
 
     def test_single_household_rides_ray(self):
         config = ShootingConfig(dt=0.025, terminal_band=1e-4)
