@@ -81,15 +81,18 @@ from .value_theory import (
     GcetReport,
     LeontiefEconomy,
     SweepReport,
+    TrialBlock,
     augmented_matrix,
     embodied_labor_values,
     fmt_check,
     fmt_sweep,
     gcet_values,
+    numeraire_values,
     profit_sign,
     random_economy,
     spectral_radius,
     surplus_value_rate,
+    sweep_trials,
 )
 
 from . import errors

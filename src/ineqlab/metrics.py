@@ -40,12 +40,25 @@ def gini(dist) -> float:
     return float(np.dot(weights, xs) / (n * total))
 
 
+#: Means above this are scaled towards one before the deviations are squared.
+_CV_RESCALE_ABOVE = 2.0 ** 256
+
+
 def coefficient_of_variation(dist) -> float:
-    """Population standard deviation over the mean."""
+    """Population standard deviation over the mean.
+
+    Squared deviations overflow float64 once the values pass about 1e154,
+    though the ratio is finite. A mean that large is first scaled by a power
+    of two, which is exact, so the result has the same bits as the unscaled
+    ratio wherever that one is finite.
+    """
     x = _values(dist)
     mu = x.mean()
     if mu == 0.0:
         raise AllZero("cv undefined for an all-zero vector")
+    if abs(mu) > _CV_RESCALE_ABOVE:
+        shift = -int(np.frexp(mu)[1])
+        x, mu = np.ldexp(x, shift), np.ldexp(mu, shift)
     return float(x.std() / mu)
 
 

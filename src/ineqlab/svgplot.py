@@ -112,7 +112,8 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
         )
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(f"{_num(sx(x))},{_num(sy(y))}" for x, y in zip(xs, ys))
+        points = " ".join(f"{x:.6g},{y:.6g}"
+                          for x, y in zip(sx(xs).tolist(), sy(ys).tolist()))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'
@@ -128,10 +129,9 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
         )
     for idx, (label, xs, ys) in enumerate(markers):
         color = PALETTE[(idx + len(series)) % len(PALETTE)]
-        for x, y in zip(xs, ys):
+        for x, y in zip(sx(xs).tolist(), sy(ys).tolist()):
             parts.append(
-                f'<circle cx="{_num(sx(x))}" cy="{_num(sy(y))}" r="3" '
-                f'fill="{color}"/>'
+                f'<circle cx="{x:.6g}" cy="{y:.6g}" r="3" fill="{color}"/>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -273,6 +273,18 @@ class TestSimulate:
             last = olg_step(b, p, regime).next.as_array()
             assert not np.isfinite(last.mean())
 
+    @pytest.mark.parametrize("regime", [OLG_MARKET_AK, OLG_AUTARKY_AK])
+    def test_dispersion_of_huge_finite_holdings_is_finite(self, regime):
+        # by generation 300 the holdings pass 1e154, where squared
+        # deviations overflow float64 though every holding is finite
+        p = params_ak(tfp=3.0, theta=0.0, L=10)
+        start = WealthDistribution(np.arange(1.0, 11.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = olg_simulate(start, p, regime, max_generations=300, stop_tol=0.0)
+        assert traj.mean_holding[-1] > 1e154
+        assert np.all(np.isfinite(traj.cv))
+
 
 class TestRatioStep:
     def test_market_arithmetic(self):

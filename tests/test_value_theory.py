@@ -1,5 +1,7 @@
 """Leontief values, surplus, and the two sign theorems."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,10 +15,12 @@ from ineqlab import (
     fmt_check,
     fmt_sweep,
     gcet_values,
+    numeraire_values,
     profit_sign,
     random_economy,
     spectral_radius,
     surplus_value_rate,
+    sweep_trials,
 )
 from ineqlab.errors import NonPositiveInput, NotProductive, OutOfRange
 
@@ -34,6 +38,31 @@ def series_values(econ, terms=50):
         total = total + econ.labor @ power
         power = power @ A
     return total
+
+
+def gcet_oracle(econ, j):
+    """Content of commodity j from the whole system with row j zeroed."""
+    M = augmented_matrix(econ)
+    M_rest = M.copy()
+    M_rest[j, :] = 0.0
+    if spectral_radius(M_rest) >= 1.0 - 1e-10:
+        return np.full(econ.n, np.inf)
+    return np.linalg.solve(np.eye(econ.n) - M_rest.T, M[j, :])
+
+
+def sign(x):
+    return 0 if abs(x) <= 1e-10 else (1 if x > 0.0 else -1)
+
+
+def one_economy_trials(trials, n, seed):
+    """Per trial (surplus sign, profit sign, own values), one economy at a time."""
+    rng = np.random.default_rng(seed)
+    for trial in range(trials):
+        wage_scale = 1.0 if trial % 3 == 2 else float(rng.uniform(0.3, 1.7))
+        econ = random_economy(rng, n, wage_scale)
+        rho = spectral_radius(augmented_matrix(econ))
+        yield (sign(surplus_value_rate(econ)), sign(1.0 - rho),
+               [gcet_values(econ, j).own_value for j in range(n)])
 
 
 class TestSpectralRadius:
@@ -144,6 +173,50 @@ class TestGcet:
         with pytest.raises(OutOfRange):
             gcet_values(corn(), 1)
 
+    def test_schur_complement_matches_whole_system_oracle(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 6, 10):
+            for trial in range(40):
+                scale = 1.0 if trial % 3 == 2 else float(rng.uniform(0.3, 1.7))
+                econ = random_economy(rng, n, scale)
+                for j in range(n):
+                    got, expected = gcet_values(econ, j).values, gcet_oracle(econ, j)
+                    finite = np.isfinite(expected)
+                    assert np.array_equal(np.isfinite(got), finite)
+                    np.testing.assert_allclose(got[finite], expected[finite],
+                                               rtol=1e-12, atol=0.0)
+
+    def test_unproductive_rest_gives_infinite_values(self):
+        # M = [[0.2, 0.1], [0.6, 1.1]]: without commodity 0 the rest is
+        # commodity 1 alone, with rho = 1.1; without commodity 1, rho = 0.2
+        econ = LeontiefEconomy(np.diag([0.1, 0.5]), np.array([1.0, 1.0]),
+                               np.array([0.1, 0.6]))
+        M = augmented_matrix(econ)
+        np.testing.assert_allclose(M, [[0.2, 0.1], [0.6, 1.1]], rtol=1e-15)
+        first = gcet_values(econ, 0)
+        assert first.own_value == np.inf and np.all(np.isinf(first.values))
+        second = gcet_values(econ, 1)
+        # w_0 = 0.6 / (1 - 0.2) and w_1 = 1.1 + w_0 * 0.1
+        np.testing.assert_allclose(second.values, [0.75, 1.175], rtol=1e-14)
+        # the array form, with a productive economy in the same stack
+        stack = np.stack([M, augmented_matrix(random_economy(
+            np.random.default_rng(1), 2, 0.5))])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rest, own = numeraire_values(stack, np.arange(2))
+        assert own[0, 0] == np.inf and np.all(np.isinf(rest[0, 0]))
+        assert own[0, 1] == second.own_value
+        assert np.all(np.isfinite(own[1])) and np.all(own[1] < 1.0)
+
+    def test_single_commodity_own_value_is_the_augmented_coefficient(self):
+        # n = 1: the rest is empty, so w_0 = M[0, 0] even when it is above one
+        for wage in (0.3, 0.5, 0.7):
+            econ = corn(wage=wage)
+            M = augmented_matrix(econ)
+            assert gcet_values(econ, 0).own_value == M[0, 0]
+            rest, own = numeraire_values(M[None], np.array([0]))
+            assert rest.shape == (1, 1, 0) and own[0, 0] == M[0, 0]
+
 
 class TestSweep:
     def test_thousand_trials_clean(self):
@@ -152,6 +225,27 @@ class TestSweep:
         for n, seed in ((2, 42), (3, 42), (5, 0), (8, 1)):
             report = fmt_sweep(trials=1000, n=n, seed=seed)
             assert report.clean, report.text()
+
+    @pytest.mark.parametrize("n, seed", [(2, 42), (3, 42), (5, 0), (8, 1),
+                                         (1, 3), (10, 4)])
+    def test_blocks_match_one_economy_at_a_time(self, n, seed):
+        trials = 100  # three full blocks and a partial one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = list(sweep_trials(trials, n, seed))
+            expected = list(one_economy_trials(trials, n, seed))
+        assert all(len(b.profit_sign) <= 32 for b in blocks)
+        e_sign = np.concatenate([b.surplus_sign for b in blocks])
+        p_sign = np.concatenate([b.profit_sign for b in blocks])
+        own = np.concatenate([b.own_values for b in blocks])
+        assert e_sign.tolist() == [e for e, _, _ in expected]
+        assert p_sign.tolist() == [p for _, p, _ in expected]
+        own_expected = np.array([o for _, _, o in expected])
+        finite = np.isfinite(own_expected)
+        assert np.array_equal(np.isfinite(own), finite)
+        np.testing.assert_allclose(own[finite], own_expected[finite],
+                                   rtol=1e-12, atol=0.0)
+        assert set(p_sign.tolist()) == {-1, 0, 1}
 
     def test_deterministic_report(self):
         a = fmt_sweep(trials=50, n=2, seed=123).text()
