@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,7 +168,7 @@ class GcetReport:
     own_value: float
 
 
-def numeraire_values(M: np.ndarray, numeraires: np.ndarray):
+def numeraire_values(M: np.ndarray, numeraires):
     """Content of each numeraire j in every commodity, for a stack of M.
 
     The array form of ``gcet_values``, which ``fmt_sweep`` runs on a block
@@ -179,6 +180,9 @@ def numeraire_values(M: np.ndarray, numeraires: np.ndarray):
     ``inf`` where rho(M[R, R]) >= 1 - 1e-10.
     """
     n = M.shape[-1]
+    numeraires = np.asarray(numeraires)
+    if np.any((numeraires < 0) | (numeraires >= n)):
+        raise OutOfRange("numeraire", f"commodity index must be in [0, {n})")
     j = numeraires[:, None]
     rest = np.arange(n - 1) + (np.arange(n - 1) >= j)
     block = M[..., rest[:, :, None], rest[:, None, :]]
@@ -205,11 +209,8 @@ def gcet_values(econ: LeontiefEconomy, numeraire: int) -> GcetReport:
     is profitable, whichever j is chosen. Every value is ``inf`` when the
     rest of the system cannot reproduce itself, rho(M[R, R]) >= 1 - 1e-10.
     """
-    n = econ.n
     j = numeraire
-    if not (0 <= j < n):
-        raise OutOfRange("numeraire", f"commodity index must be in [0, {n})")
-    w_rest, own = numeraire_values(augmented_matrix(econ), np.array([j]))
+    w_rest, own = numeraire_values(augmented_matrix(econ), [j])
     return GcetReport(numeraire=j, values=np.insert(w_rest[0], j, own[0]),
                       own_value=float(own[0]))
 
@@ -263,8 +264,7 @@ class SweepReport:
 _SWEEP_BLOCK = 32
 
 
-@dataclass(frozen=True)
-class TrialBlock:
+class TrialBlock(NamedTuple):
     """Consecutive trials of a theorem sweep.
 
     Per trial: the sign of the surplus value rate and of profit (1, 0 or -1,
@@ -325,8 +325,7 @@ def fmt_sweep(trials: int, n: int, seed: int) -> SweepReport:
     on the zero-surplus knife edge."""
     fmt_bad = 0
     gcet_bad = 0
-    for block in sweep_trials(trials, n, seed):
-        e_sign, p_sign, own = block.surplus_sign, block.profit_sign, block.own_values
+    for e_sign, p_sign, own in sweep_trials(trials, n, seed):
         fmt_bad += int(np.count_nonzero(e_sign != p_sign))
         all_below = np.all(own < 1.0 - _SIGN_TOL, axis=1)
         # knife edge: own values must exist and sit at one

@@ -172,6 +172,10 @@ class TestGcet:
     def test_bad_numeraire(self):
         with pytest.raises(OutOfRange):
             gcet_values(corn(), 1)
+        with pytest.raises(OutOfRange):
+            gcet_values(corn(), -1)
+        with pytest.raises(OutOfRange):
+            numeraire_values(augmented_matrix(corn())[None], [0, 1])
 
     def test_schur_complement_matches_whole_system_oracle(self):
         rng = np.random.default_rng(11)
