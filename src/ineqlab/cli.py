@@ -27,6 +27,7 @@ from .scenario import (
     RunArtifacts,
     ScenarioConfig,
     atomic_write,
+    csv_text,
     format_float,
     parse_scenario,
     run_scenario,
@@ -133,12 +134,13 @@ def _cmd_cobweb(args) -> int:
     data = cobweb_data(config.params, b_min, b_max, args.points)
     out = _default_out(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rows = [",".join(["b", "next_b", "diagonal"])]
-    for b, m in zip(data.levels, data.mapped):
-        rows.append(",".join([format_float(b), format_float(m), format_float(b)]))
     csv_path = out / f"{config.name}_cobweb.csv"
     if args.format in (None, "csv", "both"):
-        atomic_write(csv_path, "\r\n".join(rows) + "\r\n")
+        atomic_write(csv_path, csv_text(
+            ["b", "next_b", "diagonal"],
+            ([format_float(b), format_float(m), format_float(b)]
+             for b, m in zip(data.levels, data.mapped)),
+        ))
         print(f"wrote {csv_path}")
     if args.format in ("svg", "both"):
         svg_path = out / f"{config.name}_cobweb.svg"

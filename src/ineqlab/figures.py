@@ -23,7 +23,7 @@ from .core import (
 )
 from .errors import UnknownFigure
 from .olg import cobweb_data, olg_simulate
-from .scenario import atomic_write, format_float
+from .scenario import atomic_write, csv_text, format_float
 from .svgplot import line_chart
 
 FIGURE_NAMES = ("fig1", "fig2", "figA1", "figA2", "figA3", "figA4")
@@ -40,12 +40,10 @@ _COBWEB_PARAMS = EconomyParams(tfp=1.0, alpha=0.5, theta=0.0, population=1)
 
 
 def _csv(rows, header) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            cell if isinstance(cell, str) else format_float(cell) for cell in row
-        ))
-    return "\r\n".join(lines) + "\r\n"
+    return csv_text(header, (
+        [cell if isinstance(cell, str) else format_float(cell) for cell in row]
+        for row in rows
+    ))
 
 
 def _emit(out: Path, name: str, fmt: str, csv_text: str | None,

@@ -26,6 +26,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -277,8 +278,28 @@ def render_scenario(config: ScenarioConfig) -> str:
 
 
 def format_float(x: float) -> str:
-    """Shortest text that reads back as the same float64."""
+    """Shortest text that reads back as the same float64.
+
+    The CSV writers format whole arrays at once with ``repr`` on the floats
+    of ``ndarray.tolist()`` (see :func:`_texts`), which gives the same text.
+    """
     return repr(float(x))
+
+
+def _texts(values):
+    """format_float of every entry of a 1-D array, as a lazy iterator."""
+    return map(repr, np.asarray(values, dtype=float).tolist())
+
+
+def csv_text(header, rows) -> str:
+    """CSV text with CRLF line endings: ``header``, then one line per row.
+
+    ``header`` and every row are sequences of cells that are already text;
+    format numbers with :func:`format_float`.
+    """
+    lines = [",".join(header)]
+    lines.extend(map(",".join, rows))
+    return "\r\n".join(lines) + "\r\n"
 
 
 def atomic_write(path: Path, data: str):
@@ -305,6 +326,7 @@ def atomic_write(path: Path, data: str):
 
 def _per_household_output(traj: Trajectory, params: EconomyParams,
                           regime: Regime) -> np.ndarray:
+    """Output of each household, (T, L); (T, 1) when all households share it."""
     K = traj.holdings
     alpha = params.alpha
     if regime.is_market and not regime.is_olg:
@@ -313,7 +335,7 @@ def _per_household_output(traj: Trajectory, params: EconomyParams,
             y = params.ak_scale() * traj.mean_holding
         else:
             y = params.tfp * traj.mean_holding ** alpha
-        return np.repeat(y[:, None], K.shape[1], axis=1)
+        return y[:, None]
     if regime.is_endogenous:
         m = params.ak_scale()
         return m * traj.mean_holding[:, None] ** (1.0 - alpha) * K ** alpha
@@ -325,40 +347,40 @@ TRAJECTORY_COLUMNS = ("t", "household", "holding", "consumption", "output",
 METRICS_COLUMNS = ("t", "gini", "cv", "ratio_max_min", "r", "g", "r_minus_g")
 
 
+def _trajectory_rows(traj: Trajectory, y: np.ndarray):
+    """The cells of each trajectory CSV row, formatted one time step at a time."""
+    labels = [str(h) for h in range(traj.population)]
+    # a contiguous copy keeps each row's mean in the summation order of a
+    # 1-D mean, whatever the layout of the solver's array
+    mean_consumption = np.ascontiguousarray(traj.consumption).mean(axis=1)
+    aggregates = zip(
+        _texts(traj.times), _texts(traj.mean_holding), _texts(mean_consumption),
+        _texts(traj.mean_output), _texts(traj.interest), _texts(traj.growth),
+        _texts(traj.gini), _texts(traj.cv), _texts(traj.interest - traj.growth),
+    )
+    blank = repeat("")  # the aggregate-only channels of household rows
+    for i, (t, *aggregate) in enumerate(aggregates):
+        outputs = _texts(y[i])
+        if y.shape[1] == 1:
+            outputs = repeat(next(outputs))
+        yield from zip(repeat(t), labels, _texts(traj.holdings[i]),
+                       _texts(traj.consumption[i]), outputs,
+                       blank, blank, blank, blank, blank)
+        yield (t, "agg", *aggregate)
+
+
 def trajectory_csv_text(traj: Trajectory, params: EconomyParams,
                         regime: Regime) -> str:
-    y = _per_household_output(traj, params, regime)
-    rows = [",".join(TRAJECTORY_COLUMNS)]
-    L = traj.population
-    for i in range(len(traj)):
-        t = format_float(traj.times[i])
-        for h in range(L):
-            rows.append(",".join([
-                t, str(h), format_float(traj.holdings[i, h]),
-                format_float(traj.consumption[i, h]), format_float(y[i, h]),
-                "", "", "", "", "",
-            ]))
-        rows.append(",".join([
-            t, "agg", format_float(traj.mean_holding[i]),
-            format_float(traj.consumption[i].mean()),
-            format_float(traj.mean_output[i]), format_float(traj.interest[i]),
-            format_float(traj.growth[i]), format_float(traj.gini[i]),
-            format_float(traj.cv[i]),
-            format_float(traj.interest[i] - traj.growth[i]),
-        ]))
-    return "\r\n".join(rows) + "\r\n"
+    return csv_text(TRAJECTORY_COLUMNS, _trajectory_rows(
+        traj, _per_household_output(traj, params, regime)))
 
 
 def metrics_csv_text(traj: Trajectory) -> str:
-    rows = [",".join(METRICS_COLUMNS)]
-    for i in range(len(traj)):
-        rows.append(",".join([
-            format_float(traj.times[i]), format_float(traj.gini[i]),
-            format_float(traj.cv[i]), format_float(traj.ratio_max_min[i]),
-            format_float(traj.interest[i]), format_float(traj.growth[i]),
-            format_float(traj.interest[i] - traj.growth[i]),
-        ]))
-    return "\r\n".join(rows) + "\r\n"
+    return csv_text(METRICS_COLUMNS, zip(
+        _texts(traj.times), _texts(traj.gini), _texts(traj.cv),
+        _texts(traj.ratio_max_min), _texts(traj.interest),
+        _texts(traj.growth), _texts(traj.interest - traj.growth),
+    ))
 
 
 def steady_state_for(config: ScenarioConfig) -> SteadyState:

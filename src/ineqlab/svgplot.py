@@ -6,7 +6,11 @@ bytes, which the reproducibility tests rely on.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import OutOfRange
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#17becf", "#7f7f7f")
@@ -40,13 +44,20 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
     ``series`` is an iterable of (label, xs, ys); ``markers`` an optional
     iterable of (label, xs, ys) drawn as small circles instead of lines.
     Title, axis labels and legend entries are escaped as XML text.
+
+    Raises OutOfRange when there is no point at all, or when a coordinate or
+    the span of the axes is not finite.
     """
     series = [(str(lbl), np.asarray(xs, float), np.asarray(ys, float))
               for lbl, xs, ys in series]
     markers = [(str(lbl), np.asarray(xs, float), np.asarray(ys, float))
                for lbl, xs, ys in (markers or [])]
-    all_x = np.concatenate([xs for _, xs, _ in series + markers])
-    all_y = np.concatenate([ys for _, _, ys in series + markers])
+    all_x = np.concatenate([xs for _, xs, _ in series + markers] or [[]])
+    all_y = np.concatenate([ys for _, _, ys in series + markers] or [[]])
+    if all_x.size == 0 or all_y.size == 0:
+        raise OutOfRange("series", "a chart needs at least one point")
+    if not (np.isfinite(all_x).all() and np.isfinite(all_y).all()):
+        raise OutOfRange("series", "chart coordinates must be finite")
     x_lo, x_hi = float(all_x.min()), float(all_x.max())
     y_lo, y_hi = float(all_y.min()), float(all_y.max())
     if x_hi == x_lo:
@@ -55,12 +66,23 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
         y_hi = y_lo + 1.0
     pad = 0.04 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
+        raise OutOfRange("series",
+                         "chart coordinates span more than float64 holds")
 
     def sx(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)
 
     def sy(y):
         return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
+
+    x_texts = {}  # x coordinates as text, keyed by the content of xs
+
+    def x_text(xs):
+        key = xs.tobytes()
+        if key not in x_texts:
+            x_texts[key] = [f"{x:.6g}" for x in sx(xs).tolist()]
+        return x_texts[key]
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -112,8 +134,8 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
         )
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join(f"{x:.6g},{y:.6g}"
-                          for x, y in zip(sx(xs).tolist(), sy(ys).tolist()))
+        points = " ".join([f"{x},{y:.6g}"
+                           for x, y in zip(x_text(xs), sy(ys).tolist())])
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
             f'points="{points}"/>'
@@ -129,9 +151,9 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
         )
     for idx, (label, xs, ys) in enumerate(markers):
         color = PALETTE[(idx + len(series)) % len(PALETTE)]
-        for x, y in zip(sx(xs).tolist(), sy(ys).tolist()):
+        for x, y in zip(x_text(xs), sy(ys).tolist()):
             parts.append(
-                f'<circle cx="{x:.6g}" cy="{y:.6g}" r="3" fill="{color}"/>'
+                f'<circle cx="{x}" cy="{y:.6g}" r="3" fill="{color}"/>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
