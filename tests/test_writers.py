@@ -32,7 +32,9 @@ from ineqlab.scenario import (
     metrics_csv_text,
     trajectory_csv_text,
 )
-from ineqlab.svgplot import PALETTE, _H, _MB, _ML, _MR, _MT, _W, line_chart
+from ineqlab.svgplot import (
+    _H, _MB, _ML, _MR, _MT, _W, PALETTE, _num, _text, _ticks, line_chart,
+)
 
 
 def _oracle_output(traj, params, regime):
@@ -122,10 +124,6 @@ CASES = {
 }
 
 
-def _with(traj, **arrays):
-    return dataclasses.replace(traj, **arrays)
-
-
 class TestCsvWriters:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_match_per_cell_oracle(self, case):
@@ -138,7 +136,7 @@ class TestCsvWriters:
     @pytest.mark.parametrize("case", ["ramsey-market-exog-2", "olg-market-ak"])
     def test_one_row_trajectory(self, case):
         params, regime, traj = CASES[case]()
-        one = _with(traj, **{
+        one = dataclasses.replace(traj, **{
             f.name: getattr(traj, f.name)[:1] for f in dataclasses.fields(traj)
             if isinstance(getattr(traj, f.name), np.ndarray)
         })
@@ -149,15 +147,16 @@ class TestCsvWriters:
         assert metrics_csv_text(one) == oracle_metrics_csv(one)
 
     def test_any_array_layout(self):
-        # column-major and strided holdings give a different summation order
+        # column-major and strided consumption give a different summation order
         # to a naive mean over axis 1; the text must not depend on layout
         params, regime, traj = CASES["ramsey-market-exog-50"]()
         wide_c = np.repeat(traj.consumption, 2, axis=1)
         for consumption in (np.asfortranarray(traj.consumption),
                             wide_c[:, ::2]):
             assert np.array_equal(consumption, traj.consumption)
-            other = _with(traj, consumption=consumption,
-                          holdings=np.asfortranarray(traj.holdings))
+            other = dataclasses.replace(
+                traj, consumption=consumption,
+                holdings=np.asfortranarray(traj.holdings))
             assert (trajectory_csv_text(other, params, regime)
                     == oracle_trajectory_csv(traj, params, regime))
 
@@ -169,8 +168,6 @@ class TestCsvWriters:
 
 def oracle_line_chart(series, title="", xlabel="", ylabel="", markers=None):
     """line_chart as it was written point by point."""
-    from ineqlab.svgplot import _num, _text, _ticks
-
     series = [(str(lbl), np.asarray(xs, float), np.asarray(ys, float))
               for lbl, xs, ys in series]
     markers = [(str(lbl), np.asarray(xs, float), np.asarray(ys, float))
