@@ -53,6 +53,7 @@ from .production import (
     aggregate_output,
     allocation_output,
     equal_allocation_is_optimal,
+    household_production,
     mpk_private,
     mpk_social,
     per_capita_output,

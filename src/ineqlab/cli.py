@@ -22,7 +22,7 @@ from .errors import (
     WrongRegime,
 )
 from .figures import FIGURE_NAMES, figure
-from .olg import cobweb_data
+from .olg import cobweb_data, olg_steady_state
 from .scenario import (
     RunArtifacts,
     ScenarioConfig,
@@ -124,8 +124,6 @@ def _cmd_cobweb(args) -> int:
         raise WrongRegime(
             "cobweb diagrams exist for the fixed-technology OLG map only"
         )
-    from .olg import olg_steady_state
-
     b_star = olg_steady_state(config.params, config.regime).holding_star
     start = min(config.initial_distribution)
     b_min = args.min if args.min is not None else min(0.05 * b_star, 0.5 * start)

@@ -22,7 +22,7 @@ from .core import (
     WealthDistribution,
 )
 from .errors import UnknownFigure
-from .olg import cobweb_data, olg_simulate
+from .olg import cobweb_data, olg_mean_map, olg_simulate
 from .scenario import atomic_write, csv_text, format_float
 from .svgplot import line_chart
 
@@ -154,8 +154,7 @@ def _figA3(out: Path, fmt: str) -> list[Path]:
         xs, ys = [b0], [0.0]
         b = b0
         for _ in range(steps):
-            nxt = _COBWEB_PARAMS.tfp * b ** _COBWEB_PARAMS.alpha / (
-                2.0 + _COBWEB_PARAMS.theta)
+            nxt = olg_mean_map(b, _COBWEB_PARAMS)
             xs.extend([b, nxt])
             ys.extend([nxt, nxt])
             b = nxt

@@ -34,6 +34,7 @@ from .errors import (
     WrongRegime,
 )
 from .metrics import coefficient_of_variation, gini, ratio_max_min
+from .production import household_production
 
 
 @dataclass(frozen=True)
@@ -58,25 +59,21 @@ def _step_arrays(b: np.ndarray, params: EconomyParams, regime: Regime):
     s = 1.0 / (2.0 + params.theta)
     alpha = params.alpha
     bbar = b.sum() / b.size
+    y, mpk = household_production(b, bbar, params, regime.technology,
+                                  regime.is_market)
+    # bequests save s of the wage and of each household's own return; the
+    # products below keep the grouping the recorded artifacts were made with
+    if regime.is_market:
+        if regime.is_endogenous:
+            nxt = (s * params.ak_scale()) * ((1.0 - alpha) * bbar + alpha * b)
+        else:
+            nxt = s * (y - mpk * (bbar - b))
+        return nxt, mpk
     if regime.is_endogenous:
-        m = params.ak_scale()
-        if regime.is_market:
-            nxt = (s * m) * ((1.0 - alpha) * bbar + alpha * b)
-            interest = alpha * m
-        else:
-            nxt = (s * m * bbar ** (1.0 - alpha)) * b ** alpha
-            interest = float(np.mean(alpha * m * (bbar / b) ** (1.0 - alpha)))
+        nxt = (s * params.ak_scale() * bbar ** (1.0 - alpha)) * b ** alpha
     else:
-        A = params.tfp
-        if regime.is_market:
-            f_bar = A * bbar ** alpha
-            fp_bar = alpha * A * bbar ** (alpha - 1.0)
-            nxt = s * (f_bar - fp_bar * (bbar - b))
-            interest = fp_bar
-        else:
-            nxt = (s * A) * b ** alpha
-            interest = float(np.mean(alpha * A * b ** (alpha - 1.0)))
-    return nxt, interest
+        nxt = (s * params.tfp) * b ** alpha
+    return nxt, float(np.mean(mpk))
 
 
 def olg_step(dist: WealthDistribution, params: EconomyParams,
@@ -131,14 +128,6 @@ def olg_steady_state(params: EconomyParams, regime: Regime) -> SteadyState:
         regime=regime,
         consumption_star=(1.0 + params.theta) * b_star,
     )
-
-
-def _mean_output(b: np.ndarray, bbar: float, params: EconomyParams,
-                 regime: Regime) -> float:
-    if regime.is_endogenous:
-        m = params.ak_scale()
-        return float(np.mean(m * bbar ** (1.0 - params.alpha) * b ** params.alpha))
-    return float(np.mean(params.tfp * b ** params.alpha))
 
 
 def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regime,
@@ -201,8 +190,11 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
     times = np.arange(n, dtype=float)
     consumption = one_plus_theta * holdings
     mean_holding = holdings.mean(axis=1)
+    # own-capital output, row by row with a scalar mean
     mean_output = np.array([
-        _mean_output(holdings[i], mean_holding[i], params, regime) for i in range(n)
+        float(np.mean(household_production(
+            holdings[i], mean_holding[i], params, regime.technology)[0]))
+        for i in range(n)
     ])
     return Trajectory(
         times=times,
@@ -249,8 +241,11 @@ class CobwebData:
     b_star: float
 
 
-def olg_mean_map(b: float, params: EconomyParams) -> float:
-    """The scalar map b -> A b**alpha / (2 + theta) driving the mean bequest."""
+def olg_mean_map(b, params: EconomyParams):
+    """The map b -> A b**alpha / (2 + theta) driving the mean bequest.
+
+    ``b`` is a float or an array of bequest levels.
+    """
     return params.tfp * b ** params.alpha / (2.0 + params.theta)
 
 
@@ -261,9 +256,7 @@ def cobweb_data(params: EconomyParams, b_min: float, b_max: float,
         raise NonPositiveInput("need 0 < b_min < b_max")
     if n_points < 2:
         raise NonPositiveInput("n_points must be >= 2")
-    validate_params(params, OLG_AUTARKY_EXOG)
+    b_star = olg_steady_state(params, OLG_AUTARKY_EXOG).holding_star
     levels = np.linspace(b_min, b_max, n_points)
-    mapped = params.tfp * levels ** params.alpha / (2.0 + params.theta)
-    b_star = (params.tfp / (2.0 + params.theta)) ** (1.0 / (1.0 - params.alpha))
-    return CobwebData(levels=levels, mapped=mapped, diagonal=levels.copy(),
-                      b_star=b_star)
+    return CobwebData(levels=levels, mapped=olg_mean_map(levels, params),
+                      diagonal=levels.copy(), b_star=b_star)

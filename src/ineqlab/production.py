@@ -7,6 +7,11 @@ concave private problem, because it must treat the economy-wide average
 ``context_mean`` as given. That wedge between private and social marginal
 products is the whole point of the endogenous regimes, so the view object
 forces callers to freeze the average before evaluating private quantities.
+
+``household_production`` is the one home of a household's output and
+marginal product: the solvers, the trajectory recorders and the CSV writer
+all take them from it, on raw arrays, and ``per_capita_output`` and
+``mpk_private`` are its checked forms.
 """
 
 from __future__ import annotations
@@ -60,35 +65,52 @@ def aggregate_output(K: float, L: float, view: TechnologyView) -> float:
     return p.tfp * K * L ** (1.0 - p.alpha)
 
 
+def household_production(k, kbar, params: EconomyParams, technology: Technology,
+                         market: bool = False):
+    """(output, marginal product of own capital) of households holding ``k``.
+
+    ``k`` and the economy-wide mean ``kbar`` are floats or arrays that
+    broadcast; nothing is validated. Without ``market`` each household
+    operates its own capital, and under the AK technology its productivity
+    takes the spillover from ``kbar``, held fixed in the marginal product.
+    With ``market`` every household operates ``kbar``, so both values are
+    the mean's, shaped like ``kbar``: under AK the output is m kbar and the
+    marginal product the constant alpha m.
+    """
+    alpha = params.alpha
+    if technology is Technology.ENDOGENOUS_AK:
+        m = params.ak_scale()
+        if market:
+            return m * kbar, alpha * m
+        return (m * kbar ** (1.0 - alpha) * k ** alpha,
+                alpha * m * (kbar / k) ** (1.0 - alpha))
+    if market:
+        k = kbar
+    return params.tfp * k ** alpha, alpha * params.tfp * k ** (alpha - 1.0)
+
+
+def _checked_production(k_i, view: TechnologyView, caller: str):
+    k = np.asarray(k_i, dtype=float)
+    if np.any(k <= 0.0):
+        raise NonPositiveInput(f"{caller} requires k_i > 0")
+    kbar = (view._require_mean() if view.technology is Technology.ENDOGENOUS_AK
+            else None)
+    return household_production(k, kbar, view.params, view.technology)
+
+
 def per_capita_output(k_i, view: TechnologyView):
     """Output of a household operating capital ``k_i``.
 
     Accepts a scalar or an ndarray of capital levels. Under the AK technology
     the spillover term uses the frozen ``context_mean``.
     """
-    k = np.asarray(k_i, dtype=float)
-    if np.any(k <= 0.0):
-        raise NonPositiveInput("per_capita_output requires k_i > 0")
-    p = view.params
-    if view.technology is Technology.EXOGENOUS:
-        out = p.tfp * k ** p.alpha
-    else:
-        kbar = view._require_mean()
-        out = p.ak_scale() * kbar ** (1.0 - p.alpha) * k ** p.alpha
+    out, _ = _checked_production(k_i, view, "per_capita_output")
     return out if isinstance(k_i, np.ndarray) else float(out)
 
 
 def mpk_private(k_i, view: TechnologyView):
     """Marginal return on own capital, aggregate spillover held fixed."""
-    k = np.asarray(k_i, dtype=float)
-    if np.any(k <= 0.0):
-        raise NonPositiveInput("mpk_private requires k_i > 0")
-    p = view.params
-    if view.technology is Technology.EXOGENOUS:
-        out = p.alpha * p.tfp * k ** (p.alpha - 1.0)
-    else:
-        kbar = view._require_mean()
-        out = p.alpha * p.ak_scale() * (kbar / k) ** (1.0 - p.alpha)
+    _, out = _checked_production(k_i, view, "mpk_private")
     return out if isinstance(k_i, np.ndarray) else float(out)
 
 

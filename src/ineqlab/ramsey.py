@@ -52,6 +52,7 @@ from .errors import (
     WrongRegime,
 )
 from .metrics import coefficient_of_variation, gini, ratio_max_min
+from .production import household_production
 
 _EPS = float(np.finfo(float).eps)
 
@@ -95,10 +96,10 @@ class ShootingConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.terminal_band <= 0.0:
-            raise NonPositiveInput("dt and terminal_band must be > 0")
-        if self.horizon is not None and self.horizon <= self.dt:
-            raise NonPositiveInput("horizon must exceed dt")
+        if not (0.0 < self.dt < math.inf and 0.0 < self.terminal_band < math.inf):
+            raise NonPositiveInput("dt and terminal_band must be finite and > 0")
+        if self.horizon is not None and not (self.dt < self.horizon < math.inf):
+            raise NonPositiveInput("horizon must be finite and exceed dt")
         if self.max_iterations < 1 or self.record_stride < 1:
             raise NonPositiveInput("max_iterations and record_stride must be >= 1")
 
@@ -109,33 +110,19 @@ class ShootingConfig:
 
 def _rhs_arrays(k: np.ndarray, c: np.ndarray, params: EconomyParams,
                 regime: Regime):
-    """Time derivatives (dk, dc) on raw arrays; no validation."""
-    alpha = params.alpha
-    theta = params.theta
-    gamma = params.gamma
+    """Time derivatives (dk, dc) on raw arrays; no validation.
+
+    Under a capital market a household earns the wage, labour's share of
+    the mean's output, plus interest on its own assets; under autarky it
+    keeps its own output.
+    """
+    y, mpk = household_production(k, k.sum() / k.size, params,
+                                  regime.technology, regime.is_market)
     if regime.is_market:
-        kbar = k.sum() / k.size
-        if regime.is_endogenous:
-            m = params.ak_scale()
-            r = alpha * m
-            wage = (1.0 - alpha) * m * kbar
-        else:
-            r = alpha * params.tfp * kbar ** (alpha - 1.0)
-            wage = (1.0 - alpha) * params.tfp * kbar ** alpha
-        dk = wage + r * k - c
-        dc = ((r - theta) / gamma) * c
+        dk = (1.0 - params.alpha) * y + mpk * k - c
     else:
-        if regime.is_endogenous:
-            kbar = k.sum() / k.size
-            m = params.ak_scale()
-            y = m * kbar ** (1.0 - alpha) * k ** alpha
-            mpk = alpha * m * (kbar / k) ** (1.0 - alpha)
-        else:
-            y = params.tfp * k ** alpha
-            mpk = alpha * params.tfp * k ** (alpha - 1.0)
         dk = y - c
-        dc = ((mpk - theta) / gamma) * c
-    return dk, dc
+    return dk, ((mpk - params.theta) / params.gamma) * c
 
 
 def euler_growth(state: RamseyState, params: EconomyParams,
@@ -375,36 +362,23 @@ def _ride_into_band(k0: np.ndarray, params: EconomyParams, config: ShootingConfi
 
 
 def _ramsey_trajectory(times, K, C, params, regime, converged, note=""):
-    alpha, theta, gamma = params.alpha, params.theta, params.gamma
     n = times.shape[0]
     mean_holding = K.mean(axis=1)
+    y, mpk = household_production(K, mean_holding[:, None], params,
+                                  regime.technology, regime.is_market)
+    # a market's (T, 1) column, or its AK constant, is the mean's
+    r = np.broadcast_to(mpk, y.shape).mean(axis=1)
     if regime.is_market:
-        if regime.is_endogenous:
-            m = params.ak_scale()
-            r = np.full(n, alpha * m)
-            mean_output = m * mean_holding
-        else:
-            r = alpha * params.tfp * mean_holding ** (alpha - 1.0)
-            mean_output = params.tfp * mean_holding ** alpha
-        growth = (r - theta) / gamma
+        growth = (r - params.theta) / params.gamma
     else:
-        if regime.is_endogenous:
-            m = params.ak_scale()
-            mpk = alpha * m * (mean_holding[:, None] / K) ** (1.0 - alpha)
-            mean_output = (m * mean_holding[:, None] ** (1.0 - alpha)
-                           * K ** alpha).mean(axis=1)
-        else:
-            mpk = alpha * params.tfp * K ** (alpha - 1.0)
-            mean_output = (params.tfp * K ** alpha).mean(axis=1)
-        r = mpk.mean(axis=1)
-        rates = (mpk - theta) / gamma
+        rates = (mpk - params.theta) / params.gamma
         growth = (rates * C).sum(axis=1) / C.sum(axis=1)
     return Trajectory(
         times=times,
         holdings=K,
         consumption=C,
         mean_holding=mean_holding,
-        mean_output=mean_output,
+        mean_output=y.mean(axis=1),
         interest=r,
         growth=growth,
         gini=np.array([gini(K[i]) for i in range(n)]),

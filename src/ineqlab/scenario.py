@@ -23,6 +23,7 @@ configs produce byte-identical files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, fields
@@ -50,6 +51,7 @@ from .errors import (
     ValidationError,
 )
 from .olg import olg_simulate, olg_steady_state
+from .production import household_production
 from .ramsey import ShootingConfig, ramsey_steady_state, shoot_saddle_path
 from .svgplot import line_chart
 
@@ -209,32 +211,44 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if kind not in OUTPUT_KINDS:
             raise ValidationError("outputs", f"unknown output kind {kind!r}")
 
-    horizon_time = pick("horizon.time", None)
-    if horizon_time is not None:
-        horizon_time = as_number("horizon.time", horizon_time)
-    shooting = ShootingConfig(
-        horizon=horizon_time,
-        dt=as_number("horizon.dt", pick("horizon.dt", 1e-2)),
-        max_iterations=as_int(
-            "horizon.max_iterations", pick("horizon.max_iterations", 200)
-        ),
-        terminal_band=as_number(
-            "horizon.terminal_band", pick("horizon.terminal_band", 1e-4)
-        ),
-        record_stride=as_int(
-            "horizon.record_stride", pick("horizon.record_stride", 1)
-        ),
-    )
+    def positive(key: str, default: float) -> float:
+        value = as_number(key, pick(key, default))
+        if not (0.0 < value < math.inf):
+            raise ValidationError(key, f"{key} must be finite and > 0, got {value!r}")
+        return value
+
+    def count(key: str, default: int) -> int:
+        value = as_int(key, pick(key, default))
+        if value < 1:
+            raise ValidationError(key, f"{key} must be >= 1, got {value!r}")
+        return value
+
+    dt = positive("horizon.dt", 1e-2)
+    horizon_time = None
+    if raw.get("horizon.time") is not None:
+        horizon_time = positive("horizon.time", None)
+        if horizon_time <= dt:
+            raise ValidationError(
+                "horizon.time",
+                f"horizon.time must exceed horizon.dt, got {horizon_time!r}")
+    stop_tol = as_number("horizon.stop_tol", pick("horizon.stop_tol", 1e-9))
+    if not stop_tol >= 0.0:
+        raise ValidationError(
+            "horizon.stop_tol", f"horizon.stop_tol must be >= 0, got {stop_tol!r}")
     return ScenarioConfig(
         name=name,
         regime=regime,
         params=params,
         initial_distribution=dist,
-        max_generations=as_int(
-            "horizon.max_generations", pick("horizon.max_generations", 10000)
+        max_generations=count("horizon.max_generations", 10000),
+        stop_tol=stop_tol,
+        shooting=ShootingConfig(
+            horizon=horizon_time,
+            dt=dt,
+            max_iterations=count("horizon.max_iterations", 200),
+            terminal_band=positive("horizon.terminal_band", 1e-4),
+            record_stride=count("horizon.record_stride", 1),
         ),
-        stop_tol=as_number("horizon.stop_tol", pick("horizon.stop_tol", 1e-9)),
-        shooting=shooting,
         outputs=frozenset(outputs_raw),
     )
 
@@ -324,24 +338,6 @@ def atomic_write(path: Path, data: str):
         raise
 
 
-def _per_household_output(traj: Trajectory, params: EconomyParams,
-                          regime: Regime) -> np.ndarray:
-    """Output of each household, (T, L); (T, 1) when all households share it."""
-    K = traj.holdings
-    alpha = params.alpha
-    if regime.is_market and not regime.is_olg:
-        # market dynasties operate the mean regardless of ownership
-        if regime.is_endogenous:
-            y = params.ak_scale() * traj.mean_holding
-        else:
-            y = params.tfp * traj.mean_holding ** alpha
-        return y[:, None]
-    if regime.is_endogenous:
-        m = params.ak_scale()
-        return m * traj.mean_holding[:, None] ** (1.0 - alpha) * K ** alpha
-    return params.tfp * K ** alpha
-
-
 TRAJECTORY_COLUMNS = ("t", "household", "holding", "consumption", "output",
                       "r", "g", "gini", "cv", "r_minus_g")
 METRICS_COLUMNS = ("t", "gini", "cv", "ratio_max_min", "r", "g", "r_minus_g")
@@ -371,8 +367,12 @@ def _trajectory_rows(traj: Trajectory, y: np.ndarray):
 
 def trajectory_csv_text(traj: Trajectory, params: EconomyParams,
                         regime: Regime) -> str:
-    return csv_text(TRAJECTORY_COLUMNS, _trajectory_rows(
-        traj, _per_household_output(traj, params, regime)))
+    # market dynasties operate the mean, (T, 1), whoever owns the capital;
+    # OLG households report the output of their own capital
+    y = household_production(traj.holdings, traj.mean_holding[:, None],
+                             params, regime.technology,
+                             regime.is_market and not regime.is_olg)[0]
+    return csv_text(TRAJECTORY_COLUMNS, _trajectory_rows(traj, y))
 
 
 def metrics_csv_text(traj: Trajectory) -> str:

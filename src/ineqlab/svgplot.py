@@ -45,8 +45,9 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
     iterable of (label, xs, ys) drawn as small circles instead of lines.
     Title, axis labels and legend entries are escaped as XML text.
 
-    Raises OutOfRange when there is no point at all, or when a coordinate or
-    the span of the axes is not finite.
+    Raises OutOfRange when there is no point at all, when a series or marker
+    set has not as many y values as x values, or when a coordinate or the
+    span of the axes is not finite.
     """
     series = [(str(lbl), np.asarray(xs, float), np.asarray(ys, float))
               for lbl, xs, ys in series]
@@ -56,6 +57,10 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
     all_y = np.concatenate([ys for _, _, ys in series + markers] or [[]])
     if all_x.size == 0 or all_y.size == 0:
         raise OutOfRange("series", "a chart needs at least one point")
+    for label, xs, ys in series + markers:
+        if xs.size != ys.size:
+            raise OutOfRange("series", f"{label!r} has {xs.size} x values "
+                                       f"but {ys.size} y values")
     if not (np.isfinite(all_x).all() and np.isfinite(all_y).all()):
         raise OutOfRange("series", "chart coordinates must be finite")
     x_lo, x_hi = float(all_x.min()), float(all_x.max())

@@ -1,8 +1,11 @@
-"""Golden digests of the artifacts of the bundled scenarios.
+"""Golden digests of the artifacts of the bundled and the inline scenarios.
 
-Each scenario in ``scenarios/`` is run with ``outputs = [csv, svg, summary]``
-and the SHA-256 of every file it writes, and of its summary text, must match
-the digest recorded here. A change that is meant to keep outputs as they are
+Each scenario in ``scenarios/``, and each in ``INLINE`` below, is run with
+``outputs = [csv, svg, summary]`` and the SHA-256 of every file it writes,
+and of its summary text, must match the digest recorded here. The bundled
+scenarios cover four of the eight regimes; the inline ones cover the other
+four, with unequal holdings and tfp != 1, so that every branch of the
+production function shows in some artifact. A change that is meant to keep outputs as they are
 (a refactor or a speed-up) leaves this table alone. A change that alters a
 numerical method updates the digests in the same commit and states the
 tolerance its outputs keep against the old ones, for example relative 1e-8
@@ -18,6 +21,60 @@ import pytest
 from ineqlab import parse_scenario, run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+INLINE = {
+    "olg_market_exog": """\
+name = "olg-market-exog"
+regime.family = olg
+regime.market = market
+regime.technology = exogenous
+params.tfp = 1.3
+params.alpha = 0.3
+params.theta = 0.2
+initial_distribution = [0.2, 1.5, 0.7]
+horizon.max_generations = 60
+horizon.stop_tol = 1e-12
+""",
+    "olg_autarky_ak": """\
+name = "olg-autarky-ak"
+regime.family = olg
+regime.market = autarky
+regime.technology = endogenous_ak
+params.tfp = 3.0
+params.alpha = 0.3
+params.theta = 0.1
+initial_distribution = [1.0, 4.0]
+horizon.max_generations = 30
+horizon.stop_tol = 1e-12
+""",
+    # three households, so the market path goes through the decomposition
+    "ramsey_market_exog": """\
+name = "ramsey-market-exog"
+regime.family = ramsey
+regime.market = market
+regime.technology = exogenous
+params.tfp = 1.2
+params.alpha = 0.4
+params.theta = 0.08
+params.gamma = 1.5
+initial_distribution = [2.0, 5.0, 9.0]
+horizon.dt = 0.05
+horizon.record_stride = 4
+""",
+    # unequal holdings, so the path comes from the Newton solve
+    "ramsey_autarky_ak": """\
+name = "ramsey-autarky-ak"
+regime.family = ramsey
+regime.market = autarky
+regime.technology = endogenous_ak
+params.tfp = 1.5
+params.alpha = 0.3
+params.theta = 0.1
+params.gamma = 2.0
+initial_distribution = [1.0, 2.5]
+horizon.dt = 0.02
+""",
+}
 
 GOLDEN = {
     "olg_autarky_converge": {
@@ -46,13 +103,54 @@ GOLDEN = {
     },
 }
 
+INLINE_GOLDEN = {
+    "olg_market_exog": {
+        "olg-market-exog.svg": "e2925ab148621a0d63b618399989a1125359d60990c4a325d6d115a7e26a33da",
+        "olg-market-exog_metrics.csv": "06581647536351d967fd1ba77887db5efa735da26379679a0749ebbacd409be3",
+        "olg-market-exog_trajectory.csv": "039cd58494f918d84a45a4a5ef0836bc0c571f7c6376668384cd35ce3f3599f4",
+        "summary": "5b030e4bcad27a0f41c44b3b62c08346e40f2871550dbf695d6052fca958e5ce",
+    },
+    "olg_autarky_ak": {
+        "olg-autarky-ak.svg": "bb68586973906e5346e8615815d18965af26783349a1cad770ce0090006fcbf3",
+        "olg-autarky-ak_metrics.csv": "0fcc787a7f0e31e9a2072dffab64788fc6753dddccd74b3b89ce680f8fe217f9",
+        "olg-autarky-ak_trajectory.csv": "1306d1f3876b9e7086c27cca11178361fc65f0e5410bdc4722fb9a721581c8a8",
+        "summary": "09024f71b129b5c1ac2053dd4b932f84754323056cd216ae1398315351605275",
+    },
+    "ramsey_market_exog": {
+        "ramsey-market-exog.svg": "392815b60660a295e8b289782ea931eac172931e10f03aa92475a036afd54883",
+        "ramsey-market-exog_metrics.csv": "008dfd74e52d978aff36e310109cfc74f9e2cfce666240594e115a59482f3740",
+        "ramsey-market-exog_trajectory.csv": "294fbbe34f13edfc359f7f6f0c050b137edef3c5ae10cc7ea223a6df6a8aa016",
+        "summary": "eab3c9c20a724c1998e6a05e1dba87924846d8be99d5ce6de6a99f20a7fd8689",
+    },
+    "ramsey_autarky_ak": {
+        "ramsey-autarky-ak.svg": "1629c9ecc4b1a55bcd1902c62e278282c33bf82a3218b3d7c65a871744c812fe",
+        "ramsey-autarky-ak_metrics.csv": "95233ad9bab1f1dda3fd94515bff6f315fd9bafdeaed88329720e07cd39f8728",
+        "ramsey-autarky-ak_trajectory.csv": "93f5a09eac6e8acb7594bdc97883a45a4a39cbac9697a331a067f8bac4c7bb76",
+        "summary": "e22fa9831cba41c68f948a2f46b46fe873379bc88073cc064aa791dfc16ffc79",
+    },
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _digests(text: str, out: Path) -> dict[str, str]:
+    artifacts = run_scenario(parse_scenario(text), out)
+    found = {p.name: _sha256(p.read_bytes()) for p in out.iterdir()}
+    found["summary"] = _sha256(artifacts.summary.encode("utf-8"))
+    return found
+
+
 def test_every_bundled_scenario_has_digests():
     assert sorted(p.stem for p in SCENARIO_DIR.glob("*.scn")) == sorted(GOLDEN)
+
+
+def test_the_scenarios_cover_all_eight_regimes():
+    texts = [(SCENARIO_DIR / f"{stem}.scn").read_text(encoding="utf-8")
+             for stem in GOLDEN] + list(INLINE.values())
+    regimes = {parse_scenario(text).regime for text in texts}
+    assert len(regimes) == 8
 
 
 @pytest.mark.parametrize("stem", sorted(GOLDEN))
@@ -61,7 +159,10 @@ def test_artifacts_match_golden_digests(stem, tmp_path):
     text, count = re.subn(r"^outputs = .*$", "outputs = [csv, svg, summary]",
                           text, flags=re.M)
     assert count == 1
-    artifacts = run_scenario(parse_scenario(text), tmp_path)
-    found = {p.name: _sha256(p.read_bytes()) for p in tmp_path.iterdir()}
-    found["summary"] = _sha256(artifacts.summary.encode("utf-8"))
-    assert found == GOLDEN[stem]
+    assert _digests(text, tmp_path) == GOLDEN[stem]
+
+
+@pytest.mark.parametrize("stem", sorted(INLINE))
+def test_inline_artifacts_match_golden_digests(stem, tmp_path):
+    text = INLINE[stem] + "outputs = [csv, svg, summary]\n"
+    assert _digests(text, tmp_path) == INLINE_GOLDEN[stem]

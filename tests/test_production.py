@@ -15,6 +15,7 @@ from ineqlab import (
     aggregate_output,
     allocation_output,
     equal_allocation_is_optimal,
+    household_production,
     mpk_private,
     mpk_social,
     per_capita_output,
@@ -181,6 +182,66 @@ class TestMpk:
     def test_private_below_social_under_spillover(self):
         view = ak_view(tfp=3.0, population=2, context_mean=1.0)
         assert mpk_private(1.0, view) < mpk_social(view)
+
+
+class TestHouseholdProduction:
+    @pytest.mark.parametrize("technology", [EXOG, AK])
+    def test_matches_checked_forms_exactly(self, technology):
+        params = EconomyParams(1.7, 0.35, 0.0, population=4)
+        view = TechnologyView(params, technology, context_mean=2.3)
+        k = np.random.default_rng(3).uniform(0.01, 40.0, 200)
+        y, mpk = household_production(k, 2.3, params, technology)
+        assert np.array_equal(y, per_capita_output(k, view))
+        assert np.array_equal(mpk, mpk_private(k, view))
+        # the checked forms take a float as a 0-d array, whose ** can round
+        # 1 ulp away from that of a numpy scalar
+        for x in k[:20].tolist():
+            y1, mpk1 = household_production(np.asarray(x), 2.3, params, technology)
+            assert float(y1) == per_capita_output(x, view)
+            assert float(mpk1) == mpk_private(x, view)
+
+    @pytest.mark.parametrize("technology", [EXOG, AK])
+    def test_mpk_matches_central_difference(self, technology):
+        params = EconomyParams(2.0, 0.4, 0.0, population=3)
+        for k in np.logspace(-3, 3, 25):
+            h = 1e-6 * max(1.0, k)
+            fd = central_difference(
+                lambda x: household_production(x, 2.5, params, technology)[0], k, h)
+            _, mpk = household_production(k, 2.5, params, technology)
+            assert mpk == pytest.approx(fd, rel=1e-6)
+
+    @pytest.mark.parametrize("technology", [EXOG, AK])
+    def test_market_gives_the_means_output_and_mpk(self, technology):
+        params = EconomyParams(1.3, 0.3, 0.0, population=3)
+        k = np.array([0.5, 2.0, 6.5])
+        kbar = k.mean()
+        y, mpk = household_production(k, kbar, params, technology, market=True)
+        own_y, own_mpk = household_production(kbar, kbar, params, technology)
+        assert y == pytest.approx(own_y, rel=1e-15)
+        assert mpk == pytest.approx(own_mpk, rel=1e-15)
+        if technology is AK:
+            m = params.ak_scale()
+            assert (y, mpk) == (m * kbar, params.alpha * m)
+            # the mean's output is the social product: m kbar, not f(kbar)
+            assert y == pytest.approx(aggregate_output(
+                3.0 * kbar, 3.0, TechnologyView(params, AK)) / 3.0, rel=1e-14)
+
+    @pytest.mark.parametrize("technology", [EXOG, AK])
+    @pytest.mark.parametrize("market", [False, True])
+    def test_column_mean_broadcasts_over_households(self, technology, market):
+        params = EconomyParams(1.1, 0.45, 0.0, population=5)
+        K = np.random.default_rng(5).uniform(0.1, 9.0, (7, 5))
+        kbar = K.mean(axis=1)[:, None]
+        y, mpk = household_production(K, kbar, params, technology, market)
+        shape = (7, 1) if market else (7, 5)
+        assert y.shape == shape
+        assert np.broadcast_shapes(np.shape(mpk), shape) == shape
+        for t in range(7):
+            y_t, mpk_t = household_production(K[t], kbar[t, 0], params,
+                                              technology, market)
+            assert np.allclose(y[t], y_t, rtol=1e-15, atol=0.0)
+            assert np.allclose(np.broadcast_to(mpk, shape)[t], mpk_t,
+                               rtol=1e-15, atol=0.0)
 
 
 class TestAllocationOutput:

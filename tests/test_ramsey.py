@@ -631,6 +631,11 @@ class TestConfigValidation:
             ShootingConfig(horizon=0.001, dt=0.01)
         with pytest.raises(NonPositiveInput):
             ShootingConfig(record_stride=0)
+        for bad in ({"dt": math.nan}, {"terminal_band": math.nan},
+                    {"terminal_band": math.inf}, {"horizon": math.inf},
+                    {"horizon": math.nan}):
+            with pytest.raises(NonPositiveInput):
+                ShootingConfig(**bad)
 
     def test_wrong_regime(self):
         with pytest.raises(WrongRegime):

@@ -22,6 +22,7 @@ from ineqlab import (
     render_scenario,
     run_scenario,
 )
+from ineqlab.cli import EXIT_CONFIG, main
 from ineqlab.errors import ParseError, ValidationError
 
 MINIMAL = """
@@ -118,6 +119,54 @@ initial_distribution = [1.0]
         bare = parse_scenario(MINIMAL)
         quoted = parse_scenario(MINIMAL.replace("= olg", '= "olg"'))
         assert bare == quoted
+
+
+RAMSEY_MINIMAL = """
+name = "bounds"
+regime.family = ramsey
+regime.market = autarky
+regime.technology = exogenous
+params.tfp = 1.0
+params.alpha = 0.5
+params.theta = 0.1
+initial_distribution = [5.0, 60.0]
+"""
+
+
+class TestHorizonBounds:
+    """Each horizon bound is a config error that names its key (exit 2)."""
+
+    @pytest.mark.parametrize("family, key, value", [
+        ("ramsey", "horizon.dt", "-1"),
+        ("ramsey", "horizon.dt", "0"),
+        ("ramsey", "horizon.dt", "NaN"),
+        ("ramsey", "horizon.dt", "Infinity"),
+        ("ramsey", "horizon.terminal_band", "NaN"),
+        ("ramsey", "horizon.terminal_band", "-1e-4"),
+        ("ramsey", "horizon.time", "0.001"),
+        ("ramsey", "horizon.time", "Infinity"),
+        ("ramsey", "horizon.time", "NaN"),
+        ("ramsey", "horizon.max_iterations", "0"),
+        ("ramsey", "horizon.record_stride", "0"),
+        ("olg", "horizon.max_generations", "0"),
+        ("olg", "horizon.stop_tol", "NaN"),
+        ("olg", "horizon.stop_tol", "-1e-9"),
+    ])
+    def test_cli_reports_config_error(self, family, key, value, tmp_path, capsys):
+        base = {"olg": MINIMAL, "ramsey": RAMSEY_MINIMAL}[family]
+        path = tmp_path / "bounds.scn"
+        path.write_text(base + f"{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(path.read_text(encoding="utf-8"))
+        assert exc.value.field == key
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_stop_tol_is_valid(self):
+        assert parse_scenario(MINIMAL + "horizon.stop_tol = 0\n").stop_tol == 0.0
 
 
 names = st.text(

@@ -300,6 +300,16 @@ class TestLineChart:
                 line_chart(series, markers=markers)
 
     @pytest.mark.parametrize("xs, ys", [
+        ([0.0, 1.0, 2.0], [1.0, 2.0]),
+        ([0.0, 1.0], [1.0, 2.0, 3.0]),
+    ])
+    def test_length_mismatch_is_out_of_range(self, xs, ys):
+        with pytest.raises(OutOfRange, match="x values but"):
+            line_chart([("s", xs, ys)])
+        with pytest.raises(OutOfRange, match="x values but"):
+            line_chart([("ok", [0.0, 1.0], [1.0, 2.0])], markers=[("m", xs, ys)])
+
+    @pytest.mark.parametrize("xs, ys", [
         ([0.0, 1.0], [1.0, np.inf]),
         ([0.0, np.inf], [1.0, 2.0]),
         ([0.0, 1.0], [np.nan, 2.0]),
