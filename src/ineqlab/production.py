@@ -74,8 +74,8 @@ def household_production(k, kbar, params: EconomyParams, technology: Technology,
     operates its own capital, and under the AK technology its productivity
     takes the spillover from ``kbar``, held fixed in the marginal product.
     With ``market`` every household operates ``kbar``, so both values are
-    the mean's, shaped like ``kbar``: under AK the output is m kbar and the
-    marginal product the constant alpha m.
+    the mean's and shaped like ``kbar``, except that under AK the output is
+    m kbar and the marginal product is the constant alpha m.
     """
     alpha = params.alpha
     if technology is Technology.ENDOGENOUS_AK:
