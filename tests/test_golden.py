@@ -1,12 +1,15 @@
-"""Golden digests of the artifacts of the bundled and the inline scenarios.
+"""Golden digests of the scenario artifacts and of the Leontief theorem sweep.
 
 Each scenario in ``scenarios/``, and each in ``INLINE`` below, is run with
 ``outputs = [csv, svg, summary]`` and the SHA-256 of every file it writes,
 and of its summary text, must match the digest recorded here. The bundled
 scenarios cover four of the eight regimes; the inline ones cover the other
 four, with unequal holdings and tfp != 1, so that every branch of the
-production function shows in some artifact. A change that is meant to keep outputs as they are
-(a refactor or a speed-up) leaves this table alone. A change that alters a
+production function shows in some artifact. ``SWEEP_GOLDEN`` pins the
+Leontief theorem sweep the same way: the report text of ``fmt_sweep`` and
+the bytes of every ``sweep_trials`` array, at n = 1..10 and seeds 0 and 1.
+A change that is meant to keep outputs as they are (a refactor or a
+speed-up) leaves these tables alone. A change that alters a
 numerical method updates the digests in the same commit and states the
 tolerance its outputs keep against the old ones, for example relative 1e-8
 on c(0) and 1e-6 on paths, checked with ``scripts/compare_outputs.py``.
@@ -18,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from ineqlab import parse_scenario, run_scenario
+from ineqlab import fmt_sweep, parse_scenario, run_scenario, sweep_trials
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -130,6 +133,52 @@ INLINE_GOLDEN = {
     },
 }
 
+#: (n, seed) -> digests of ``fmt_sweep(400, n, seed).text()`` and of the
+#: surplus_sign, profit_sign and own_values bytes of each block of
+#: ``sweep_trials(400, n, seed)``, in that order.
+SWEEP_GOLDEN = {
+    (1, 0): ("d3a09604a62223c38007a9e4ec7e1758a74700b8deae099cc077d3da5da748b8",
+             "93a4f254e2aea15b93709cb613d6255bef4f311adb9a6a02598dcdbcb30e5d3a"),
+    (2, 0): ("c15be1b563e56a6eb50cc5ea1832c3e9c7699fff8e2b1bd04ca02c563be320e1",
+             "443072b5e5e14f922b47f8861bcc0f9e7fdaebb546e3ab197779505755d4c5f0"),
+    (3, 0): ("075e32f315c9eb2fee24fd7ce0c380802571bd515a2b24f3a748300ad7b5f5e0",
+             "7bcb562cd5b396edc228b54da73ddd3172b6de97680f430a6496112209b10e74"),
+    (4, 0): ("18c93815f0b241bfb16a5dbad6e6a61787cc4431c7ba812c9d10ace99844e625",
+             "6491afcbad3770b53047c8dd84582b19a054f721bbb74fe713d794284cc6fb4c"),
+    (5, 0): ("31f0938e3744c9d91842ecd72efc62a045b4a29ab2c565a2feba2a7c27823dba",
+             "9e842b0182d1d2c9e441c2e3562fc83803d529c8bca0b8693643111c5179a13b"),
+    (6, 0): ("17fe558d75988604fe926b2917a4258bbbb3408f6df977e75e793dcf64e672e3",
+             "21d917ef00c057b7aac24cf44ef118482eb0d23db88eb897bbaa2b969af14624"),
+    (7, 0): ("be01f5e955e532d30fdb58d1b2ec378989a3e22076b9cb585e91c923dfb1737b",
+             "3d52cb005b07a314d37abc943dcdd1fd580bcea84a300983c84b127d5f9dbba7"),
+    (8, 0): ("2e29e49d185f81b45ea53e7394d8c1f73c9181728299bf700101efaacfbae1d5",
+             "5f79f73203ed1102ba7636551fc5ceef8cf03c8b1117f06bf218fcf5b70094f5"),
+    (9, 0): ("e9b2e3fadfa8987777f08bd3fb79911e22a3e9457af7db9eac375e1c71f2870c",
+             "18714269efb50557dbcfe803d604987f66b0e1df57cd110e6ec40f711cfd3dff"),
+    (10, 0): ("c392da10d63b72a6744f089ba8d9e440af54315e3a22c723719be584392b9fc0",
+             "3c57364716478c459e3330ce6eaa90200ca8fb85859c06b4c70e7792e4087285"),
+    (1, 1): ("c5f8f6a88ce13e14070c2bbbbd8d57be4fed31f0b56744de28be235d6987ef69",
+             "92e0f5ecb070f1e3d9272b246be63ef79870804de8ba8095836e19dd7c4c58b7"),
+    (2, 1): ("1ded0202ac77043cd3abf11833f09dea232dfbe6535e94665717d60ffaa48128",
+             "c7a4cd0294c7a3bc55e20b6d7ddf5f7dab2069f4b146c81867183e56ea85d705"),
+    (3, 1): ("338ac87ee1e787f8863ab4a384d6d7e00abda9f83bef9cae74775ed15cc2e5bc",
+             "fb6a51d649ed086794f011418b41fd32f52acfd6cb2b3d4bc272d3cc8fcb2ecd"),
+    (4, 1): ("f2708fa3c2c62cad411f88d75d948498f89f9b7c06567355ed9b62b8f1805c58",
+             "266f80c7d2e0057e67b37080fc137b070e963cf91cd9b08dca50708fdb75c471"),
+    (5, 1): ("1d4f8422ec8a0d721c4147d96b71891558b8ba1b8b2feb44064b6413da2abc97",
+             "08f359efcabc33af8b4b83153da8b55e97ad873000a60150b3dd9f7df8970e3a"),
+    (6, 1): ("1d72cc0bfb0bc14c49d6ff6b05ba8635c3e2f5234bbbb7f5906312c2dc25fb6d",
+             "a67ba9cf4befcdd257924c7b6bebc92212b6db692e59d20f402139110f7573d6"),
+    (7, 1): ("55f05b0225475053112d351769cda443f784bcf0a2de50734fd3aae4c93645d3",
+             "52c029f27444a2bad98fc301878c81d7cbae4bd78a2d29848fa81d3941a01391"),
+    (8, 1): ("398d86f6c9121fd9dffa03b1e85eee0e31492a3259a517152daf6f430c89ca5a",
+             "9e222f203696cf9271c1cd96926903e7b5cd8e5e2f588d18592d9e2e3bbab2bb"),
+    (9, 1): ("8463857660ebbdc81b19a692a3d2b5a8fafd902f2079bf05b34be62917675add",
+             "86498c86ded29b07142b71a60e53896d8dd47d0b6d2048c3e88f2f559d1075be"),
+    (10, 1): ("ee9cb0249ef524c85512bd54520657fb86df649e5203fffbcf35fe6a80982c91",
+             "5d8b83ef3f8fc00f9fbfda23f70f7403ff4b357f552bae2aeaa5e25eec3e66d0"),
+}
+
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -166,3 +215,13 @@ def test_artifacts_match_golden_digests(stem, tmp_path):
 def test_inline_artifacts_match_golden_digests(stem, tmp_path):
     text = INLINE[stem] + "outputs = [csv, svg, summary]\n"
     assert _digests(text, tmp_path) == INLINE_GOLDEN[stem]
+
+
+@pytest.mark.parametrize("n, seed", sorted(SWEEP_GOLDEN))
+def test_sweep_matches_golden_digests(n, seed):
+    trials = hashlib.sha256()
+    for block in sweep_trials(400, n, seed):
+        for array in block:
+            trials.update(array.tobytes())
+    text = _sha256(fmt_sweep(400, n, seed).text().encode("utf-8"))
+    assert (text, trials.hexdigest()) == SWEEP_GOLDEN[n, seed]
