@@ -8,6 +8,7 @@ be overridden by --out or the INEQ_LAB_OUT environment variable.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from pathlib import Path
@@ -30,6 +31,7 @@ from .scenario import (
     csv_text,
     format_float,
     parse_scenario,
+    render_scenario,
     run_scenario,
     steady_state_for,
 )
@@ -57,24 +59,29 @@ def _load_config(path: str) -> ScenarioConfig:
 
 def _apply_overrides(config: ScenarioConfig, tol: float | None,
                      max_steps: int | None) -> ScenarioConfig:
-    from dataclasses import replace
+    """``config`` with --tol and --max-steps in place of its horizon keys.
 
-    if tol is None and max_steps is None:
+    The overridden text is parsed again, so the values meet the same checks
+    as in a scenario file; a violated one is a ValidationError naming the
+    option.
+    """
+    keys = (("horizon.stop_tol", "horizon.max_generations") if config.regime.is_olg
+            else ("horizon.terminal_band", "horizon.max_iterations"))
+    options = {key: (option, value) for key, option, value
+               in zip(keys, ("--tol", "--max-steps"), (tol, max_steps))
+               if value is not None}
+    if not options:
         return config
-    if config.regime.is_olg:
-        return replace(
-            config,
-            stop_tol=tol if tol is not None else config.stop_tol,
-            max_generations=max_steps if max_steps is not None
-            else config.max_generations,
-        )
-    shooting = replace(
-        config.shooting,
-        terminal_band=tol if tol is not None else config.shooting.terminal_band,
-        max_iterations=max_steps if max_steps is not None
-        else config.shooting.max_iterations,
-    )
-    return replace(config, shooting=shooting)
+    lines = render_scenario(config).splitlines()
+    for i, line in enumerate(lines):
+        key = line.partition(" = ")[0]
+        if key in options:
+            lines[i] = f"{key} = {json.dumps(options[key][1])}"
+    try:
+        return parse_scenario("\n".join(lines))
+    except ValidationError as exc:
+        option = options[exc.field][0]
+        raise ValidationError(option, f"{option}: {exc}") from exc
 
 
 def _cmd_simulate(args) -> int:

@@ -81,13 +81,15 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
     def sy(y):
         return _H - _MB - (y - y_lo) / (y_hi - y_lo) * (_H - _MT - _MB)
 
-    x_texts = {}  # x coordinates as text, keyed by the content of xs
+    # polyline points with the y values left open, keyed by the content of
+    # xs; the x texts are finite numbers, so they hold no "%"
+    templates = {}
 
-    def x_text(xs):
+    def points(xs, ys):
         key = xs.tobytes()
-        if key not in x_texts:
-            x_texts[key] = [f"{x:.6g}" for x in sx(xs).tolist()]
-        return x_texts[key]
+        if key not in templates:
+            templates[key] = " ".join([f"{x:.6g},%.6g" for x in sx(xs).tolist()])
+        return templates[key] % tuple(sy(ys).tolist())
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -139,11 +141,9 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
         )
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        points = " ".join([f"{x},{y:.6g}"
-                           for x, y in zip(x_text(xs), sy(ys).tolist())])
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{points}"/>'
+            f'points="{points(xs, ys)}"/>'
         )
         ly = _MT + 14 * idx
         parts.append(
@@ -156,9 +156,9 @@ def line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "",
         )
     for idx, (label, xs, ys) in enumerate(markers):
         color = PALETTE[(idx + len(series)) % len(PALETTE)]
-        for x, y in zip(x_text(xs), sy(ys).tolist()):
+        for x, y in zip(sx(xs).tolist(), sy(ys).tolist()):
             parts.append(
-                f'<circle cx="{x}" cy="{y:.6g}" r="3" fill="{color}"/>'
+                f'<circle cx="{x:.6g}" cy="{y:.6g}" r="3" fill="{color}"/>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

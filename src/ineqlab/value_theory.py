@@ -19,14 +19,19 @@ the zero-profit knife edge. When the rest cannot reproduce itself, that is
 when rho(M[R, R]) >= 1 - 1e-10, every value of numeraire j is ``inf``.
 With n = 1 the rest is empty and w_0 = M[0, 0].
 
+Every question the sweep asks of a spectrum is a threshold, rho(B) < s, and
+the Hawkins-Simon condition answers it without eigenvalues: for nonnegative
+B, s I - B is a nonsingular M-matrix, which is rho(B) < s, exactly when every
+pivot of Gaussian elimination without row exchanges is positive.
+
 ``fmt_sweep`` runs its trials as array programs over blocks of at most 32
-economies. Each block takes one stacked labor-value solve, one stacked
-eigenvalue solve each for rho(A) and rho(M), and over every principal rest
-block one stacked eigenvalue solve and one linear solve. Blocks are bounded
-because the working arrays grow with the block: sweeping 400 trials at each
-of n = 3, 5, 8 and 10 as single blocks raised a process's peak RSS by 6.6 MB,
-and in blocks of 32 by 0.25 MB, as much as one economy at a time, at the same
-speed.
+economies. Each block takes one stacked labor-value solve, a stacked
+Hawkins-Simon elimination on A against 1 and on M against 1 - 1e-10 and
+1 + 1e-10, and over every principal rest block one stacked elimination
+against 1 - 1e-10 and one linear solve. Blocks are bounded because the
+working arrays grow with the block: sweeping 400 trials at each of n = 3, 5,
+8 and 10 as single blocks raised a process's peak RSS by 6.6 MB, and in
+blocks of 32 by 0.25 MB, as much as one economy at a time, at the same speed.
 """
 
 from __future__ import annotations
@@ -40,9 +45,28 @@ import numpy as np
 from .errors import NonPositiveInput, NotProductive, OutOfRange
 
 
-def _radii(stack: np.ndarray) -> np.ndarray:
-    """Spectral radius of each matrix of a stack (..., n, n); 0 when n = 0."""
-    return np.max(np.abs(np.linalg.eigvals(stack)), axis=-1, initial=0.0)
+def _radius_below(stack: np.ndarray, bound: float) -> np.ndarray:
+    """Whether rho(B) < bound, for each nonnegative B of a stack (..., m, m).
+
+    The Hawkins-Simon test: eliminate ``bound * I - B`` without row
+    exchanges, and B is below exactly when every pivot is positive. The
+    first pivot that is not positive decides its matrix; its later pivots
+    are taken as inf, so the elimination leaves it alone. True when m = 0.
+
+    While the pivots stay positive the eliminated entries can grow like
+    (max B / bound)^(m - 1), as along a chain of large entries, so a bound
+    far below the entries of B can overflow. The sweep's bounds are near 1
+    and its entries below 20.
+    """
+    m = stack.shape[-1]
+    z = bound * np.eye(m) - stack
+    below = np.ones(stack.shape[:-2], dtype=bool)
+    for k in range(m):
+        below &= z[..., k, k] > 0.0
+        pivot = np.where(below, z[..., k, k], np.inf)
+        z[..., k + 1:, k + 1:] -= (z[..., k + 1:, k, None]
+                                   * (z[..., None, k, k + 1:] / pivot[..., None, None]))
+    return below
 
 
 def spectral_radius(matrix: np.ndarray) -> float:
@@ -53,9 +77,11 @@ def spectral_radius(matrix: np.ndarray) -> float:
     its eigenvalues are exact for a matrix within a few ulps of the input,
     with no convergence tolerance or early exit, and periodic or defective
     patterns need no special handling. The economies here are desk-scale
-    (n <= 10), where a dense solve is cheap.
+    (n <= 10), where a dense solve is cheap. The sweep, which only asks
+    whether the radius is below a bound, uses the Hawkins-Simon test instead.
     """
-    return float(_radii(np.asarray(matrix, dtype=float)))
+    eigenvalues = np.linalg.eigvals(np.asarray(matrix, dtype=float))
+    return float(np.max(np.abs(eigenvalues), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,16 +203,23 @@ def numeraire_values(M: np.ndarray, numeraires):
     ``(rest, own)`` of shapes (..., J, n - 1) and (..., J): the content
     w_R = M[j, R] (I - M[R, R])^-1 over the other commodities in index
     order, and the Schur complement w_j = M[j, j] + w_R M[R, j]. Both are
-    ``inf`` where rho(M[R, R]) >= 1 - 1e-10.
+    ``inf`` where rho(M[R, R]) >= 1 - 1e-10, which the Hawkins-Simon test
+    decides: some pivot of (1 - 1e-10) I - M[R, R], eliminated without row
+    exchanges, is not positive.
+
+    Raises OutOfRange for a numeraire outside [0, n), and for an ``M`` with
+    an entry that is negative or not finite, where that test does not apply.
     """
     n = M.shape[-1]
+    if not np.all((M >= 0.0) & (M < np.inf)):
+        raise OutOfRange("M", "wage-augmented matrices must be finite and >= 0")
     numeraires = np.asarray(numeraires)
     if np.any((numeraires < 0) | (numeraires >= n)):
         raise OutOfRange("numeraire", f"commodity index must be in [0, {n})")
     j = numeraires[:, None]
     rest = np.arange(n - 1) + (np.arange(n - 1) >= j)
     block = M[..., rest[:, :, None], rest[:, None, :]]
-    infinite = _radii(block) >= 1.0 - _SIGN_TOL
+    infinite = ~_radius_below(block, 1.0 - _SIGN_TOL)
     lhs = np.eye(n - 1) - np.swapaxes(block, -1, -2)
     lhs[infinite] = np.eye(n - 1)  # keeps the stacked solve nonsingular
     w_rest = np.linalg.solve(lhs, M[..., j, rest][..., None])[..., 0]
@@ -292,7 +325,7 @@ def _trial_block(rng: np.random.Generator, trials: range, n: int) -> TrialBlock:
         if trial % 3 != 2:
             wage_scale[k] = rng.uniform(0.3, 1.7)
         A[k], l[k], direction[k] = _draw(rng, n)
-    if np.any(_radii(A) >= 1.0):
+    if not np.all(_radius_below(A, 1.0)):
         raise NotProductive("input matrix spectral radius must be < 1")
     v = _labor_values(A, l)
     b = (wage_scale[:, None] * direction
@@ -300,8 +333,10 @@ def _trial_block(rng: np.random.Generator, trials: range, n: int) -> TrialBlock:
     surplus = 1.0 - np.einsum("ki,ki->k", v, b)
     M = A + b[:, :, None] * l[:, None, :]
     _, own = numeraire_values(M, np.arange(n))
-    return TrialBlock(surplus_sign=_sign(surplus),
-                      profit_sign=_sign(1.0 - _radii(M)), own_values=own)
+    profit = np.where(_radius_below(M, 1.0 - _SIGN_TOL), 1,
+                      np.where(_radius_below(M, 1.0 + _SIGN_TOL), 0, -1))
+    return TrialBlock(surplus_sign=_sign(surplus), profit_sign=profit,
+                      own_values=own)
 
 
 def sweep_trials(trials: int, n: int, seed: int) -> Iterator[TrialBlock]:

@@ -3,6 +3,7 @@
 import json
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +23,10 @@ from ineqlab import (
     render_scenario,
     run_scenario,
 )
-from ineqlab.cli import EXIT_CONFIG, main
+from ineqlab.cli import EXIT_CONFIG, _apply_overrides, main
 from ineqlab.errors import ParseError, ValidationError
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
 MINIMAL = """
 name = "smoke"
@@ -167,6 +170,34 @@ class TestHorizonBounds:
 
     def test_zero_stop_tol_is_valid(self):
         assert parse_scenario(MINIMAL + "horizon.stop_tol = 0\n").stop_tol == 0.0
+
+    @pytest.mark.parametrize("stem, args, key", [
+        ("ramsey_market_growth", ["--tol", "-1"], "horizon.terminal_band"),
+        ("ramsey_market_growth", ["--tol", "nan"], "horizon.terminal_band"),
+        ("ramsey_market_growth", ["--max-steps", "0"], "horizon.max_iterations"),
+        ("olg_autarky_converge", ["--tol", "-1"], "horizon.stop_tol"),
+        ("olg_autarky_converge", ["--tol", "nan"], "horizon.stop_tol"),
+        ("olg_autarky_converge", ["--max-steps", "0"], "horizon.max_generations"),
+    ])
+    def test_cli_overrides_meet_the_same_bounds(self, stem, args, key, tmp_path,
+                                                capsys):
+        path = SCENARIO_DIR / f"{stem}.scn"
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out"),
+                     *args]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {args[0]}: ") and key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_cli_overrides_replace_the_horizon_keys(self):
+        ramsey, olg = (parse_scenario((SCENARIO_DIR / f"{stem}.scn").read_text(
+            encoding="utf-8")) for stem in ("ramsey_market_growth",
+                                            "olg_autarky_converge"))
+        assert _apply_overrides(ramsey, None, None) is ramsey
+        assert _apply_overrides(ramsey, 1e-3, 7) == replace(
+            ramsey, shooting=replace(ramsey.shooting, terminal_band=1e-3,
+                                     max_iterations=7))
+        assert _apply_overrides(olg, 0.0, None) == replace(olg, stop_tol=0.0)
+        assert _apply_overrides(olg, None, 12) == replace(olg, max_generations=12)
 
 
 names = st.text(
@@ -332,7 +363,7 @@ class TestBundledScenarios:
         "ramsey_market_growth.scn",
     ])
     def test_bundled_files_parse_and_run(self, name, tmp_path):
-        path = Path(__file__).resolve().parents[1] / "scenarios" / name
+        path = SCENARIO_DIR / name
         config = parse_scenario(path.read_text(encoding="utf-8"))
         artifacts = run_scenario(config, tmp_path, fmt="csv")
         assert artifacts.trajectory.converged

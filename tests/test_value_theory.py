@@ -23,6 +23,7 @@ from ineqlab import (
     sweep_trials,
 )
 from ineqlab.errors import NonPositiveInput, NotProductive, OutOfRange
+from ineqlab.value_theory import _radius_below
 
 
 def corn(a=0.5, l=1.0, wage=0.3):
@@ -87,6 +88,69 @@ class TestSpectralRadius:
         # matrix lies between its smallest and largest row sums
         rows = M.sum(axis=1)
         assert rows.min() - 1e-12 <= rho <= rows.max() + 1e-12
+
+
+@st.composite
+def stacks_and_bounds(draw):
+    """A stack of nonnegative m x m matrices, m in 0..10, and a bound that
+    is either free or close to the radius of the first matrix.
+
+    Entries are at most 1 and bounds at least 1e-3, so the elimination
+    stays far inside float64 (see ``_radius_below``).
+    """
+    m = draw(st.integers(0, 10))
+    stack = draw(arrays(float, (draw(st.integers(1, 3)), m, m),
+                        elements=st.floats(0.0, 1.0)))
+    rho = spectral_radius(stack[0])
+    offset = draw(st.sampled_from([1e-9, 1e-6, 1e-3, 0.1]))
+    bound = draw(st.floats(0.0, 11.0) | st.sampled_from(
+        [rho * (1.0 + offset), rho * (1.0 - offset)]))
+    return stack, max(bound, 1e-3)
+
+
+class TestRadiusBelow:
+    """The Hawkins-Simon test against the dense eigenvalue solve."""
+
+    @given(stacks_and_bounds())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_spectral_radius(self, case):
+        stack, bound = case
+        rho = np.array([spectral_radius(B) for B in stack])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            below = _radius_below(stack, bound)
+        assert below.shape == rho.shape
+        clear = np.abs(rho - bound) > 1e-12 * np.maximum(1.0, rho)
+        assert np.array_equal(below[clear], rho[clear] < bound)
+
+    def test_periodic_permutation(self):
+        # Perron root exactly 1, with -1 just as large
+        P = np.array([[0.0, 1.0], [1.0, 0.0]])
+        assert _radius_below(P, 1.0 + 1e-10)
+        assert not _radius_below(P, 1.0 - 1e-10)
+        assert not _radius_below(P, 1.0)
+
+    def test_diagonal_and_triangular(self):
+        D = np.diag([0.3, 0.9, 0.5])
+        assert _radius_below(D, 0.9 + 1e-12) and not _radius_below(D, 0.9)
+        # reducible: the off-diagonal entries do not move the Perron root
+        T = np.array([[0.2, 5.0, 7.0], [0.0, 0.7, 3.0], [0.0, 0.0, 0.4]])
+        for B in (T, T.T):
+            assert _radius_below(B, 0.7 + 1e-12) and not _radius_below(B, 0.7)
+        # a Jordan block at the Perron root
+        J = np.array([[0.5, 1.0], [0.0, 0.5]])
+        assert _radius_below(J, 0.5 + 1e-12) and not _radius_below(J, 0.5)
+
+    def test_zero_and_empty(self):
+        Z = np.zeros((3, 3))
+        assert _radius_below(Z, 1e-300) and not _radius_below(Z, 0.0)
+        assert _radius_below(np.zeros((2, 0, 0)), 0.0).tolist() == [True, True]
+
+    def test_unproductive_rest_block(self):
+        # the rest block of numeraire 0 in test_unproductive_rest_gives_infinite_values
+        rest = np.array([[[1.1]], [[0.2]]])
+        assert _radius_below(rest, 1.0 - 1e-10).tolist() == [False, True]
+        assert _radius_below(rest, 1.2).tolist() == [True, True]
 
 
 class TestEmbodiedValues:
@@ -177,6 +241,14 @@ class TestGcet:
         with pytest.raises(OutOfRange):
             numeraire_values(augmented_matrix(corn())[None], [0, 1])
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -1e-3])
+    def test_rejects_matrices_it_cannot_judge(self, entry):
+        M = augmented_matrix(random_economy(np.random.default_rng(2), 3, 0.5))
+        M[1, 2] = entry
+        with pytest.raises(OutOfRange) as exc:
+            numeraire_values(M[None], np.arange(3))
+        assert exc.value.field == "M"
+
     def test_schur_complement_matches_whole_system_oracle(self):
         rng = np.random.default_rng(11)
         for n in (1, 2, 3, 6, 10):
@@ -250,6 +322,16 @@ class TestSweep:
         np.testing.assert_allclose(own[finite], own_expected[finite],
                                    rtol=1e-12, atol=0.0)
         assert set(p_sign.tolist()) == {-1, 0, 1}
+
+    def test_makes_no_eigenvalue_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep called np.linalg.eigvals")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        for n in (1, 2, 5, 10):
+            blocks = list(sweep_trials(100, n, 0))
+            assert sum(len(b.profit_sign) for b in blocks) == 100
+        assert fmt_sweep(trials=100, n=5, seed=0).clean
 
     def test_deterministic_report(self):
         a = fmt_sweep(trials=50, n=2, seed=123).text()
