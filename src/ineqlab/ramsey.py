@@ -233,6 +233,7 @@ _POLICY_STEPS = 500  # RK4 steps in log k on either side of k*
 _POLICY_REFINE = 40  # table points per step
 _POLICY_MARGIN = 0.05  # in log k, beyond the starts and k*
 _CHUNK = 4096  # table points per vectorised RK4 step
+_ARRIVAL_BLOCK = 64  # ride rows per arrival test
 
 
 @dataclass(frozen=True)
@@ -322,18 +323,26 @@ def _ride(policy: _Policy, k0: np.ndarray, n_steps: int,
     """Capital rows of k' = f(k) - phi(k) from k0, one column per household.
 
     Stops at the first row whose entries all lie in the ``arrival``
-    interval (lo, hi); by default it takes all n_steps.
+    interval (lo, hi); by default it takes all n_steps. Arrival is tested
+    once per block of _ARRIVAL_BLOCK rows, and the block is cut at its
+    first arrived row.
     """
     lo, hi = arrival
     grid, step = policy.grid, policy.step
     k = k0
-    rows = [k]
-    for _ in range(n_steps):
-        k = np.interp(k, grid, step)
-        rows.append(k)
-        if lo <= k.min() and k.max() <= hi:
+    blocks = [k0[None]]
+    for start in range(0, n_steps, _ARRIVAL_BLOCK):
+        rows = []
+        for _ in range(min(_ARRIVAL_BLOCK, n_steps - start)):
+            k = np.interp(k, grid, step)
+            rows.append(k)
+        block = np.stack(rows)
+        arrived = np.flatnonzero((lo <= block.min(axis=1)) & (block.max(axis=1) <= hi))
+        if arrived.size:
+            blocks.append(block[:arrived[0] + 1])
             break
-    return np.stack(rows)
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def _ride_into_band(k0: np.ndarray, params: EconomyParams, config: ShootingConfig):

@@ -232,9 +232,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
                 "horizon.time",
                 f"horizon.time must exceed horizon.dt, got {horizon_time!r}")
     stop_tol = as_number("horizon.stop_tol", pick("horizon.stop_tol", 1e-9))
-    if not stop_tol >= 0.0:
+    if not 0.0 <= stop_tol < math.inf:
         raise ValidationError(
-            "horizon.stop_tol", f"horizon.stop_tol must be >= 0, got {stop_tol!r}")
+            "horizon.stop_tol",
+            f"horizon.stop_tol must be finite and >= 0, got {stop_tol!r}")
     return ScenarioConfig(
         name=name,
         regime=regime,

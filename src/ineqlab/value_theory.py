@@ -207,8 +207,9 @@ def numeraire_values(M: np.ndarray, numeraires):
     decides: some pivot of (1 - 1e-10) I - M[R, R], eliminated without row
     exchanges, is not positive.
 
-    Raises OutOfRange for a numeraire outside [0, n), and for an ``M`` with
-    an entry that is negative or not finite, where that test does not apply.
+    Raises OutOfRange for a numeraire outside [0, n), for an ``M`` with an
+    entry that is negative or not finite, where that test does not apply,
+    and for an ``M`` whose elimination or content leaves float64.
     """
     n = M.shape[-1]
     if not np.all((M >= 0.0) & (M < np.inf)):
@@ -219,11 +220,20 @@ def numeraire_values(M: np.ndarray, numeraires):
     j = numeraires[:, None]
     rest = np.arange(n - 1) + (np.arange(n - 1) >= j)
     block = M[..., rest[:, :, None], rest[:, None, :]]
-    infinite = ~_radius_below(block, 1.0 - _SIGN_TOL)
+    try:
+        # an elimination without overflow raises no floating-point flag
+        with np.errstate(over="raise", invalid="raise"):
+            infinite = ~_radius_below(block, 1.0 - _SIGN_TOL)
+    except FloatingPointError as exc:
+        raise OutOfRange("M", "the Hawkins-Simon elimination leaves float64") from exc
     lhs = np.eye(n - 1) - np.swapaxes(block, -1, -2)
     lhs[infinite] = np.eye(n - 1)  # keeps the stacked solve nonsingular
-    w_rest = np.linalg.solve(lhs, M[..., j, rest][..., None])[..., 0]
-    own = M[..., numeraires, numeraires] + np.sum(w_rest * M[..., rest, j], axis=-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_rest = np.linalg.solve(lhs, M[..., j, rest][..., None])[..., 0]
+        own = M[..., numeraires, numeraires] + np.sum(w_rest * M[..., rest, j], axis=-1)
+    # a finite own value needs every term of its sum finite
+    if not np.all(infinite | np.isfinite(own)):
+        raise OutOfRange("M", "(I - M[R, R])^-1 leaves float64")
     w_rest[infinite] = np.inf
     own[infinite] = np.inf
     return w_rest, own

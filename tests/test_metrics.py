@@ -1,8 +1,10 @@
 """Inequality metrics and the spread construction."""
 
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ineqlab import (
@@ -76,6 +78,58 @@ class TestGini:
         assert gini([3.0, 3.0001, 3.0]) > 0.0
         assert coefficient_of_variation([2.0, 2.0]) == 0.0
         assert coefficient_of_variation([2.0, 2.1]) > 0.0
+
+
+def reference_statistics(x):
+    """gini, cv and ratio_max_min through numpy's sum, mean, std, min, max."""
+    n = x.size
+    weights = 2.0 * np.arange(n) + 1.0 - n
+    g = float(np.dot(weights, np.sort(x)) / (n * x.sum()))
+    y, mu = x, x.mean()
+    if abs(mu) > 2.0 ** 256:
+        shift = -int(np.frexp(mu)[1])
+        y, mu = np.ldexp(x, shift), np.ldexp(mu, shift)
+    lo = x.min()
+    return g, float(y.std() / mu), float(np.inf) if lo == 0.0 else float(x.max() / lo)
+
+
+@st.composite
+def rows(draw):
+    """Nonnegative rows of 1 to 1000 entries, with ties, zeros and huge means."""
+    n = draw(st.integers(1, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(0.0, 1.0, n)
+    distinct = draw(st.integers(0, 5))
+    if distinct:
+        x = rng.choice(x[:distinct], n)
+    x[rng.uniform(size=n) < draw(st.sampled_from([0.0, 0.1, 0.9]))] = 0.0
+    # 2^300 puts the mean above 2^256, where cv rescales
+    x *= draw(st.sampled_from([1.0, 1e-300, 1e6, 2.0 ** 256, 2.0 ** 300, 1e300]))
+    assume(x.any())
+    return x
+
+
+class TestBitIdentity:
+    """The statistics keep the bits of numpy's reductions on one row."""
+
+    @given(rows())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_numpy_reductions(self, x):
+        got = (gini(x), coefficient_of_variation(x), ratio_max_min(x))
+        assert got == reference_statistics(x)
+
+    @pytest.mark.parametrize("stat", [gini, coefficient_of_variation, ratio_max_min])
+    def test_empty_input_is_typed(self, stat):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange) as exc:
+                stat([])
+        assert exc.value.field == "values"
+
+    def test_gini_rejects_a_negative_anywhere(self):
+        for x in ([2.0, 1.0, -0.5], [-0.0, -3.0], [np.nan, -1.0]):
+            with pytest.raises(OutOfRange):
+                gini(x)
 
 
 class TestMeanPreservingSpread:

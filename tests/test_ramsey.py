@@ -37,6 +37,7 @@ from ineqlab.errors import (
     ThetaZeroNoSteadyState,
     WrongRegime,
 )
+from ineqlab.ramsey import _ride, _saddle_policy
 
 CLASSIC = EconomyParams(tfp=1.0, alpha=0.5, theta=0.05, gamma=1.0, population=1)
 
@@ -332,6 +333,35 @@ class TestSaddlePolicy:
             traj = shoot_saddle_path(WealthDistribution([k0]), FAST_EXOG,
                                      regime, config)
             assert traj.consumption[0, 0] == pytest.approx(c0, rel=1e-8)
+
+    @pytest.mark.parametrize("n_steps, arrive_at", [
+        (200, 1), (200, 63), (200, 64), (200, 65), (150, 150), (150, 0),
+        (128, 0), (0, 0),
+    ])
+    def test_blocked_ride_matches_per_step_loop(self, n_steps, arrive_at):
+        # arrive_at 0: an interval no row reaches, so every step is taken
+        k0 = np.array([5.0, 60.0, 30.0])
+        policy = _saddle_policy(FAST_EXOG, k0, 0.05)
+
+        def per_step(arrival):
+            lo, hi = arrival
+            k, rows = k0, [k0]
+            for _ in range(n_steps):
+                k = np.interp(k, policy.grid, policy.step)
+                rows.append(k)
+                if lo <= k.min() and k.max() <= hi:
+                    break
+            return np.stack(rows)
+
+        free = per_step((math.inf, -math.inf))
+        assert np.array_equal(_ride(policy, k0, n_steps), free)
+        # every household moves monotonically towards k* = 25, so row s is
+        # the first inside the span of row s
+        arrival = ((free[arrive_at].min(), free[arrive_at].max()) if arrive_at
+                   else (26.0, 24.0))
+        expected = per_step(arrival)
+        assert len(expected) == (arrive_at or n_steps) + 1
+        assert np.array_equal(_ride(policy, k0, n_steps, arrival), expected)
 
     def test_holdings_must_match_population(self):
         p = EconomyParams(tfp=3.0, alpha=0.5, theta=0.1, gamma=2.0, population=2)

@@ -154,6 +154,7 @@ class TestHorizonBounds:
         ("olg", "horizon.max_generations", "0"),
         ("olg", "horizon.stop_tol", "NaN"),
         ("olg", "horizon.stop_tol", "-1e-9"),
+        ("olg", "horizon.stop_tol", "Infinity"),
     ])
     def test_cli_reports_config_error(self, family, key, value, tmp_path, capsys):
         base = {"olg": MINIMAL, "ramsey": RAMSEY_MINIMAL}[family]
@@ -177,6 +178,7 @@ class TestHorizonBounds:
         ("ramsey_market_growth", ["--max-steps", "0"], "horizon.max_iterations"),
         ("olg_autarky_converge", ["--tol", "-1"], "horizon.stop_tol"),
         ("olg_autarky_converge", ["--tol", "nan"], "horizon.stop_tol"),
+        ("olg_autarky_converge", ["--tol", "inf"], "horizon.stop_tol"),
         ("olg_autarky_converge", ["--max-steps", "0"], "horizon.max_generations"),
     ])
     def test_cli_overrides_meet_the_same_bounds(self, stem, args, key, tmp_path,

@@ -249,6 +249,26 @@ class TestGcet:
             numeraire_values(M[None], np.arange(3))
         assert exc.value.field == "M"
 
+    def test_values_beyond_float64_are_typed(self):
+        # the 0.01 background closes the 1e160 chain into a cycle, so the
+        # elimination overflows; without it the chain is nilpotent and the
+        # elimination passes, but (I - M[R, R])^-1 holds 1e320
+        cyclic = np.full((4, 4), 0.01)
+        cyclic[0, 2] = cyclic[1, 0] = 1e160
+        chain = np.zeros((4, 4))
+        chain[0, 1] = chain[1, 2] = 1e160
+        chain[3, 0] = 1.0
+        # nilpotent too (rho = 0), but the overflowed entry meets a zero and
+        # leaves a NaN pivot, which alone would read as rho >= 1
+        nan_pivot = np.zeros((4, 4))
+        nan_pivot[0, 1] = nan_pivot[2, 0] = 1e200
+        for M in (cyclic, chain, nan_pivot):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(OutOfRange) as exc:
+                    numeraire_values(M[None], [3])
+            assert exc.value.field == "M"
+
     def test_schur_complement_matches_whole_system_oracle(self):
         rng = np.random.default_rng(11)
         for n in (1, 2, 3, 6, 10):
