@@ -28,13 +28,9 @@ from .core import (
     validate_params,
 )
 from .metrics import (
-    MetricsRow,
-    RMinusGSeries,
     coefficient_of_variation,
     gini,
     mean_preserving_spread,
-    metrics_row,
-    r_minus_g_series,
     ratio_max_min,
 )
 from .olg import (
@@ -57,7 +53,6 @@ from .production import (
     mpk_private,
     mpk_social,
     per_capita_output,
-    view_for,
 )
 from .ramsey import (
     RamseyState,

@@ -1,12 +1,10 @@
-"""Distribution statistics, mean-preserving spreads, and the r-vs-g report."""
+"""Distribution statistics and mean-preserving spreads."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import Trajectory, WealthDistribution
+from .core import WealthDistribution
 from .errors import (
     AllZero,
     NotSpreadIncreasing,
@@ -79,29 +77,6 @@ def ratio_max_min(dist) -> float:
     return float(np.inf) if lo == 0.0 else float(np.maximum.reduce(x) / lo)
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    """Inequality summary of one cross-section plus the r-vs-g statistic."""
-
-    gini: float
-    cv: float
-    ratio_max_min: float
-    r: float
-    g: float
-    r_minus_g: float
-
-
-def metrics_row(dist, r: float, g: float) -> MetricsRow:
-    return MetricsRow(
-        gini=gini(dist),
-        cv=coefficient_of_variation(dist),
-        ratio_max_min=ratio_max_min(dist),
-        r=r,
-        g=g,
-        r_minus_g=r - g,
-    )
-
-
 def mean_preserving_spread(dist: WealthDistribution, donor: int, recipient: int,
                            epsilon: float) -> WealthDistribution:
     """Transfer ``epsilon`` from a poorer household to a richer one.
@@ -127,28 +102,3 @@ def mean_preserving_spread(dist: WealthDistribution, donor: int, recipient: int,
     out[donor] -= epsilon
     out[recipient] += epsilon
     return WealthDistribution(out, floor=dist.floor)
-
-
-@dataclass(frozen=True)
-class RMinusGSeries:
-    """Per-time interest, growth, and their gap, plus the terminal gap."""
-
-    times: np.ndarray
-    r: np.ndarray
-    g: np.ndarray
-    r_minus_g: np.ndarray
-    terminal: float
-
-    def as_table(self) -> np.ndarray:
-        return np.stack([self.times, self.r, self.g, self.r_minus_g], axis=1)
-
-
-def r_minus_g_series(traj: Trajectory) -> RMinusGSeries:
-    diff = traj.interest - traj.growth
-    return RMinusGSeries(
-        times=traj.times,
-        r=traj.interest,
-        g=traj.growth,
-        r_minus_g=diff,
-        terminal=float(diff[-1]),
-    )

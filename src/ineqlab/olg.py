@@ -138,7 +138,8 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
     level (fixed technology) or once relative dispersion around the mean
     falls below ``stop_tol`` (endogenous technology). Failure to converge is
     flagged on the returned trajectory, never raised; a generation whose
-    holdings overflow float64 raises OutOfRange, naming that generation.
+    holdings overflow float64 raises OutOfRange, naming that generation, and
+    so does a ``stop_tol`` that is not finite and >= 0.
     """
     validate_params(params, regime)
     if not regime.is_olg:
@@ -146,6 +147,9 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
     check_population(dist0, params)
     if max_generations < 1:
         raise NonPositiveInput("max_generations must be >= 1")
+    if not 0.0 <= stop_tol < math.inf:
+        raise OutOfRange("stop_tol",
+                         f"stop_tol must be finite and >= 0, got {stop_tol!r}")
 
     b_star = None
     if not regime.is_endogenous:

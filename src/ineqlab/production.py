@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EconomyParams, Regime, Technology, WealthDistribution
+from .core import EconomyParams, Technology, WealthDistribution
 from .errors import GridTooCoarse, MissingContextMean, NonPositiveInput, WrongRegime
 
 
@@ -48,11 +48,6 @@ class TechnologyView:
                 "operation needs context_mean (economy-wide average capital)"
             )
         return self.context_mean
-
-
-def view_for(params: EconomyParams, regime: Regime,
-             context_mean: float | None = None) -> TechnologyView:
-    return TechnologyView(params, regime.technology, context_mean)
 
 
 def aggregate_output(K: float, L: float, view: TechnologyView) -> float:

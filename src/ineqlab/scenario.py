@@ -18,6 +18,13 @@ for convenience). Example::
 Running a scenario writes ``<name>_trajectory.csv`` and ``<name>_metrics.csv``
 (RFC-4180, CRLF line endings) and optionally a minimal SVG chart; identical
 configs produce byte-identical files.
+
+The trajectory CSV has L household lines and one ``agg`` line per time step.
+Its writer formats blocks of about ``_BLOCK_CELLS`` household cells: one
+``tolist()`` per column of the block, ``repr`` on each float, and one
+``",".join`` per line. So the lists of cell texts it holds stay bounded,
+and the whole text is built once, from the blocks' strings.
+``atomic_write`` then encodes it a slice at a time.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, fields
-from itertools import repeat
+from itertools import chain, cycle, repeat
 from pathlib import Path
 
 import numpy as np
@@ -295,15 +302,23 @@ def render_scenario(config: ScenarioConfig) -> str:
 def format_float(x: float) -> str:
     """Shortest text that reads back as the same float64.
 
-    The CSV writers format whole arrays at once with ``repr`` on the floats
+    The CSV writers format whole columns at once with ``repr`` on the floats
     of ``ndarray.tolist()`` (see :func:`_texts`), which gives the same text.
     """
     return repr(float(x))
 
 
 def _texts(values):
-    """format_float of every entry of a 1-D array, as a lazy iterator."""
+    """format_float of every entry of a 1-D array, as a lazy iterator.
+
+    One ``tolist()`` call per column: no numpy scalar is made per cell.
+    """
     return map(repr, np.asarray(values, dtype=float).tolist())
+
+
+def _repeat_each(items, n: int):
+    """Each of ``items`` ``n`` times in a row, in order, as a lazy iterator."""
+    return chain.from_iterable(map(repeat, items, repeat(n)))
 
 
 def csv_text(header, rows) -> str:
@@ -312,21 +327,26 @@ def csv_text(header, rows) -> str:
     ``header`` and every row are sequences of cells that are already text;
     format numbers with :func:`format_float`.
     """
-    lines = [",".join(header)]
-    lines.extend(map(",".join, rows))
-    return "\r\n".join(lines) + "\r\n"
+    return "\r\n".join(chain([",".join(header)], map(",".join, rows), [""]))
+
+
+#: Characters that :func:`atomic_write` encodes and writes at a time.
+_WRITE_CHARS = 1 << 20
 
 
 def atomic_write(path: Path, data: str):
     """Write ``data`` to ``path`` through a temporary file and a rename.
 
-    Newlines are written as given. The file gets the mode a plain ``open``
-    would give it, 0o666 less the process umask.
+    Newlines are written as given. The text is encoded in slices of
+    ``_WRITE_CHARS`` characters, so no encoded copy of the whole of it is
+    made. The file gets the mode a plain ``open`` would give it, 0o666 less
+    the process umask.
     """
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(data)
+            for start in range(0, len(data), _WRITE_CHARS):
+                fh.write(data[start:start + _WRITE_CHARS])
         # umask can only be read by setting it; 0o077 keeps anything created
         # by another thread in between private
         umask = os.umask(0o077)
@@ -343,27 +363,44 @@ TRAJECTORY_COLUMNS = ("t", "household", "holding", "consumption", "output",
                       "r", "g", "gini", "cv", "r_minus_g")
 METRICS_COLUMNS = ("t", "gini", "cv", "ratio_max_min", "r", "g", "r_minus_g")
 
+#: Household cells the trajectory CSV formats at a time: one block of the
+#: text covers max(1, _BLOCK_CELLS // L) time steps of L households.
+_BLOCK_CELLS = 2048
 
-def _trajectory_rows(traj: Trajectory, y: np.ndarray):
-    """The cells of each trajectory CSV row, formatted one time step at a time."""
-    labels = [str(h) for h in range(traj.population)]
+
+def _trajectory_chunks(traj: Trajectory, y: np.ndarray):
+    """The trajectory CSV lines after the header, one block of time steps at
+    a time, each block one string ending in CRLF."""
+    steps, population = traj.holdings.shape
+    labels = [str(h) for h in range(population)]
     # a contiguous copy keeps each row's mean in the summation order of a
     # 1-D mean, whatever the layout of the solver's array
     mean_consumption = np.ascontiguousarray(traj.consumption).mean(axis=1)
-    aggregates = zip(
-        _texts(traj.times), _texts(traj.mean_holding), _texts(mean_consumption),
-        _texts(traj.mean_output), _texts(traj.interest), _texts(traj.growth),
-        _texts(traj.gini), _texts(traj.cv), _texts(traj.interest - traj.growth),
-    )
-    blank = repeat("")  # the aggregate-only channels of household rows
-    for i, (t, *aggregate) in enumerate(aggregates):
-        outputs = _texts(y[i])
-        if y.shape[1] == 1:
-            outputs = repeat(next(outputs))
-        yield from zip(repeat(t), labels, _texts(traj.holdings[i]),
-                       _texts(traj.consumption[i]), outputs,
-                       blank, blank, blank, blank, blank)
-        yield (t, "agg", *aggregate)
+    columns = np.array([
+        traj.times, traj.mean_holding, mean_consumption, traj.mean_output,
+        traj.interest, traj.growth, traj.gini, traj.cv,
+        traj.interest - traj.growth,
+    ], dtype=float)
+    per_block = max(1, _BLOCK_CELLS // population)
+    for start in range(0, steps, per_block):
+        block = slice(start, start + per_block)
+        times, *aggregate = (map(repr, c) for c in columns[:, block].tolist())
+        times = list(times)
+        if y.shape[1] == 1:  # a market's one output per time step
+            outputs = _repeat_each(_texts(y[block, 0]), population)
+        else:
+            outputs = _texts(y[block].ravel())
+        # ",,,," closes each household line with the five aggregate-only
+        # channels left blank
+        household = map(",".join, zip(
+            _repeat_each(times, population), cycle(labels),
+            _texts(traj.holdings[block].ravel()),
+            _texts(traj.consumption[block].ravel()), outputs, repeat(",,,,"),
+        ))
+        agg = map(",".join, zip(times, repeat("agg"), *aggregate))
+        # each time step: its households' lines, then its agg line
+        lines = chain.from_iterable(zip(*[household] * population, agg))
+        yield "\r\n".join(chain(lines, [""]))
 
 
 def trajectory_csv_text(traj: Trajectory, params: EconomyParams,
@@ -373,7 +410,8 @@ def trajectory_csv_text(traj: Trajectory, params: EconomyParams,
     y = household_production(traj.holdings, traj.mean_holding[:, None],
                              params, regime.technology,
                              regime.is_market and not regime.is_olg)[0]
-    return csv_text(TRAJECTORY_COLUMNS, _trajectory_rows(traj, y))
+    return "".join(chain([",".join(TRAJECTORY_COLUMNS) + "\r\n"],
+                         _trajectory_chunks(traj, y)))
 
 
 def metrics_csv_text(traj: Trajectory) -> str:

@@ -232,6 +232,15 @@ class TestSimulate:
         assert not traj.converged
         assert "max_generations" in traj.note
 
+    @pytest.mark.parametrize("stop_tol", [math.inf, math.nan, -1.0])
+    def test_stop_tol_must_be_finite_and_non_negative(self, stop_tol):
+        # inf would stop at generation 0 marked converged, and NaN or a
+        # negative value would run every generation
+        with pytest.raises(OutOfRange, match="stop_tol") as info:
+            olg_simulate(WealthDistribution([0.01, 5.0]), params_exog(theta=0.1),
+                         OLG_AUTARKY_EXOG, stop_tol=stop_tol)
+        assert info.value.field == "stop_tol"
+
     def test_gini_non_increasing_all_equalizing_cases(self):
         start = WealthDistribution([0.5, 1.0, 2.5])
         cases = [
