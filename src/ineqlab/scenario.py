@@ -302,8 +302,9 @@ def render_scenario(config: ScenarioConfig) -> str:
 def format_float(x: float) -> str:
     """Shortest text that reads back as the same float64.
 
-    The CSV writers format whole columns at once with ``repr`` on the floats
-    of ``ndarray.tolist()`` (see :func:`_texts`), which gives the same text.
+    The CSV writers format a column, or a block of one, at a time with
+    ``repr`` on the floats of ``ndarray.tolist()`` (see :func:`_texts`),
+    which gives the same text.
     """
     return repr(float(x))
 
@@ -311,7 +312,8 @@ def format_float(x: float) -> str:
 def _texts(values):
     """format_float of every entry of a 1-D array, as a lazy iterator.
 
-    One ``tolist()`` call per column: no numpy scalar is made per cell.
+    One ``tolist()`` call for the whole array, so no numpy scalar is made
+    per cell; the trajectory writer passes it one column of a block.
     """
     return map(repr, np.asarray(values, dtype=float).tolist())
 

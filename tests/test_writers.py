@@ -5,6 +5,8 @@ scalars, as the writers once did. The writers must give exactly their text.
 """
 
 import dataclasses
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,10 +25,12 @@ from ineqlab import (
     olg_simulate,
     shoot_saddle_path,
 )
+from ineqlab import scenario
 from ineqlab.errors import OutOfRange
 from ineqlab.scenario import (
     METRICS_COLUMNS,
     TRAJECTORY_COLUMNS,
+    atomic_write,
     csv_text,
     format_float,
     metrics_csv_text,
@@ -124,6 +128,25 @@ CASES = {
 }
 
 
+def _first_rows(traj, n):
+    """``traj`` cut to its first ``n`` time steps."""
+    return dataclasses.replace(traj, **{
+        f.name: getattr(traj, f.name)[:n] for f in dataclasses.fields(traj)
+        if isinstance(getattr(traj, f.name), np.ndarray)
+    })
+
+
+def _other_layouts(traj):
+    """``traj`` with column-major holdings and column-major or strided
+    consumption. Those give a naive mean over axis 1 another summation
+    order; the text must not depend on layout."""
+    wide_c = np.repeat(traj.consumption, 2, axis=1)
+    return [dataclasses.replace(traj, consumption=consumption,
+                                holdings=np.asfortranarray(traj.holdings))
+            for consumption in (np.asfortranarray(traj.consumption),
+                                wide_c[:, ::2])]
+
+
 class TestCsvWriters:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_match_per_cell_oracle(self, case):
@@ -136,10 +159,7 @@ class TestCsvWriters:
     @pytest.mark.parametrize("case", ["ramsey-market-exog-2", "olg-market-ak"])
     def test_one_row_trajectory(self, case):
         params, regime, traj = CASES[case]()
-        one = dataclasses.replace(traj, **{
-            f.name: getattr(traj, f.name)[:1] for f in dataclasses.fields(traj)
-            if isinstance(getattr(traj, f.name), np.ndarray)
-        })
+        one = _first_rows(traj, 1)
         assert len(one) == 1
         text = trajectory_csv_text(one, params, regime)
         assert text == oracle_trajectory_csv(one, params, regime)
@@ -147,16 +167,9 @@ class TestCsvWriters:
         assert metrics_csv_text(one) == oracle_metrics_csv(one)
 
     def test_any_array_layout(self):
-        # column-major and strided consumption give a different summation order
-        # to a naive mean over axis 1; the text must not depend on layout
         params, regime, traj = CASES["ramsey-market-exog-50"]()
-        wide_c = np.repeat(traj.consumption, 2, axis=1)
-        for consumption in (np.asfortranarray(traj.consumption),
-                            wide_c[:, ::2]):
-            assert np.array_equal(consumption, traj.consumption)
-            other = dataclasses.replace(
-                traj, consumption=consumption,
-                holdings=np.asfortranarray(traj.holdings))
+        for other in _other_layouts(traj):
+            assert np.array_equal(other.consumption, traj.consumption)
             assert (trajectory_csv_text(other, params, regime)
                     == oracle_trajectory_csv(traj, params, regime))
 
@@ -164,6 +177,89 @@ class TestCsvWriters:
         assert csv_text(["a", "b"], []) == "a,b\r\n"
         assert csv_text(("a", "b"), iter([("1", ""), ["x", "2.5"]])) == (
             "a,b\r\n1,\r\nx,2.5\r\n")
+
+
+class TestTrajectoryBlocks:
+    """The trajectory writer at block sizes small enough that blocks end
+    inside every case; ramsey-market-exog-50 has more households than any
+    of these blocks holds cells."""
+
+    @pytest.fixture(params=[1, 2, 3, 7], autouse=True)
+    def block_cells(self, request, monkeypatch):
+        monkeypatch.setattr(scenario, "_BLOCK_CELLS", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_match_per_cell_oracle(self, case):
+        params, regime, traj = CASES[case]()
+        assert (trajectory_csv_text(traj, params, regime)
+                == oracle_trajectory_csv(traj, params, regime))
+
+    @pytest.mark.parametrize("case", ["ramsey-market-exog-2", "olg-market-ak"])
+    def test_one_row_trajectory(self, case):
+        params, regime, traj = CASES[case]()
+        one = _first_rows(traj, 1)
+        assert (trajectory_csv_text(one, params, regime)
+                == oracle_trajectory_csv(one, params, regime))
+
+    def test_any_array_layout(self, block_cells):
+        params, regime, traj = CASES["ramsey-market-exog-50"]()
+        assert traj.population > block_cells
+        for other in _other_layouts(traj):
+            assert (trajectory_csv_text(other, params, regime)
+                    == oracle_trajectory_csv(traj, params, regime))
+
+
+@pytest.mark.parametrize("case, block_cells", [
+    ("ramsey-market-exog-1", 2), ("ramsey-market-exog-1", 3),
+    ("ramsey-market-exog-1", 7), ("ramsey-market-exog-2", 7),
+    ("olg-market-ak", 7),
+])
+def test_last_block_partial(case, block_cells, monkeypatch):
+    # blocks of several time steps, the trajectory cut so the last is short
+    monkeypatch.setattr(scenario, "_BLOCK_CELLS", block_cells)
+    params, regime, traj = CASES[case]()
+    per_block = block_cells // traj.population
+    assert per_block > 1
+    part = _first_rows(traj, 2 * per_block + 1)
+    assert len(part) % per_block != 0
+    assert (trajectory_csv_text(part, params, regime)
+            == oracle_trajectory_csv(part, params, regime))
+
+
+def test_trajectory_text_peaks_near_its_length():
+    # 1000 market households: the writer holds the text and the blocks it
+    # is joined from; every line and a copy of the text held as well would
+    # peak near 3.75 times its length
+    params = dataclasses.replace(SADDLE, population=1000)
+    traj = shoot_saddle_path(
+        WealthDistribution(np.linspace(5.0, 60.0, 1000)), params,
+        RAMSEY_MARKET_EXOG, ShootingConfig(dt=2.0, terminal_band=1e-2))
+    tracemalloc.start()
+    try:
+        text = trajectory_csv_text(traj, params, RAMSEY_MARKET_EXOG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 1_000_000
+    assert peak <= 2.5 * len(text)
+
+
+def test_atomic_write_in_slices(tmp_path, monkeypatch):
+    monkeypatch.setattr(scenario, "_WRITE_CHARS", 16)
+    # a 4-byte and a 3-byte character on either side of every slice edge
+    period = "\u20ac" + "a\r\nb" * 3 + "c\n" + "\U0001f600"
+    assert len(period) == scenario._WRITE_CHARS
+    text = period * 4 + "tail"
+    path = tmp_path / "out.csv"
+    old_umask = os.umask(0o027)
+    try:
+        atomic_write(path, text)
+    finally:
+        os.umask(old_umask)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert path.stat().st_mode & 0o777 == 0o666 & ~0o027
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
 
 def oracle_line_chart(series, title="", xlabel="", ylabel="", markers=None):
