@@ -329,7 +329,9 @@ def csv_text(header, rows) -> str:
     ``header`` and every row are sequences of cells that are already text;
     format numbers with :func:`format_float`.
     """
-    return "\r\n".join(chain([",".join(header)], map(",".join, rows), [""]))
+    lines = [",".join(header)]
+    lines.extend(map(",".join, rows))
+    return "\r\n".join(lines) + "\r\n"
 
 
 #: Characters that :func:`atomic_write` encodes and writes at a time.
