@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -136,6 +137,19 @@ def _cmd_cobweb(args) -> int:
     b_min = args.min if args.min is not None else min(0.05 * b_star, 0.5 * start)
     b_max = args.max if args.max is not None else 2.5 * max(b_star,
                                                             *config.initial_distribution)
+    if args.points < 2:
+        raise ValidationError("--points",
+                              f"--points: must be >= 2, got {args.points}")
+    # the defaults are finite and in order, so a bad range names an option
+    # that was given
+    for option, value in (("--min", b_min), ("--max", b_max)):
+        if not 0.0 < value < math.inf:
+            raise ValidationError(
+                option, f"{option}: must be finite and > 0, got {value!r}")
+    if not b_min < b_max:
+        option = "--min" if args.min is not None else "--max"
+        raise ValidationError(
+            option, f"{option}: need --min {b_min!r} below --max {b_max!r}")
     data = cobweb_data(config.params, b_min, b_max, args.points)
     out = _default_out(args.out)
     out.mkdir(parents=True, exist_ok=True)

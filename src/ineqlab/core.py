@@ -250,12 +250,14 @@ class Trajectory:
 
     ``times`` is the generation index (OLG) or the real time grid (Ramsey).
     ``holdings`` and ``consumption`` are (T, L) matrices. Aggregate channels:
-    ``mean_holding``, ``mean_output`` (productive capacity of the recorded
-    state), ``interest`` (market rate, or mean private return under autarky),
-    and ``growth`` (net average growth over the step ending at each time;
-    zero, by convention, at the initial row for OLG and the instantaneous
-    consumption-growth rate for Ramsey). Inequality channels ``gini``, ``cv``
-    and ``ratio_max_min`` are computed on holdings row by row.
+    ``mean_holding``, ``mean_output`` (mean output of the capital households
+    operate in the recorded state, which under a capital market is the
+    output of the mean holding), ``interest`` (market rate, or mean private
+    return under autarky), and ``growth`` (net average growth over the step
+    ending at each time; zero, by convention, at the initial row for OLG and
+    the instantaneous consumption-growth rate for Ramsey). Inequality
+    channels ``gini``, ``cv`` and ``ratio_max_min`` are computed on holdings
+    row by row.
     """
 
     times: np.ndarray
@@ -293,9 +295,3 @@ class Trajectory:
     @property
     def population(self) -> int:
         return int(self.holdings.shape[1])
-
-    def state_at(self, index: int) -> WealthDistribution:
-        return WealthDistribution(self.holdings[index])
-
-    def terminal_state(self) -> WealthDistribution:
-        return self.state_at(len(self) - 1)

@@ -1,12 +1,15 @@
 """Generation-by-generation bequest dynamics for the four OLG benchmarks.
 
-Each generation splits its resources between own consumption and a bequest at
-the constant rate 1/(2 + theta); the bequest becomes the next generation's
-capital. With a capital market every household earns the common rate set by
-the mean bequest of the previous generation; under autarky each household
-farms its own holding. The endogenous variants replace the concave aggregate
-technology with the capital spillover, turning the steady state into a
-balanced growth ray.
+Each generation splits its income between own consumption and a bequest
+of income / (2 + theta); the bequest becomes the next generation's capital.
+``_step_arrays`` states this law once for all four regimes. With a capital
+market every household operates the pooled capital, the mean bequest, and
+earns the wage plus interest on its own bequest at the common rate; under
+autarky each household farms its own holding. The recorded ``mean_output``
+is the output of the capital households operate, so under a market it is
+the output of the mean bequest that the next bequests are paid from. The
+endogenous variants replace the concave aggregate technology with the
+capital spillover, turning the steady state into a balanced growth ray.
 """
 
 from __future__ import annotations
@@ -55,25 +58,27 @@ class OlgStepReport:
 
 
 def _step_arrays(b: np.ndarray, params: EconomyParams, regime: Regime):
-    """Core transition on raw arrays; returns (next_b, interest)."""
-    s = 1.0 / (2.0 + params.theta)
-    alpha = params.alpha
+    """One generation on raw arrays: (next bequests, interest).
+
+    Each household earns its income and bequeaths income / (2 + theta). Under
+    a capital market it operates the mean bequest and pays mpk (b̄ - b) for
+    the capital it rents, so its income is the wage plus interest on its own
+    bequest; under autarky its income is the output of its own bequest.
+    """
     bbar = b.sum() / b.size
     y, mpk = household_production(b, bbar, params, regime.technology,
                                   regime.is_market)
-    # bequests save s of the wage and of each household's own return; the
-    # products below keep the grouping the recorded artifacts were made with
     if regime.is_market:
-        if regime.is_endogenous:
-            nxt = (s * params.ak_scale()) * ((1.0 - alpha) * bbar + alpha * b)
-        else:
-            nxt = s * (y - mpk * (bbar - b))
-        return nxt, mpk
-    if regime.is_endogenous:
-        nxt = (s * params.ak_scale() * bbar ** (1.0 - alpha)) * b ** alpha
+        income, interest = y - mpk * (bbar - b), mpk
     else:
-        nxt = (s * params.tfp) * b ** alpha
-    return nxt, float(np.mean(mpk))
+        income, interest = y, float(np.mean(mpk))
+    nxt = income / (2.0 + params.theta)
+    if np.any(nxt <= 0.0):
+        raise NegativeBequest(
+            "market bequest formula produced a non-positive bequest; "
+            "choose a less extreme initial distribution"
+        )
+    return nxt, interest
 
 
 def olg_step(dist: WealthDistribution, params: EconomyParams,
@@ -84,11 +89,6 @@ def olg_step(dist: WealthDistribution, params: EconomyParams,
         raise WrongRegime("olg_step requires an OLG regime")
     b = dist.as_array()
     nxt, interest = _step_arrays(b, params, regime)
-    if np.any(nxt <= 0.0):
-        raise NegativeBequest(
-            "market bequest formula produced a non-positive bequest; "
-            "choose a less extreme initial distribution"
-        )
     hg = nxt / b
     avg = float(nxt.sum() / nxt.size / (b.sum() / b.size))
     return OlgStepReport(
@@ -160,50 +160,43 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
             return bool(np.max(np.abs(b - b_star)) < stop_tol)
         return bool(np.max(np.abs(b / bbar - 1.0)) < stop_tol)
 
-    one_plus_theta = 1.0 + params.theta
     b = dist0.as_array()
     bbar = float(b.mean())
-
-    rows_b = [b]
-    # interest at the initial row: the rate implied by the current state,
-    # i.e. the rate that will prevail over the upcoming step
-    _, r0 = _step_arrays(b, params, regime)
-    interest = [r0]
-    growth = [0.0]
+    rows_b, growth = [b], [0.0]
     converged = settled(b, bbar)
-
-    while not converged and len(rows_b) - 1 < max_generations:
-        # a growing economy can leave float64; that is checked right after
-        with np.errstate(over="ignore", invalid="ignore"):
-            rep = olg_step(WealthDistribution._trusted(b, dist0.floor), params, regime)
-            b = rep.next.as_array()
-            bbar = float(b.mean())
-        if not math.isfinite(bbar):
-            raise OutOfRange(
-                "holdings",
-                f"generation {len(rows_b)} overflows float64 (its mean holding "
-                f"is {bbar}); lower max_generations or raise stop_tol",
-            )
-        rows_b.append(b)
-        interest.append(rep.interest)
-        growth.append(rep.average_growth - 1.0)
-        converged = settled(b, bbar)
+    # a growing economy can leave float64; each generation's mean is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        nxt, rate = _step_arrays(b, params, regime)
+        # row 0 records the rate over the step from it, each later row the
+        # rate of the step that produced it
+        interest = [rate]
+        while not converged and len(rows_b) <= max_generations:
+            if len(rows_b) > 1:
+                nxt, rate = _step_arrays(b, params, regime)
+            b, previous, bbar = nxt, bbar, float(nxt.mean())
+            if not math.isfinite(bbar):
+                raise OutOfRange(
+                    "holdings",
+                    f"generation {len(rows_b)} overflows float64 (its mean "
+                    f"holding is {bbar}); lower max_generations or raise "
+                    "stop_tol",
+                )
+            rows_b.append(b)
+            interest.append(rate)
+            growth.append(bbar / previous - 1.0)
+            converged = settled(b, bbar)
 
     holdings = np.stack(rows_b)
     n = holdings.shape[0]
-    times = np.arange(n, dtype=float)
-    consumption = one_plus_theta * holdings
     mean_holding = holdings.mean(axis=1)
-    # own-capital output, row by row with a scalar mean
-    mean_output = np.array([
-        float(np.mean(household_production(
-            holdings[i], mean_holding[i], params, regime.technology)[0]))
-        for i in range(n)
-    ])
+    # the output of the capital households operate: the mean's under a market
+    mean_output = household_production(
+        holdings, mean_holding[:, None], params, regime.technology,
+        regime.is_market)[0].mean(axis=1)
     return Trajectory(
-        times=times,
+        times=np.arange(n, dtype=float),
         holdings=holdings,
-        consumption=consumption,
+        consumption=(1.0 + params.theta) * holdings,
         mean_holding=mean_holding,
         mean_output=mean_output,
         interest=np.asarray(interest),

@@ -141,28 +141,18 @@ class AllocationCheck:
 
 
 def _composition_outputs(N: int, L: int, step: float, tfp: float, alpha: float):
-    """Yield (allocation_units, total_output) over positive grid allocations."""
-    if L == 2:
-        n1 = np.arange(1, N)
-        k1 = n1 * step
-        k2 = (N - n1) * step
-        out = tfp * (k1 ** alpha + k2 ** alpha)
-        yield np.stack([n1, N - n1], axis=1), out
-        return
-    if L == 3:
-        for a in range(1, N - 1):
-            n2 = np.arange(1, N - a)
-            k = np.stack([np.full_like(n2, a), n2, N - a - n2], axis=1) * step
-            out = tfp * np.sum(k ** alpha, axis=1)
-            yield np.stack([np.full_like(n2, a), n2, N - a - n2], axis=1), out
-        return
-    # General case, practical for small L only.
-    for head in itertools.product(range(1, N), repeat=L - 1):
+    """Yield (allocation_units, total_output) over positive grid allocations.
+
+    Each head fixes the first L - 2 parts; the last two split what is left
+    every way at once. Allocations come in lexicographic order.
+    """
+    for head in itertools.product(range(1, N), repeat=L - 2):
         rest = N - sum(head)
-        if rest < 1:
+        if rest < 2:
             continue
-        alloc = np.array(head + (rest,), dtype=float) * step
-        yield np.array([head + (rest,)]), np.array([tfp * np.sum(alloc ** alpha)])
+        last = np.arange(1, rest)
+        units = np.column_stack([np.tile(head, (rest - 1, 1)), last, rest - last])
+        yield units, tfp * np.sum((units * step) ** alpha, axis=1)
 
 
 def equal_allocation_is_optimal(K: float, L: int, view: TechnologyView,

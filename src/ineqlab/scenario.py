@@ -409,11 +409,10 @@ def _trajectory_chunks(traj: Trajectory, y: np.ndarray):
 
 def trajectory_csv_text(traj: Trajectory, params: EconomyParams,
                         regime: Regime) -> str:
-    # market dynasties operate the mean, (T, 1), whoever owns the capital;
-    # OLG households report the output of their own capital
+    # the output of the capital each household operates: under a market
+    # every household operates the mean, (T, 1), whoever owns the capital
     y = household_production(traj.holdings, traj.mean_holding[:, None],
-                             params, regime.technology,
-                             regime.is_market and not regime.is_olg)[0]
+                             params, regime.technology, regime.is_market)[0]
     return "".join(chain([",".join(TRAJECTORY_COLUMNS) + "\r\n"],
                          _trajectory_chunks(traj, y)))
 

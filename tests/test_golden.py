@@ -88,9 +88,9 @@ GOLDEN = {
     },
     "olg_market_growth": {
         "olg-market-growth.svg": "5590cc263c5565ceec66198426b6d2691764ce9e8c2e27ca2b98aa71ce0743be",
-        "olg-market-growth_metrics.csv": "724ca6f7bb4387cd5a790f83c8fe548eb2f9d77c78358f319b2fa2e78871fe0e",
-        "olg-market-growth_trajectory.csv": "452feb16afbf9014525bd708751d6350e5f73e332aab1d4249946a2f333912db",
-        "summary": "ceea9c3140e176b08e53073c08c51276cd336a58e8f92db6b03b84bd1ca46ced",
+        "olg-market-growth_metrics.csv": "e29b828badb998ef42c936132b4f90bb9c7a57dfa1709ee00e57667fe0f939a1",
+        "olg-market-growth_trajectory.csv": "362b34c665f9480315c556cc0dab89baa1f52938d795d2cb5863a9ad23d0df8f",
+        "summary": "84b8b02800973b612066356a85bfb139f677b0e60854dd73c789590e7b88f98a",
     },
     "ramsey_autarky_saddle": {
         "ramsey-autarky-saddle.svg": "5ad49dbe738db2eb4d975b3859b9adb168e30f41e51600e4da01a47d4053060c",
@@ -109,15 +109,15 @@ GOLDEN = {
 INLINE_GOLDEN = {
     "olg_market_exog": {
         "olg-market-exog.svg": "e2925ab148621a0d63b618399989a1125359d60990c4a325d6d115a7e26a33da",
-        "olg-market-exog_metrics.csv": "06581647536351d967fd1ba77887db5efa735da26379679a0749ebbacd409be3",
-        "olg-market-exog_trajectory.csv": "039cd58494f918d84a45a4a5ef0836bc0c571f7c6376668384cd35ce3f3599f4",
-        "summary": "5b030e4bcad27a0f41c44b3b62c08346e40f2871550dbf695d6052fca958e5ce",
+        "olg-market-exog_metrics.csv": "75e078ea0e77dc9d764a06112f78a62fbdf32061997ef9d61c00cdf3cf54fac5",
+        "olg-market-exog_trajectory.csv": "53287180033c6b6a83b586e9d2205af238d9fc3a52961ebe1bd898fa4dbca58a",
+        "summary": "75d634c0e434f1f73768a46b075803899bd4ac75984a35ab49fe87b13d4be818",
     },
     "olg_autarky_ak": {
         "olg-autarky-ak.svg": "bb68586973906e5346e8615815d18965af26783349a1cad770ce0090006fcbf3",
-        "olg-autarky-ak_metrics.csv": "0fcc787a7f0e31e9a2072dffab64788fc6753dddccd74b3b89ce680f8fe217f9",
-        "olg-autarky-ak_trajectory.csv": "1306d1f3876b9e7086c27cca11178361fc65f0e5410bdc4722fb9a721581c8a8",
-        "summary": "09024f71b129b5c1ac2053dd4b932f84754323056cd216ae1398315351605275",
+        "olg-autarky-ak_metrics.csv": "d95230f94043e435de20178e96c55cdaba5e34afdb7d21907532651400d84a4b",
+        "olg-autarky-ak_trajectory.csv": "6e454d962a99f641ff9b44ae4b3843f791efc6db3c82ce4a779dd3a6727ec48e",
+        "summary": "fc84180e0debaabe9a4f7b3c1361dc064b005d4a1b867c6f28fb180119d50d96",
     },
     "ramsey_market_exog": {
         "ramsey-market-exog.svg": "392815b60660a295e8b289782ea931eac172931e10f03aa92475a036afd54883",

@@ -19,6 +19,7 @@ from ineqlab import (
     WealthDistribution,
     cobweb_data,
     gini,
+    household_production,
     mean_preserving_spread,
     olg_mean_map,
     olg_simulate,
@@ -83,6 +84,13 @@ class TestOlgStep:
         m = 3.0 * 2.0 ** 0.5
         expected = (m / 2.0) * 2.5 ** 0.5 * np.array([1.0, 2.0])
         assert np.allclose(rep.next.as_array(), expected, rtol=1e-14)
+
+    def test_autarky_exog_step_is_the_mean_map(self):
+        # one bequest law: income / (2 + theta), with income A b**alpha
+        p = params_exog(theta=0.3, L=4, alpha=0.35, tfp=1.7)
+        d = WealthDistribution([0.02, 0.7, 1.3, 9.0])
+        nxt = olg_step(d, p, OLG_AUTARKY_EXOG).next.as_array()
+        np.testing.assert_array_equal(nxt, olg_mean_map(d.as_array(), p))
 
     def test_wrong_regime(self):
         with pytest.raises(WrongRegime):
@@ -214,6 +222,53 @@ class TestSimulate:
         assert np.allclose(traj.holdings[-1], [0.25, 0.25], atol=1e-8)
         gaps = np.abs(traj.holdings[:, 1] - traj.holdings[:, 0])
         assert np.all(np.diff(gaps) <= 1e-15)
+
+    @pytest.mark.parametrize("regime", [OLG_MARKET_EXOG, OLG_AUTARKY_EXOG,
+                                        OLG_MARKET_AK, OLG_AUTARKY_AK])
+    @pytest.mark.parametrize("max_generations, stop_tol, settles", [
+        (500, 1e-9, True), (7, 0.0, False)])
+    def test_matches_repeated_olg_step(self, regime, max_generations, stop_tol,
+                                       settles):
+        p = (params_ak(tfp=3.0, theta=0.1, L=3) if regime.is_endogenous
+             else params_exog(theta=0.1, L=3, alpha=0.3, tfp=1.3))
+        start = WealthDistribution([0.5, 1.0, 2.5])
+        traj = olg_simulate(start, p, regime, max_generations=max_generations,
+                            stop_tol=stop_tol)
+        assert traj.converged is settles
+        assert (len(traj) < max_generations + 1) is settles
+        d = start
+        rep = olg_step(d, p, regime)
+        # row 0 carries the rate over the step from it
+        assert traj.interest[0] == rep.interest
+        assert traj.growth[0] == 0.0
+        for t in range(1, len(traj)):
+            rep = olg_step(d, p, regime)
+            d = rep.next
+            np.testing.assert_array_equal(traj.holdings[t], d.as_array())
+            assert traj.interest[t] == rep.interest
+            assert traj.growth[t] == rep.average_growth - 1.0
+
+    @pytest.mark.parametrize("market, autarky, p", [
+        (OLG_MARKET_EXOG, OLG_AUTARKY_EXOG,
+         params_exog(theta=0.1, L=3, alpha=0.3, tfp=1.3)),
+        (OLG_MARKET_AK, OLG_AUTARKY_AK, params_ak(tfp=3.0, theta=0.1, L=3)),
+    ])
+    def test_market_reports_the_output_of_the_mean(self, market, autarky, p):
+        traj = olg_simulate(WealthDistribution([0.5, 1.0, 2.5]), p, market,
+                            max_generations=8, stop_tol=0.0)
+        bbar = traj.mean_holding
+        expected = (p.ak_scale() * bbar if market.is_endogenous
+                    else p.tfp * bbar ** p.alpha)
+        np.testing.assert_array_equal(traj.mean_output, expected)
+        # the bequests are paid from the pooled capital's output, which is at
+        # least what the same holdings yield when each household farms its own
+        own = household_production(traj.holdings, bbar[:, None], p,
+                                   autarky.technology)[0].mean(axis=1)
+        assert np.all(traj.mean_output > own)
+        next_mean = olg_step(WealthDistribution(traj.holdings[0]), p,
+                             market).next.mean
+        assert next_mean == pytest.approx(traj.mean_output[0] / (2.0 + p.theta),
+                                          rel=1e-14)
 
     def test_endogenous_ratio_decay_rate(self):
         # ratios approach 1 geometrically at exactly rate alpha

@@ -1,5 +1,6 @@
 """Production technologies: anchor points, derivatives, allocation search."""
 
+import itertools
 import math
 
 import numpy as np
@@ -288,6 +289,24 @@ class TestEqualAllocation:
         check = equal_allocation_is_optimal(K, L, view, grid_step=step)
         assert np.allclose(check.argmax, best)
         assert check.argmax_output == pytest.approx(best_out, rel=1e-12)
+
+    def test_four_households_match_direct_enumeration(self):
+        # no two-part split shortcut below L = 4: every allocation of the
+        # grid, in lexicographic order, against the search's first maximum
+        K, L, step, alpha = 4.0, 4, 0.1, 0.3
+        view = exog_view(alpha=alpha)
+        n = int(round(K / step))
+        best, best_out = None, -1.0
+        for head in itertools.product(range(1, n), repeat=L - 1):
+            if sum(head) < n:
+                alloc = [u * step for u in (*head, n - sum(head))]
+                out = sum(a ** alpha for a in alloc)
+                if out > best_out:
+                    best, best_out = alloc, out
+        check = equal_allocation_is_optimal(K, L, view, grid_step=step)
+        assert np.allclose(check.argmax, best)
+        assert check.argmax_output == pytest.approx(best_out, rel=1e-12)
+        assert check.equal_is_argmax
 
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarse):

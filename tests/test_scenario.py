@@ -190,6 +190,23 @@ class TestHorizonBounds:
         assert err.startswith(f"config error: {args[0]}: ") and key in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("args, option", [
+        (["--points", "1"], "--points"),
+        (["--min", "2", "--max", "1"], "--min"),
+        (["--min", "0"], "--min"),
+        (["--min", "nan"], "--min"),
+        (["--max", "inf"], "--max"),
+        (["--max", "1e-6"], "--max"),
+    ])
+    def test_cli_cobweb_range_is_a_config_error(self, args, option, tmp_path,
+                                                capsys):
+        path = SCENARIO_DIR / "olg_autarky_converge.scn"
+        assert main(["cobweb", str(path), "--out", str(tmp_path / "out"),
+                     *args]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {option}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_cli_overrides_replace_the_horizon_keys(self):
         ramsey, olg = (parse_scenario((SCENARIO_DIR / f"{stem}.scn").read_text(
             encoding="utf-8")) for stem in ("ramsey_market_growth",

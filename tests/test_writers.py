@@ -44,7 +44,7 @@ from ineqlab.svgplot import (
 def _oracle_output(traj, params, regime):
     K = traj.holdings
     alpha = params.alpha
-    if regime.is_market and not regime.is_olg:
+    if regime.is_market:
         if regime.is_endogenous:
             y = params.ak_scale() * traj.mean_holding
         else:
