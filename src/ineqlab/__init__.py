@@ -28,11 +28,9 @@ from .core import (
     validate_params,
 )
 from .metrics import (
-    MetricsRow,
     coefficient_of_variation,
     gini,
     mean_preserving_spread,
-    metrics_row,
     ratio_max_min,
 )
 from .olg import (

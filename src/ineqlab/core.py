@@ -185,14 +185,6 @@ class WealthDistribution:
         arr.flags.writeable = False
         object.__setattr__(self, "holdings", arr)
 
-    @classmethod
-    def _trusted(cls, arr: np.ndarray, floor: float = POSITIVITY_FLOOR):
-        """Wrap an already-checked positive array without copying."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "holdings", arr)
-        object.__setattr__(obj, "floor", floor)
-        return obj
-
     def __len__(self) -> int:
         return int(self.holdings.size)
 

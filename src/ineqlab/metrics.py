@@ -1,8 +1,6 @@
-"""Distribution statistics, mean-preserving spreads, and the r-vs-g summary row."""
+"""Distribution statistics and mean-preserving spreads."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,29 +75,6 @@ def ratio_max_min(dist) -> float:
         raise OutOfRange("values", "ratio_max_min needs a nonempty vector")
     lo = np.minimum.reduce(x)
     return float(np.inf) if lo == 0.0 else float(np.maximum.reduce(x) / lo)
-
-
-@dataclass(frozen=True)
-class MetricsRow:
-    """Inequality summary of one cross-section plus the r-vs-g statistic."""
-
-    gini: float
-    cv: float
-    ratio_max_min: float
-    r: float
-    g: float
-    r_minus_g: float
-
-
-def metrics_row(dist, r: float, g: float) -> MetricsRow:
-    return MetricsRow(
-        gini=gini(dist),
-        cv=coefficient_of_variation(dist),
-        ratio_max_min=ratio_max_min(dist),
-        r=r,
-        g=g,
-        r_minus_g=r - g,
-    )
 
 
 def mean_preserving_spread(dist: WealthDistribution, donor: int, recipient: int,

@@ -92,7 +92,7 @@ def olg_step(dist: WealthDistribution, params: EconomyParams,
     hg = nxt / b
     avg = float(nxt.sum() / nxt.size / (b.sum() / b.size))
     return OlgStepReport(
-        next=WealthDistribution._trusted(nxt, dist.floor),
+        next=WealthDistribution(nxt, floor=dist.floor),
         interest=interest,
         savings_rate=1.0 / (2.0 + params.theta),
         household_growth=hg,

@@ -175,7 +175,7 @@ def rk4_step(state: RamseyState, dt: float, params: EconomyParams,
         raise StateLeftDomain(message)
     return RamseyState(
         time=state.time + dt,
-        holdings=WealthDistribution._trusted(y[:L], state.holdings.floor),
+        holdings=WealthDistribution(y[:L], floor=state.holdings.floor),
         consumption=y[L:],
     )
 
@@ -370,7 +370,7 @@ def _ride_into_band(k0: np.ndarray, params: EconomyParams, config: ShootingConfi
     return times, K, np.interp(K, policy.grid, policy.consumption)
 
 
-def _ramsey_trajectory(times, K, C, params, regime, converged, note=""):
+def _ramsey_trajectory(times, K, C, params, regime, note=""):
     n = times.shape[0]
     mean_holding = K.mean(axis=1)
     y, mpk = household_production(K, mean_holding[:, None], params,
@@ -394,7 +394,7 @@ def _ramsey_trajectory(times, K, C, params, regime, converged, note=""):
         cv=np.array([coefficient_of_variation(K[i]) for i in range(n)]),
         ratio_max_min=np.array([ratio_max_min(K[i]) for i in range(n)]),
         regime=regime,
-        converged=converged,
+        converged=True,
         note=note,
     )
 
@@ -405,7 +405,7 @@ def _ramsey_trajectory(times, K, C, params, regime, converged, note=""):
 
 def _shoot_autarky_exog(dist0, params, regime, config):
     times, K, C = _ride_into_band(dist0.as_array(), params, config)
-    return _ramsey_trajectory(times, K, C, params, regime, converged=True)
+    return _ramsey_trajectory(times, K, C, params, regime)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +433,7 @@ def _balanced_path(a0, params, regime, config):
     growth = np.exp(g * times)[:, None]
     c0 = (1.0 - params.alpha) * m * float(a0.mean()) + (r - g) * a0
     return _ramsey_trajectory(times, growth * a0, growth * c0, params,
-                              regime, converged=True,
-                              note="closed-form balanced path")
+                              regime, note="closed-form balanced path")
 
 
 def _shoot_market(dist0, params, regime, config):
@@ -444,10 +443,8 @@ def _shoot_market(dist0, params, regime, config):
 
     kbar0 = float(a0.mean())
     times, K, C = _ride_into_band(np.array([kbar0]), params, config)
-    aggregate = _ramsey_trajectory(
-        times, K, C, params, regime, converged=True,
-        note="aggregate (per-capita) path",
-    )
+    aggregate = _ramsey_trajectory(times, K, C, params, regime,
+                                   note="aggregate (per-capita) path")
     if len(dist0) == 1:
         return aggregate
     return market_decompose(aggregate, dist0, params, regime)
@@ -528,7 +525,7 @@ def market_decompose(aggregate: Trajectory, a0: WealthDistribution,
             f"(max relative error {agg_err:.3e})"
         )
     return _ramsey_trajectory(
-        aggregate.times, assets, consumption, params, regime, converged=True,
+        aggregate.times, assets, consumption, params, regime,
         note="household decomposition of the aggregate path",
     )
 
@@ -744,7 +741,7 @@ def _shoot_autarky_endog(dist0, params, regime, config):
             f"t={min(S * seg, limit * dt):g}{cap}; widen the horizon or the band")
     end = arrived[0] + 1
     return _ramsey_trajectory(dt * np.arange(end), K[:end], C[:end], params,
-                              regime, converged=True)
+                              regime)
 
 
 def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,

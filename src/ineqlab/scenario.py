@@ -15,6 +15,11 @@ for convenience). Example::
     horizon.max_generations = 200
     outputs = [csv, summary]
 
+``_KEYS`` is the one list of the keys: for each, the part of the config it
+sets (the config itself, its regime, params or shooting), the field there,
+and the reader that checks its value. Both ``parse_scenario`` and
+``render_scenario`` go through it.
+
 Running a scenario writes ``<name>_trajectory.csv`` and ``<name>_metrics.csv``
 (RFC-4180, CRLF line endings) and optionally a minimal SVG chart; identical
 configs produce byte-identical files.
@@ -33,13 +38,15 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
+from enum import Enum
 from itertools import chain, cycle, repeat
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
+    POSITIVITY_FLOOR,
     EconomyParams,
     Family,
     Market,
@@ -79,29 +86,110 @@ class ScenarioConfig:
     outputs: frozenset[str] = frozenset({"csv", "summary"})
 
 
-_FAMILY = {"olg": Family.OLG, "ramsey": Family.RAMSEY}
-_MARKET = {"market": Market.CAPITAL_MARKET, "autarky": Market.AUTARKY}
-_TECH = {"exogenous": Technology.EXOGENOUS, "endogenous_ak": Technology.ENDOGENOUS_AK}
+def _number(key: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(key, f"{key} must be a number, got {value!r}")
+    return float(value)
 
-_KNOWN_KEYS = {
-    "name",
-    "regime.family",
-    "regime.market",
-    "regime.technology",
-    "params.tfp",
-    "params.alpha",
-    "params.theta",
-    "params.gamma",
-    "params.population",
-    "initial_distribution",
-    "horizon.max_generations",
-    "horizon.stop_tol",
-    "horizon.time",
-    "horizon.dt",
-    "horizon.max_iterations",
-    "horizon.terminal_band",
-    "horizon.record_stride",
-    "outputs",
+
+def _integer(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(key, f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _positive(key: str, value) -> float:
+    value = _number(key, value)
+    if not 0.0 < value < math.inf:
+        raise ValidationError(key, f"{key} must be finite and > 0, got {value!r}")
+    return value
+
+
+def _positive_or_null(key: str, value) -> float | None:
+    return None if value is None else _positive(key, value)
+
+
+def _tolerance(key: str, value) -> float:
+    value = _number(key, value)
+    if not 0.0 <= value < math.inf:
+        raise ValidationError(key, f"{key} must be finite and >= 0, got {value!r}")
+    return value
+
+
+def _count(key: str, value) -> int:
+    value = _integer(key, value)
+    if value < 1:
+        raise ValidationError(key, f"{key} must be >= 1, got {value!r}")
+    return value
+
+
+def _choice(kind: type[Enum]):
+    """Reader of a member of ``kind`` by its value."""
+    def read(key: str, value) -> Enum:
+        try:
+            return kind(value)
+        except ValueError:
+            choices = sorted(member.value for member in kind)
+            raise ValidationError(
+                key, f"{key} must be one of {choices}, got {value!r}") from None
+    return read
+
+
+def _file_name(key: str, value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValidationError(key, f"{key} must be a nonempty string")
+    # the name becomes a file name inside the output directory
+    if "/" in value or "\\" in value or value in (".", ".."):
+        raise ValidationError(
+            key, f"{key} must not contain / or \\ or be . or ..; got {value!r}")
+    return value
+
+
+def _holdings(key: str, value) -> tuple[float, ...]:
+    if not isinstance(value, list) or not value:
+        raise ValidationError(key, "must be a nonempty list")
+    holdings = tuple(_number(key, x) for x in value)
+    # the solvers take no holding below the floor, and none that is not finite
+    if not all(POSITIVITY_FLOOR <= x < math.inf for x in holdings):
+        if any(x <= 0.0 for x in holdings):
+            raise ValidationError(key, "entries must be > 0")
+        raise ValidationError(
+            key, f"{key} entries must be finite and >= {POSITIVITY_FLOOR}")
+    return holdings
+
+
+def _outputs(key: str, value) -> frozenset[str]:
+    if not isinstance(value, list):
+        raise ValidationError(key, f"{key} must be a list")
+    for kind in value:
+        if kind not in OUTPUT_KINDS:
+            raise ValidationError(key, f"unknown output kind {kind!r}")
+    return frozenset(value)
+
+
+#: The scenario format: each key, in the order render_scenario writes it,
+#: with the part of the config it sets, the field it sets there and the
+#: reader that checks its value. A key is required when its field has no
+#: default.
+_KEYS = {
+    "name": (ScenarioConfig, "name", _file_name),
+    "regime.family": (Regime, "family", _choice(Family)),
+    "regime.market": (Regime, "market", _choice(Market)),
+    "regime.technology": (Regime, "technology", _choice(Technology)),
+    "params.tfp": (EconomyParams, "tfp", _number),
+    "params.alpha": (EconomyParams, "alpha", _number),
+    "params.theta": (EconomyParams, "theta", _number),
+    "params.gamma": (EconomyParams, "gamma", _number),
+    "params.population": (EconomyParams, "population", _integer),
+    "initial_distribution": (ScenarioConfig, "initial_distribution", _holdings),
+    "horizon.max_generations": (ScenarioConfig, "max_generations", _count),
+    "horizon.stop_tol": (ScenarioConfig, "stop_tol", _tolerance),
+    "horizon.time": (ShootingConfig, "horizon", _positive_or_null),
+    "horizon.dt": (ShootingConfig, "dt", _positive),
+    "horizon.max_iterations": (ShootingConfig, "max_iterations", _count),
+    "horizon.terminal_band": (ShootingConfig, "terminal_band", _positive),
+    "horizon.record_stride": (ShootingConfig, "record_stride", _count),
+    "outputs": (ScenarioConfig, "outputs", _outputs),
 }
 
 
@@ -121,14 +209,23 @@ def _parse_value(token: str, line_no: int):
     return token  # bare word -> string
 
 
+#: The keys a document must give: those whose field has no default.
+_REQUIRED = [key for key, (part, field, _) in _KEYS.items()
+             if all(f.default is MISSING and f.default_factory is MISSING
+                    for f in fields(part) if f.name == field)]
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a scenario document.
 
     Raises ParseError for malformed lines and ValidationError (naming the
     offending key) for unknown keys, bad types, or violated model bounds.
+    Each value is checked by its key's reader as its line is read; missing
+    keys, the model bounds and the checks across keys come after the last
+    line. A field whose key is absent takes its dataclass default, except
+    ``params.population``, which defaults to the number of holdings.
     """
-    raw: dict[str, object] = {}
-    lines: dict[str, int] = {}
+    given = {part: {} for part, _, _ in _KEYS.values()}
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -137,128 +234,39 @@ def parse_scenario(text: str) -> ScenarioConfig:
             raise ParseError(line_no, f"expected 'key = value', got {stripped!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ValidationError(key, f"line {line_no}: unknown key {key!r}")
-        if key in raw:
+        part, field, read = _KEYS[key]
+        if field in given[part]:
             raise ParseError(line_no, f"duplicate key {key!r}")
-        raw[key] = _parse_value(value, line_no)
-        lines[key] = line_no
-
-    def need(key: str):
-        if key not in raw:
+        given[part][field] = read(key, _parse_value(value, line_no))
+    for key in _REQUIRED:
+        part, field, _ = _KEYS[key]
+        if field not in given[part]:
             raise ValidationError(key, f"missing required key {key!r}")
-        return raw[key]
 
-    def pick(key: str, default):
-        return raw.get(key, default)
-
-    def as_number(key: str, value) -> float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValidationError(key, f"{key} must be a number, got {value!r}")
-        return float(value)
-
-    def as_int(key: str, value) -> int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValidationError(key, f"{key} must be an integer, got {value!r}")
-        return value
-
-    name = need("name")
-    if not isinstance(name, str) or not name:
-        raise ValidationError("name", "name must be a nonempty string")
-    # the name becomes a file name inside the output directory
-    if "/" in name or "\\" in name or name in (".", ".."):
-        raise ValidationError(
-            "name", f"name must not contain / or \\ or be . or ..; got {name!r}")
-
-    def enum_of(key: str, table: dict):
-        value = need(key)
-        if not isinstance(value, str) or value not in table:
-            raise ValidationError(
-                key, f"{key} must be one of {sorted(table)}, got {value!r}"
-            )
-        return table[value]
-
-    regime = Regime(
-        family=enum_of("regime.family", _FAMILY),
-        market=enum_of("regime.market", _MARKET),
-        technology=enum_of("regime.technology", _TECH),
-    )
-
-    dist_raw = need("initial_distribution")
-    if not isinstance(dist_raw, list) or not dist_raw:
-        raise ValidationError("initial_distribution", "must be a nonempty list")
-    dist = tuple(as_number("initial_distribution", x) for x in dist_raw)
-
-    population = pick("params.population", len(dist))
-    params = EconomyParams(
-        tfp=as_number("params.tfp", need("params.tfp")),
-        alpha=as_number("params.alpha", need("params.alpha")),
-        theta=as_number("params.theta", need("params.theta")),
-        gamma=as_number("params.gamma", pick("params.gamma", 1.0)),
-        population=as_int("params.population", population),
-    )
+    dist = given[ScenarioConfig]["initial_distribution"]
+    regime = Regime(**given[Regime])
+    params = EconomyParams(**{"population": len(dist), **given[EconomyParams]})
     try:
         validate_params(params, regime)
     except (OutOfRange, GrowthConditionViolated) as exc:
         field = getattr(exc, "field", "params")
         raise ValidationError(field, str(exc)) from exc
-
     if len(dist) != params.population:
         raise ValidationError(
             "initial_distribution",
             f"length {len(dist)} does not match population {params.population}",
         )
-    if any(x <= 0.0 for x in dist):
-        raise ValidationError("initial_distribution", "entries must be > 0")
-
-    outputs_raw = pick("outputs", ["csv", "summary"])
-    if not isinstance(outputs_raw, list):
-        raise ValidationError("outputs", "outputs must be a list")
-    for kind in outputs_raw:
-        if kind not in OUTPUT_KINDS:
-            raise ValidationError("outputs", f"unknown output kind {kind!r}")
-
-    def positive(key: str, default: float) -> float:
-        value = as_number(key, pick(key, default))
-        if not (0.0 < value < math.inf):
-            raise ValidationError(key, f"{key} must be finite and > 0, got {value!r}")
-        return value
-
-    def count(key: str, default: int) -> int:
-        value = as_int(key, pick(key, default))
-        if value < 1:
-            raise ValidationError(key, f"{key} must be >= 1, got {value!r}")
-        return value
-
-    dt = positive("horizon.dt", 1e-2)
-    horizon_time = None
-    if raw.get("horizon.time") is not None:
-        horizon_time = positive("horizon.time", None)
-        if horizon_time <= dt:
-            raise ValidationError(
-                "horizon.time",
-                f"horizon.time must exceed horizon.dt, got {horizon_time!r}")
-    stop_tol = as_number("horizon.stop_tol", pick("horizon.stop_tol", 1e-9))
-    if not 0.0 <= stop_tol < math.inf:
+    shooting = given[ShootingConfig]
+    horizon = shooting.get("horizon")
+    if horizon is not None and horizon <= shooting.get("dt", ShootingConfig.dt):
         raise ValidationError(
-            "horizon.stop_tol",
-            f"horizon.stop_tol must be finite and >= 0, got {stop_tol!r}")
-    return ScenarioConfig(
-        name=name,
-        regime=regime,
-        params=params,
-        initial_distribution=dist,
-        max_generations=count("horizon.max_generations", 10000),
-        stop_tol=stop_tol,
-        shooting=ShootingConfig(
-            horizon=horizon_time,
-            dt=dt,
-            max_iterations=count("horizon.max_iterations", 200),
-            terminal_band=positive("horizon.terminal_band", 1e-4),
-            record_stride=count("horizon.record_stride", 1),
-        ),
-        outputs=frozenset(outputs_raw),
-    )
+            "horizon.time",
+            f"horizon.time must exceed horizon.dt, got {horizon!r}")
+    return ScenarioConfig(regime=regime, params=params,
+                          shooting=ShootingConfig(**shooting),
+                          **given[ScenarioConfig])
 
 
 def render_scenario(config: ScenarioConfig) -> str:
@@ -266,33 +274,19 @@ def render_scenario(config: ScenarioConfig) -> str:
 
     parse_scenario(render_scenario(c)) == c holds for every ScenarioConfig
     ``c`` that passes validation. A config that violates a model bound
-    renders, but parsing the text raises ValidationError.
+    renders, but parsing the text raises ValidationError. Choices are
+    written bare, the outputs sorted and every other value as JSON.
     """
-    enum_name = {v: k for k, v in _FAMILY.items()}
-    market_name = {v: k for k, v in _MARKET.items()}
-    tech_name = {v: k for k, v in _TECH.items()}
-    sc = config.shooting
-    pairs = [
-        ("name", json.dumps(config.name)),
-        ("regime.family", enum_name[config.regime.family]),
-        ("regime.market", market_name[config.regime.market]),
-        ("regime.technology", tech_name[config.regime.technology]),
-        ("params.tfp", json.dumps(config.params.tfp)),
-        ("params.alpha", json.dumps(config.params.alpha)),
-        ("params.theta", json.dumps(config.params.theta)),
-        ("params.gamma", json.dumps(config.params.gamma)),
-        ("params.population", json.dumps(config.params.population)),
-        ("initial_distribution", json.dumps(list(config.initial_distribution))),
-        ("horizon.max_generations", json.dumps(config.max_generations)),
-        ("horizon.stop_tol", json.dumps(config.stop_tol)),
-        ("horizon.time", json.dumps(sc.horizon)),
-        ("horizon.dt", json.dumps(sc.dt)),
-        ("horizon.max_iterations", json.dumps(sc.max_iterations)),
-        ("horizon.terminal_band", json.dumps(sc.terminal_band)),
-        ("horizon.record_stride", json.dumps(sc.record_stride)),
-        ("outputs", json.dumps(sorted(config.outputs))),
-    ]
-    return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
+    parts = {ScenarioConfig: config, Regime: config.regime,
+             EconomyParams: config.params, ShootingConfig: config.shooting}
+    lines = []
+    for key, (part, field, _) in _KEYS.items():
+        value = getattr(parts[part], field)
+        if isinstance(value, frozenset):
+            value = sorted(value)
+        text = value.value if isinstance(value, Enum) else json.dumps(value)
+        lines.append(f"{key} = {text}\n")
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ four, with unequal holdings and tfp != 1, so that every branch of the
 production function shows in some artifact. ``SWEEP_GOLDEN`` pins the
 Leontief theorem sweep the same way: the report text of ``fmt_sweep`` and
 the bytes of every ``sweep_trials`` array, at n = 1..10 and seeds 0 and 1.
+``RENDER_GOLDEN`` pins the canonical text ``render_scenario`` gives each of
+these scenarios.
 A change that is meant to keep outputs as they are (a refactor or a
 speed-up) leaves these tables alone. A change that alters a
 numerical method updates the digests in the same commit and states the
@@ -21,7 +23,13 @@ from pathlib import Path
 
 import pytest
 
-from ineqlab import fmt_sweep, parse_scenario, run_scenario, sweep_trials
+from ineqlab import (
+    fmt_sweep,
+    parse_scenario,
+    render_scenario,
+    run_scenario,
+    sweep_trials,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -133,6 +141,18 @@ INLINE_GOLDEN = {
     },
 }
 
+#: Scenario -> digest of ``render_scenario(parse_scenario(text))``.
+RENDER_GOLDEN = {
+    "olg_autarky_converge": "1de03ff8e0989280131b25befd2a2829b2dac123f0464644520de8c578b2002f",
+    "olg_market_growth": "c6d10f10c17e82cfb496ba728aa709038e97e0931ea68be661d0afa02a73fbee",
+    "ramsey_autarky_saddle": "2a220470ab40722be2faf198dc82d787c198c69d3fc920b3dc3e17e33e11fef1",
+    "ramsey_market_growth": "d5dcb248e70bdfe3ba9947d52954332e9c61b8f8cb66bf117605d3416663d191",
+    "olg_autarky_ak": "322ab25e62e77334d8ad9fe5cfbe015d119a2bdb6cfece8fb914728d4d1d9a8c",
+    "olg_market_exog": "33893f1302a3163edd921783095f566a664e0ea1e8e22a9fa405c47e344d20af",
+    "ramsey_autarky_ak": "4e4c5bead138687cb37e975c1da3bec6bd96d8f0329e35ac2e7a8f7e0af3bbd0",
+    "ramsey_market_exog": "11cf042c03c557d283e08e54f0dace88b99a1061822f6e221e4cb05661ef6ec8",
+}
+
 #: (n, seed) -> digests of ``fmt_sweep(400, n, seed).text()`` and of the
 #: surplus_sign, profit_sign and own_values bytes of each block of
 #: ``sweep_trials(400, n, seed)``, in that order.
@@ -215,6 +235,14 @@ def test_artifacts_match_golden_digests(stem, tmp_path):
 def test_inline_artifacts_match_golden_digests(stem, tmp_path):
     text = INLINE[stem] + "outputs = [csv, svg, summary]\n"
     assert _digests(text, tmp_path) == INLINE_GOLDEN[stem]
+
+
+@pytest.mark.parametrize("stem", sorted(RENDER_GOLDEN))
+def test_rendered_text_matches_golden_digest(stem):
+    path = SCENARIO_DIR / f"{stem}.scn"
+    text = path.read_text(encoding="utf-8") if path.exists() else INLINE[stem]
+    rendered = render_scenario(parse_scenario(text))
+    assert _sha256(rendered.encode("utf-8")) == RENDER_GOLDEN[stem]
 
 
 @pytest.mark.parametrize("n, seed", sorted(SWEEP_GOLDEN))

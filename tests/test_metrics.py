@@ -12,7 +12,6 @@ from ineqlab import (
     coefficient_of_variation,
     gini,
     mean_preserving_spread,
-    metrics_row,
     ratio_max_min,
 )
 from ineqlab.errors import (
@@ -176,12 +175,5 @@ class TestMeanPreservingSpread:
             assert np.var(spread.as_array()) > np.var(dist.as_array())
 
 
-class TestMetricsRow:
-    def test_fields(self):
-        row = metrics_row(WealthDistribution([1.0, 9.0]), r=1.05, g=0.0)
-        assert row.gini == pytest.approx(0.4)
-        assert row.ratio_max_min == pytest.approx(9.0)
-        assert row.r_minus_g == pytest.approx(1.05)
-
-    def test_ratio_with_zero_entry(self):
-        assert ratio_max_min([0.0, 1.0]) == np.inf
+def test_ratio_with_zero_entry():
+    assert ratio_max_min([0.0, 1.0]) == np.inf

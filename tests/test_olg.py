@@ -71,6 +71,14 @@ class TestOlgStep:
         assert rep.next.mean == pytest.approx(1.0)
         assert rep.next.mean < math.sqrt(5.0) / 2.0
 
+    def test_next_below_the_floor_is_out_of_range(self):
+        # 1e-6 * sqrt(1e-12) / 2 = 5e-13, below the floor of 1e-12
+        with pytest.raises(OutOfRange) as err:
+            olg_step(WealthDistribution([1e-12]),
+                     EconomyParams(tfp=1e-6, alpha=0.5, theta=0.0),
+                     OLG_AUTARKY_EXOG)
+        assert err.value.field == "holdings"
+
     def test_endogenous_market_formula(self):
         p = params_ak(tfp=3.0, L=1)
         rep = olg_step(WealthDistribution([2.0]), p, OLG_MARKET_AK)

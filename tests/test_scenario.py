@@ -118,6 +118,37 @@ initial_distribution = [1.0]
             parse_scenario(doc)
         assert err.value.field == "name"
 
+    @pytest.mark.parametrize("key, value", [
+        ("regime.family", "Olg"),
+        ("regime.market", "[1]"),
+        ("regime.technology", "true"),
+        ("params.tfp", '"x"'),
+        ("params.alpha", "true"),
+        ("params.theta", "null"),
+        ("initial_distribution", "[1.0, x]"),
+        ("outputs", "[csv, pdf]"),
+    ])
+    def test_bad_value_names_its_key(self, key, value):
+        lines = [line for line in MINIMAL.splitlines()
+                 if not line.startswith(f"{key} =")]
+        with pytest.raises(ValidationError) as err:
+            parse_scenario("\n".join(lines) + f"\n{key} = {value}\n")
+        assert err.value.field == key
+
+    @pytest.mark.parametrize("holdings", ["[NaN, 1.0]", "[Infinity, 1.0]",
+                                          "[1e-13, 1.0]"])
+    def test_holdings_the_solvers_reject_are_config_errors(
+            self, holdings, tmp_path, capsys):
+        path = tmp_path / "holdings.scn"
+        path.write_text(MINIMAL.replace("[1.0, 1.0]", holdings), encoding="utf-8")
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(path.read_text(encoding="utf-8"))
+        assert exc.value.field == "initial_distribution"
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        assert "initial_distribution" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_quoted_and_bare_strings_agree(self):
         bare = parse_scenario(MINIMAL)
         quoted = parse_scenario(MINIMAL.replace("= olg", '= "olg"'))
@@ -137,7 +168,8 @@ initial_distribution = [5.0, 60.0]
 
 
 class TestHorizonBounds:
-    """Each horizon bound is a config error that names its key (exit 2)."""
+    """Each horizon bound, and each bad value of a key the base documents
+    leave out, is a config error that names its key (exit 2)."""
 
     @pytest.mark.parametrize("family, key, value", [
         ("ramsey", "horizon.dt", "-1"),
@@ -155,6 +187,11 @@ class TestHorizonBounds:
         ("olg", "horizon.stop_tol", "NaN"),
         ("olg", "horizon.stop_tol", "-1e-9"),
         ("olg", "horizon.stop_tol", "Infinity"),
+        ("ramsey", "horizon.max_iterations", "2.5"),
+        ("ramsey", "horizon.record_stride", "true"),
+        ("olg", "params.gamma", '"x"'),
+        ("olg", "params.population", "2.5"),
+        ("olg", "outputs", "csv"),
     ])
     def test_cli_reports_config_error(self, family, key, value, tmp_path, capsys):
         base = {"olg": MINIMAL, "ramsey": RAMSEY_MINIMAL}[family]
