@@ -147,12 +147,12 @@ def _file_name(key: str, value) -> str:
 
 def _holdings(key: str, value) -> tuple[float, ...]:
     if not isinstance(value, list) or not value:
-        raise ValidationError(key, "must be a nonempty list")
+        raise ValidationError(key, f"{key} must be a nonempty list")
     holdings = tuple(_number(key, x) for x in value)
     # the solvers take no holding below the floor, and none that is not finite
     if not all(POSITIVITY_FLOOR <= x < math.inf for x in holdings):
         if any(x <= 0.0 for x in holdings):
-            raise ValidationError(key, "entries must be > 0")
+            raise ValidationError(key, f"{key} entries must be > 0")
         raise ValidationError(
             key, f"{key} entries must be finite and >= {POSITIVITY_FLOOR}")
     return holdings
@@ -163,7 +163,7 @@ def _outputs(key: str, value) -> frozenset[str]:
         raise ValidationError(key, f"{key} must be a list")
     for kind in value:
         if kind not in OUTPUT_KINDS:
-            raise ValidationError(key, f"unknown output kind {kind!r}")
+            raise ValidationError(key, f"{key}: unknown output kind {kind!r}")
     return frozenset(value)
 
 
@@ -481,8 +481,6 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path = "out",
     both); which artifacts exist at all is governed by ``config.outputs``.
     Identical configs produce byte-identical files.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     steady = steady_state_for(config)
     dist0 = WealthDistribution(np.asarray(config.initial_distribution))
     if config.regime.is_olg:
@@ -493,6 +491,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path = "out",
     else:
         traj = shoot_saddle_path(dist0, config.params, config.regime,
                                  config.shooting)
+    # made only now, so a failed solve leaves no directory behind
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     want_csv = "csv" in config.outputs and fmt in (None, "csv", "both")
     want_svg = "svg" in config.outputs and fmt in (None, "svg", "both")

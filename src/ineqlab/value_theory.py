@@ -25,13 +25,14 @@ B, s I - B is a nonsingular M-matrix, which is rho(B) < s, exactly when every
 pivot of Gaussian elimination without row exchanges is positive.
 
 ``fmt_sweep`` runs its trials as array programs over blocks of at most 32
-economies. Each block takes one stacked labor-value solve, a stacked
-Hawkins-Simon elimination on A against 1 and on M against 1 - 1e-10 and
-1 + 1e-10, and over every principal rest block one stacked elimination
-against 1 - 1e-10 and one linear solve. Blocks are bounded because the
-working arrays grow with the block: sweeping 400 trials at each of n = 3, 5,
-8 and 10 as single blocks raised a process's peak RSS by 6.6 MB, and in
-blocks of 32 by 0.25 MB, as much as one economy at a time, at the same speed.
+economies. Each block takes one generator call for all of its draws, one
+stacked labor-value solve, one Hawkins-Simon elimination over the stack
+[A, M, M] against the bounds 1, 1 - 1e-10 and 1 + 1e-10, and over every
+principal rest block one stacked elimination against 1 - 1e-10 and one
+linear solve. Blocks are bounded because the working arrays grow with the
+block: sweeping 400 trials at each of n = 3, 5, 8 and 10 as single blocks
+raised a process's peak RSS by 6.6 MB, and in blocks of 32 by 0.25 MB, as
+much as one economy at a time, at the same speed.
 """
 
 from __future__ import annotations
@@ -45,13 +46,18 @@ import numpy as np
 from .errors import NonPositiveInput, NotProductive, OutOfRange
 
 
-def _radius_below(stack: np.ndarray, bound: float) -> np.ndarray:
+def _radius_below(stack: np.ndarray, bound) -> np.ndarray:
     """Whether rho(B) < bound, for each nonnegative B of a stack (..., m, m).
+
+    ``bound`` is one number for every matrix, or an array of bounds that
+    broadcasts over the stack's leading axes, one for each matrix.
 
     The Hawkins-Simon test: eliminate ``bound * I - B`` without row
     exchanges, and B is below exactly when every pivot is positive. The
     first pivot that is not positive decides its matrix; its later pivots
-    are taken as inf, so the elimination leaves it alone. True when m = 0.
+    are taken as inf, so the elimination leaves it alone. Every operation
+    is element-wise within one matrix, so a matrix gets the same pivots
+    alone as in any stack. True when m = 0.
 
     While the pivots stay positive the eliminated entries can grow like
     (max B / bound)^(m - 1), as along a chain of large entries, so a bound
@@ -59,8 +65,8 @@ def _radius_below(stack: np.ndarray, bound: float) -> np.ndarray:
     and its entries below 20.
     """
     m = stack.shape[-1]
-    z = bound * np.eye(m) - stack
-    below = np.ones(stack.shape[:-2], dtype=bool)
+    z = np.asarray(bound, dtype=float)[..., None, None] * np.eye(m) - stack
+    below = np.ones(z.shape[:-2], dtype=bool)
     for k in range(m):
         below &= z[..., k, k] > 0.0
         pivot = np.where(below, z[..., k, k], np.inf)
@@ -258,11 +264,34 @@ def gcet_values(econ: LeontiefEconomy, numeraire: int) -> GcetReport:
                       own_value=float(own[0]))
 
 
-def _draw(rng: np.random.Generator, n: int):
-    """Input coefficients, labor and wage direction of one random economy."""
-    return (rng.uniform(0.0, 0.4 / n, size=(n, n)),
-            rng.uniform(0.1, 1.0, size=n),
-            rng.uniform(0.05, 1.0, size=n))
+def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``rng.uniform(low, high)`` of the standard uniforms ``u``."""
+    return low + (high - low) * u
+
+
+def _draw(rng: np.random.Generator, n: int, wage_drawn: np.ndarray):
+    """Wage scales, input coefficients, labor and wage directions of
+    ``wage_drawn.size`` random economies, from one generator call.
+
+    Economy k takes, in this order: a wage scale uniform on [0.3, 1.7] when
+    ``wage_drawn[k]`` (otherwise its scale is exactly 1), then A uniform on
+    [0, 0.4/n] row by row, l on [0.1, 1] and the direction on [0.05, 1].
+    Each value is low + (high - low) u for the next u of ``rng.random``,
+    which is the value and the stream position of ``rng.uniform`` with the
+    same bounds, call by call.
+    """
+    count = wage_drawn.size
+    width = n * n + 2 * n
+    u = rng.random(count * width + int(np.count_nonzero(wage_drawn)))
+    # economy k starts after k economies and the wage scales up to its own
+    first = np.arange(count) * width + np.cumsum(wage_drawn)
+    wage_scale = np.ones(count)
+    wage_scale[wage_drawn] = _uniform(u[first[wage_drawn] - 1], 0.3, 1.7)
+    econ = u[first[:, None] + np.arange(width)]
+    return (wage_scale,
+            _uniform(econ[:, :n * n], 0.0, 0.4 / n).reshape(count, n, n),
+            _uniform(econ[:, n * n:n * n + n], 0.1, 1.0),
+            _uniform(econ[:, n * n + n:], 0.05, 1.0))
 
 
 def random_economy(rng: np.random.Generator, n: int,
@@ -273,7 +302,7 @@ def random_economy(rng: np.random.Generator, n: int,
     matrix safely productive); labor is uniform on [0.1, 1]; the wage bundle
     is a random direction scaled so that its labor value equals wage_scale.
     """
-    A, l, direction = _draw(rng, n)
+    _, (A,), (l,), (direction,) = _draw(rng, n, np.zeros(1, dtype=bool))
     v = np.linalg.solve(np.eye(n) - A.T, l)
     b = wage_scale * direction / float(v @ direction)
     return LeontiefEconomy(A, l, b)
@@ -324,27 +353,26 @@ def _sign(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x) <= _SIGN_TOL, 0, np.sign(x)).astype(int)
 
 
+#: Bounds of a block's whole-matrix tests, one for each of [A, M, M]: A is
+#: productive, and M lies below or above the zero-profit knife edge.
+_BLOCK_BOUNDS = np.array([[1.0], [1.0 - _SIGN_TOL], [1.0 + _SIGN_TOL]])
+
+
 def _trial_block(rng: np.random.Generator, trials: range, n: int) -> TrialBlock:
     """Draw the economies of ``trials`` in sweep order and test them at once."""
-    size = len(trials)
-    A = np.empty((size, n, n))
-    l = np.empty((size, n))
-    direction = np.empty((size, n))
-    wage_scale = np.ones(size)
-    for k, trial in enumerate(trials):
-        if trial % 3 != 2:
-            wage_scale[k] = rng.uniform(0.3, 1.7)
-        A[k], l[k], direction[k] = _draw(rng, n)
-    if not np.all(_radius_below(A, 1.0)):
-        raise NotProductive("input matrix spectral radius must be < 1")
+    wage_scale, A, l, direction = _draw(
+        rng, n, np.arange(trials.start, trials.stop) % 3 != 2)
     v = _labor_values(A, l)
     b = (wage_scale[:, None] * direction
          / np.einsum("ki,ki->k", v, direction)[:, None])
     surplus = 1.0 - np.einsum("ki,ki->k", v, b)
     M = A + b[:, :, None] * l[:, None, :]
+    productive, profitable, not_losing = _radius_below(np.stack([A, M, M]),
+                                                       _BLOCK_BOUNDS)
+    if not np.all(productive):
+        raise NotProductive("input matrix spectral radius must be < 1")
     _, own = numeraire_values(M, np.arange(n))
-    profit = np.where(_radius_below(M, 1.0 - _SIGN_TOL), 1,
-                      np.where(_radius_below(M, 1.0 + _SIGN_TOL), 0, -1))
+    profit = np.where(profitable, 1, np.where(not_losing, 0, -1))
     return TrialBlock(surplus_sign=_sign(surplus), profit_sign=profit,
                       own_values=own)
 
@@ -354,7 +382,9 @@ def sweep_trials(trials: int, n: int, seed: int) -> Iterator[TrialBlock]:
 
     Trial t draws its wage scale, uniform on [0.3, 1.7] or exactly 1 (the
     zero-surplus knife edge) when t % 3 == 2, and then its economy as
-    ``random_economy`` would, from one generator seeded with ``seed``.
+    ``random_economy`` would, from one generator seeded with ``seed``. A
+    block takes all of its draws from one ``rng.random`` call, in that
+    order, with the bits of one ``rng.uniform`` call per draw.
     """
     if trials < 1:
         raise NonPositiveInput("trials must be >= 1")

@@ -23,7 +23,7 @@ from ineqlab import (
     render_scenario,
     run_scenario,
 )
-from ineqlab.cli import EXIT_CONFIG, _apply_overrides, main
+from ineqlab.cli import EXIT_CONFIG, EXIT_SOLVER, _apply_overrides, main
 from ineqlab.errors import ParseError, ValidationError
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -126,6 +126,10 @@ initial_distribution = [1.0]
         ("params.alpha", "true"),
         ("params.theta", "null"),
         ("initial_distribution", "[1.0, x]"),
+        ("initial_distribution", "[]"),
+        ("initial_distribution", "1.0"),
+        ("initial_distribution", "[0.0, 1.0]"),
+        ("initial_distribution", "[-1.0, 1.0]"),
         ("outputs", "[csv, pdf]"),
     ])
     def test_bad_value_names_its_key(self, key, value):
@@ -134,6 +138,7 @@ initial_distribution = [1.0]
         with pytest.raises(ValidationError) as err:
             parse_scenario("\n".join(lines) + f"\n{key} = {value}\n")
         assert err.value.field == key
+        assert str(err.value).startswith(key)
 
     @pytest.mark.parametrize("holdings", ["[NaN, 1.0]", "[Infinity, 1.0]",
                                           "[1e-13, 1.0]"])
@@ -403,6 +408,17 @@ outputs = [csv]
             os.umask(old_umask)
         for path in (artifacts.trajectory_csv, artifacts.metrics_csv):
             assert path.stat().st_mode & 0o777 == 0o644
+
+    def test_failed_solve_leaves_no_out_directory(self, tmp_path, capsys):
+        text = (SCENARIO_DIR / "ramsey_autarky_saddle.scn").read_text(
+            encoding="utf-8")
+        path = tmp_path / "short.scn"
+        path.write_text(text.replace("horizon.time = 175.0", "horizon.time = 1.0"),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == EXIT_SOLVER
+        assert "no arrival in the terminal band" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_summary_contains_steady_state_and_r_minus_g(self, tmp_path):
         config = parse_scenario(MINIMAL)

@@ -22,8 +22,10 @@ from ineqlab import (
     surplus_value_rate,
     sweep_trials,
 )
+from ineqlab import value_theory
+from ineqlab.cli import EXIT_CONFIG, EXIT_OK, main
 from ineqlab.errors import NonPositiveInput, NotProductive, OutOfRange
-from ineqlab.value_theory import _radius_below
+from ineqlab.value_theory import _draw, _radius_below, _trial_block
 
 
 def corn(a=0.5, l=1.0, wage=0.3):
@@ -64,6 +66,30 @@ def one_economy_trials(trials, n, seed):
         rho = spectral_radius(augmented_matrix(econ))
         yield (sign(surplus_value_rate(econ)), sign(1.0 - rho),
                [gcet_values(econ, j).own_value for j in range(n)])
+
+
+def per_trial_draws(rng, n, trials):
+    """Wage scales, A, l and directions of ``trials``, one rng.uniform call
+    per draw in sweep order."""
+    wage, A, l, direction = [], [], [], []
+    for trial in trials:
+        wage.append(rng.uniform(0.3, 1.7) if trial % 3 != 2 else 1.0)
+        A.append(rng.uniform(0.0, 0.4 / n, size=(n, n)))
+        l.append(rng.uniform(0.1, 1.0, size=n))
+        direction.append(rng.uniform(0.05, 1.0, size=n))
+    return np.array(wage), np.array(A), np.array(l), np.array(direction)
+
+
+class CountingGenerator:
+    """A generator that counts the methods taken from it."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.calls = 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(self.rng, name)
 
 
 class TestSpectralRadius:
@@ -151,6 +177,24 @@ class TestRadiusBelow:
         rest = np.array([[[1.1]], [[0.2]]])
         assert _radius_below(rest, 1.0 - 1e-10).tolist() == [False, True]
         assert _radius_below(rest, 1.2).tolist() == [True, True]
+
+    @pytest.mark.parametrize("stack, bounds", [
+        # the Jordan block fails at its first pivot at its root, not above it
+        (np.array([[[0.5, 1.0], [0.0, 0.5]]] * 2), [0.5, 0.5 + 1e-12]),
+        # the rest block of 1.1 fails at its first pivot
+        (np.array([[[1.1]], [[0.2]]]), [1.0 - 1e-10, 1.2]),
+        (np.array([[[0.0, 1.0], [1.0, 0.0]], [[0.5, 1.0], [0.0, 0.5]],
+                   np.zeros((2, 2))]), [1.0 + 1e-10, 0.5, 0.0]),
+        (np.zeros((3, 3, 3)), [1e-300, 0.0, 1.0]),
+        (np.zeros((2, 0, 0)), [0.0, 1.0]),
+    ])
+    def test_per_matrix_bounds_match_scalar_calls(self, stack, bounds):
+        expected = [bool(_radius_below(B, bound)) for B, bound in zip(stack, bounds)]
+        assert _radius_below(stack, np.array(bounds)).tolist() == expected
+        # one bound per stack of a stack of stacks, as in the sweep
+        outer = np.array([min(bounds), max(bounds)])
+        nested = _radius_below(np.stack([stack, stack]), outer[:, None])
+        assert nested.tolist() == [_radius_below(stack, b).tolist() for b in outer]
 
 
 class TestEmbodiedValues:
@@ -314,6 +358,48 @@ class TestGcet:
             assert rest.shape == (1, 1, 0) and own[0, 0] == M[0, 0]
 
 
+class TestDraw:
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_block_draw_is_the_per_trial_draw(self, n):
+        block_rng = np.random.default_rng(n)
+        trial_rng = np.random.default_rng(n)
+        # blocks at every phase of trial % 3, then a partial block of one
+        for trials in (range(0, 32), range(32, 64), range(64, 96), range(96, 97)):
+            drawn = _draw(block_rng, n,
+                          np.arange(trials.start, trials.stop) % 3 != 2)
+            for got, want in zip(drawn, per_trial_draws(trial_rng, n, trials)):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            assert block_rng.bit_generator.state == trial_rng.bit_generator.state
+
+    def test_random_economy_draws_like_three_uniform_calls(self):
+        rng = np.random.default_rng(9)
+        oracle = np.random.default_rng(9)
+        for n in (1, 4, 10):
+            econ = random_economy(rng, n, 0.5)
+            A = oracle.uniform(0.0, 0.4 / n, size=(n, n))
+            l = oracle.uniform(0.1, 1.0, size=n)
+            oracle.uniform(0.05, 1.0, size=n)
+            assert econ.input_matrix.tobytes() == A.tobytes()
+            assert econ.labor.tobytes() == l.tobytes()
+            assert rng.bit_generator.state == oracle.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 5, 10])
+    def test_block_makes_one_draw_and_two_eliminations(self, n, monkeypatch):
+        calls = []
+
+        def counted(stack, bound):
+            calls.append(stack.shape)
+            return _radius_below(stack, bound)
+
+        monkeypatch.setattr(value_theory, "_radius_below", counted)
+        rng = CountingGenerator(n)
+        block = _trial_block(rng, range(32, 64), n)
+        assert len(block.profit_sign) == 32
+        assert rng.calls == 1
+        assert len(calls) == 2
+
+
 class TestSweep:
     def test_thousand_trials_clean(self):
         # (5, 0) and (8, 1) draw knife-edge economies that need the radius
@@ -370,3 +456,15 @@ class TestSweep:
             econ = random_economy(rng, 3, scale)
             assert surplus_value_rate(econ) == pytest.approx(1.0 - scale,
                                                              rel=1e-10, abs=1e-12)
+
+
+class TestSweepCli:
+    def test_prints_the_report(self, capsys):
+        argv = ["fmt-sweep", "--size", "4", "--trials", "50", "--seed", "1"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == fmt_sweep(50, 4, 1).text() + "\n"
+
+    def test_size_out_of_range_is_a_config_error(self, capsys):
+        argv = ["fmt-sweep", "--size", "11", "--trials", "50", "--seed", "1"]
+        assert main(argv) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
