@@ -4,6 +4,16 @@ Eight toy economies (overlapping generations or infinite dynasties, with or
 without a capital market, fixed or spillover technology), their solvers and
 steady states, inequality metrics, Leontief value-theory theorems, and a CLI
 for scenario runs and figure reproduction.
+
+Each model law has one public function, an array kernel:
+``household_production`` (output and marginal product), ``ramsey_rhs``
+(asset drift and Euler growth), ``rk4_step`` (the one integrator) and
+``olg_step`` (one generation's bequests). They validate nothing; inputs are
+checked where they enter, at the solver entry points and in
+``parse_scenario``. The checked scalar forms of these laws
+(``TechnologyView``, ``per_capita_output``, ``mpk_private``,
+``RamseyState``, ``euler_growth``, the report-returning ``olg_step`` and
+others) are gone, a break of the public API.
 """
 
 from .core import (
@@ -30,34 +40,23 @@ from .core import (
 from .metrics import (
     coefficient_of_variation,
     gini,
-    mean_preserving_spread,
     ratio_max_min,
 )
 from .olg import (
     CobwebData,
-    OlgStepReport,
     cobweb_data,
     olg_mean_map,
     olg_simulate,
     olg_steady_state,
     olg_step,
-    ratio_step,
 )
 from .production import (
     AllocationCheck,
-    TechnologyView,
-    aggregate_output,
-    allocation_output,
     equal_allocation_is_optimal,
     household_production,
-    mpk_private,
-    mpk_social,
-    per_capita_output,
 )
 from .ramsey import (
-    RamseyState,
     ShootingConfig,
-    euler_growth,
     market_decompose,
     ramsey_rhs,
     ramsey_steady_state,

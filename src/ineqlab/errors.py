@@ -25,10 +25,6 @@ class NonPositiveInput(IneqLabError):
     """A quantity that must be strictly positive is not."""
 
 
-class MissingContextMean(IneqLabError):
-    """An operation needs the economy-wide mean holding but none was set."""
-
-
 class WrongRegime(IneqLabError):
     """Operation called for a regime it is not defined in."""
 
@@ -68,14 +64,6 @@ class NotProductive(IneqLabError):
 
 class AllZero(IneqLabError):
     """Distribution statistics are undefined for an all-zero vector."""
-
-
-class WouldViolatePositivity(IneqLabError):
-    """Requested transfer would push the donor to zero or below."""
-
-
-class NotSpreadIncreasing(IneqLabError):
-    """Transfer direction would reduce dispersion instead of raising it."""
 
 
 class UnknownFigure(IneqLabError):

@@ -1,16 +1,11 @@
-"""Distribution statistics and mean-preserving spreads."""
+"""Distribution statistics."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .core import WealthDistribution
-from .errors import (
-    AllZero,
-    NotSpreadIncreasing,
-    OutOfRange,
-    WouldViolatePositivity,
-)
+from .errors import AllZero, OutOfRange
 
 
 def _values(dist) -> np.ndarray:
@@ -75,30 +70,3 @@ def ratio_max_min(dist) -> float:
         raise OutOfRange("values", "ratio_max_min needs a nonempty vector")
     lo = np.minimum.reduce(x)
     return float(np.inf) if lo == 0.0 else float(np.maximum.reduce(x) / lo)
-
-
-def mean_preserving_spread(dist: WealthDistribution, donor: int, recipient: int,
-                           epsilon: float) -> WealthDistribution:
-    """Transfer ``epsilon`` from a poorer household to a richer one.
-
-    Keeps the mean exactly while strictly increasing dispersion (for any
-    epsilon > 0). The donor must not be pushed to the positivity floor.
-    """
-    x = dist.as_array()
-    n = x.size
-    if donor == recipient or not (0 <= donor < n) or not (0 <= recipient < n):
-        raise OutOfRange("indices", "donor and recipient must be distinct valid indices")
-    if epsilon < 0.0:
-        raise OutOfRange("epsilon", "epsilon must be nonnegative")
-    if x[recipient] < x[donor]:
-        raise NotSpreadIncreasing(
-            "transfer must flow from the (weakly) poorer household to the richer one"
-        )
-    if x[donor] - epsilon < dist.floor:
-        raise WouldViolatePositivity(
-            f"donor holding {x[donor]} cannot give {epsilon} and stay positive"
-        )
-    out = x.copy()
-    out[donor] -= epsilon
-    out[recipient] += epsilon
-    return WealthDistribution(out, floor=dist.floor)

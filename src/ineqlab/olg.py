@@ -2,7 +2,7 @@
 
 Each generation splits its income between own consumption and a bequest
 of income / (2 + theta); the bequest becomes the next generation's capital.
-``_step_arrays`` states this law once for all four regimes. With a capital
+``olg_step`` states this law once for all four regimes. With a capital
 market every household operates the pooled capital, the mean bequest, and
 earns the wage plus interest on its own bequest at the common rate; under
 autarky each household farms its own holding. The recorded ``mean_output``
@@ -33,34 +33,17 @@ from .errors import (
     NegativeBequest,
     NonPositiveInput,
     OutOfRange,
-    ThetaZeroNoSteadyState,
     WrongRegime,
 )
 from .metrics import coefficient_of_variation, gini, ratio_max_min
 from .production import household_production
 
 
-@dataclass(frozen=True)
-class OlgStepReport:
-    """One generation transition: next distribution plus step diagnostics.
-
-    ``savings_rate`` is identically 1/(2 + theta). ``household_growth`` holds
-    the gross factors b_i(t)/b_i(t-1); ``average_growth`` the gross factor of
-    the mean. ``interest`` is the market rate under a capital market, or the
-    mean private return under autarky (a diagnostic, not a price).
-    """
-
-    next: WealthDistribution
-    interest: float
-    savings_rate: float
-    household_growth: np.ndarray
-    average_growth: float
-
-
-def _step_arrays(b: np.ndarray, params: EconomyParams, regime: Regime):
+def olg_step(b: np.ndarray, params: EconomyParams, regime: Regime):
     """One generation on raw arrays: (next bequests, interest).
 
-    Each household earns its income and bequeaths income / (2 + theta). Under
+    ``b`` holds one bequest per household and is not validated. Each
+    household earns its income and bequeaths income / (2 + theta). Under
     a capital market it operates the mean bequest and pays mpk (b̄ - b) for
     the capital it rents, so its income is the wage plus interest on its own
     bequest; under autarky its income is the output of its own bequest.
@@ -79,25 +62,6 @@ def _step_arrays(b: np.ndarray, params: EconomyParams, regime: Regime):
             "choose a less extreme initial distribution"
         )
     return nxt, interest
-
-
-def olg_step(dist: WealthDistribution, params: EconomyParams,
-             regime: Regime) -> OlgStepReport:
-    """Advance the bequest distribution by one generation."""
-    validate_params(params, regime)
-    if not regime.is_olg:
-        raise WrongRegime("olg_step requires an OLG regime")
-    b = dist.as_array()
-    nxt, interest = _step_arrays(b, params, regime)
-    hg = nxt / b
-    avg = float(nxt.sum() / nxt.size / (b.sum() / b.size))
-    return OlgStepReport(
-        next=WealthDistribution(nxt, floor=dist.floor),
-        interest=interest,
-        savings_rate=1.0 / (2.0 + params.theta),
-        household_growth=hg,
-        average_growth=avg,
-    )
 
 
 def olg_steady_state(params: EconomyParams, regime: Regime) -> SteadyState:
@@ -138,8 +102,9 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
     level (fixed technology) or once relative dispersion around the mean
     falls below ``stop_tol`` (endogenous technology). Failure to converge is
     flagged on the returned trajectory, never raised; a generation whose
-    holdings overflow float64 raises OutOfRange, naming that generation, and
-    so does a ``stop_tol`` that is not finite and >= 0.
+    holdings overflow float64 or fall below ``dist0.floor`` raises
+    OutOfRange, naming that generation, and so does a ``stop_tol`` that is
+    not finite and >= 0.
     """
     validate_params(params, regime)
     if not regime.is_olg:
@@ -164,15 +129,16 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
     bbar = float(b.mean())
     rows_b, growth = [b], [0.0]
     converged = settled(b, bbar)
-    # a growing economy can leave float64; each generation's mean is checked
+    # a growing economy can leave float64, and a shrinking one the floor;
+    # each generation's mean and least holding are checked
     with np.errstate(over="ignore", invalid="ignore"):
-        nxt, rate = _step_arrays(b, params, regime)
+        nxt, rate = olg_step(b, params, regime)
         # row 0 records the rate over the step from it, each later row the
         # rate of the step that produced it
         interest = [rate]
         while not converged and len(rows_b) <= max_generations:
             if len(rows_b) > 1:
-                nxt, rate = _step_arrays(b, params, regime)
+                nxt, rate = olg_step(b, params, regime)
             b, previous, bbar = nxt, bbar, float(nxt.mean())
             if not math.isfinite(bbar):
                 raise OutOfRange(
@@ -180,6 +146,12 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
                     f"generation {len(rows_b)} overflows float64 (its mean "
                     f"holding is {bbar}); lower max_generations or raise "
                     "stop_tol",
+                )
+            if b.min() < dist0.floor:
+                raise OutOfRange(
+                    "holdings",
+                    f"generation {len(rows_b)} falls below the positivity "
+                    f"floor {dist0.floor} (its least holding is {b.min()})",
                 )
             rows_b.append(b)
             interest.append(rate)
@@ -209,23 +181,6 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
         savings_rate=1.0 / (2.0 + params.theta),
         note="" if converged else "did not settle within max_generations",
     )
-
-
-def ratio_step(ratio: float, regime: Regime, alpha: float) -> float:
-    """One-generation update of a household's share of the mean bequest.
-
-    Only the endogenous regimes have a scale-free ratio recursion; both forms
-    contract monotonically toward the unique fixed point 1.
-    """
-    if not regime.is_endogenous:
-        raise WrongRegime("ratio recursion exists only under endogenous technology")
-    if not (ratio > 0.0):
-        raise NonPositiveInput("ratio must be > 0")
-    if not (0.0 < alpha < 1.0):
-        raise NonPositiveInput("alpha must lie in (0, 1)")
-    if regime.is_market:
-        return 1.0 + alpha * (ratio - 1.0)
-    return ratio ** alpha
 
 
 @dataclass(frozen=True)

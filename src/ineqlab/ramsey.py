@@ -23,7 +23,7 @@ case needs a genuinely multidimensional search: multiple shooting, one
 Newton solve over every segment of [0, T] at once, with the Jacobian from
 the variational equations integrated alongside the state. Equal autarky
 households are on the balanced ray from t = 0 and take the market's closed
-form. Every integration is the one RK4 step ``_rk4_step``.
+form. Every integration is the one RK4 step ``rk4_step``.
 """
 
 from __future__ import annotations
@@ -55,23 +55,6 @@ from .metrics import coefficient_of_variation, gini, ratio_max_min
 from .production import household_production
 
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass(frozen=True)
-class RamseyState:
-    """Instantaneous state: per-household holdings and consumption."""
-
-    time: float
-    holdings: WealthDistribution
-    consumption: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.consumption, dtype=float).reshape(-1)
-        if c.size != len(self.holdings):
-            raise NonPositiveInput("consumption length must match holdings")
-        if not np.all(np.isfinite(c)) or np.any(c <= 0.0):
-            raise NonPositiveInput("consumption must be strictly positive")
-        object.__setattr__(self, "consumption", c)
 
 
 @dataclass(frozen=True)
@@ -108,13 +91,15 @@ class ShootingConfig:
 # vector field
 
 
-def _rhs_arrays(k: np.ndarray, c: np.ndarray, params: EconomyParams,
-                regime: Regime):
-    """Time derivatives (dk, dc) on raw arrays; no validation.
+def ramsey_rhs(k: np.ndarray, c: np.ndarray, params: EconomyParams,
+               regime: Regime):
+    """Time derivatives (dk, dc) of per-household holdings and consumption.
 
-    Under a capital market a household earns the wage, labour's share of
-    the mean's output, plus interest on its own assets; under autarky it
-    keeps its own output.
+    ``k`` and ``c`` are arrays with one entry per household; nothing is
+    validated. Under a capital market a household earns the wage, labour's
+    share of the mean's output, plus interest on its own assets; under
+    autarky it keeps its own output. Consumption grows at the Euler rate
+    (mpk - theta) / gamma, which a market sets from the mean.
     """
     y, mpk = household_production(k, k.sum() / k.size, params,
                                   regime.technology, regime.is_market)
@@ -125,62 +110,7 @@ def _rhs_arrays(k: np.ndarray, c: np.ndarray, params: EconomyParams,
     return dk, ((mpk - params.theta) / params.gamma) * c
 
 
-def euler_growth(state: RamseyState, params: EconomyParams,
-                 regime: Regime) -> np.ndarray:
-    """Per-household consumption growth rates (mpk_i - theta) / gamma.
-
-    Market regimes give every household the common rate set by the mean;
-    autarky rates are household-specific.
-    """
-    validate_params(params, regime)
-    if regime.is_olg:
-        raise WrongRegime("euler_growth requires a Ramsey regime")
-    k = state.holdings.as_array()
-    _, dc = _rhs_arrays(k, state.consumption, params, regime)
-    return dc / state.consumption
-
-
-def ramsey_rhs(state: RamseyState, params: EconomyParams, regime: Regime):
-    """Drift of holdings and consumption at the given state."""
-    validate_params(params, regime)
-    if regime.is_olg:
-        raise WrongRegime("ramsey_rhs requires a Ramsey regime")
-    return _rhs_arrays(state.holdings.as_array(), state.consumption, params, regime)
-
-
-def rk4_step(state: RamseyState, dt: float, params: EconomyParams,
-             regime: Regime) -> RamseyState:
-    """One classical Runge-Kutta update of (holdings, consumption).
-
-    Raises StateLeftDomain as soon as any stage input or the result becomes
-    non-positive; the caller decides whether to halve dt or abandon the shot.
-    """
-    validate_params(params, regime)
-    if regime.is_olg:
-        raise WrongRegime("rk4_step requires a Ramsey regime")
-    if dt <= 0.0:
-        raise NonPositiveInput("dt must be > 0")
-    L = len(state.holdings)
-    message = (f"state left the positive domain during a step at t={state.time} "
-               f"with dt={dt} (regime {regime.case_label()}, params {params})")
-
-    def field(_, y):
-        if not np.all(y > 0.0):
-            raise StateLeftDomain(message)
-        return np.concatenate(_rhs_arrays(y[:L], y[L:], params, regime))
-
-    y = _rk4_step(field, state.time,
-                  np.concatenate([state.holdings.as_array(), state.consumption]), dt)
-    if not np.all(y > 0.0):
-        raise StateLeftDomain(message)
-    return RamseyState(
-        time=state.time + dt,
-        holdings=WealthDistribution(y[:L], floor=state.holdings.floor),
-        consumption=y[L:],
-    )
-
-
-def _rk4_step(f, x, y, h):
+def rk4_step(f, x, y, h):
     """One classical RK4 step of y' = f(x, y), on floats or arrays."""
     d1 = f(x, y)
     d2 = f(x + 0.5 * h, y + 0.5 * h * d1)
@@ -295,7 +225,7 @@ def _saddle_policy(params: EconomyParams, k0: np.ndarray, dt: float) -> _Policy:
         c = c_star + d * (s + 0.5 * q * d)
         nodes = [(c_star, s * k_star), (c, slope(u_star + h, c))]
         for i in range(1, _POLICY_STEPS):
-            c = _rk4_step(slope, u_star + i * h, c, h)
+            c = rk4_step(slope, u_star + i * h, c, h)
             nodes.append((c, slope(u_star + (i + 1) * h, c)))
         C, D = np.array(nodes[::-1] if h < 0.0 else nodes).T
         h = abs(h)
@@ -311,7 +241,7 @@ def _saddle_policy(params: EconomyParams, k0: np.ndarray, dt: float) -> _Policy:
         return A * k ** alpha - np.interp(k, grid, consumption)
 
     # in chunks: whole-grid temporaries raised the process's peak memory
-    step = np.concatenate([_rk4_step(drift, 0.0, grid[i:i + _CHUNK], dt)
+    step = np.concatenate([rk4_step(drift, 0.0, grid[i:i + _CHUNK], dt)
                            for i in range(0, grid.size, _CHUNK)])
     if step.min() < grid[0] or step.max() > grid[-1]:
         raise ShootingFailed(f"dt={dt} overshoots the saddle policy; take a smaller dt")
@@ -549,7 +479,7 @@ def _aggregate_bases(policy, params, k_path, cbar0, dt):
 
     n = k_path.size - 1
     start = np.array([k_path[:-1], np.ones(n), np.zeros(n)])
-    _, M, N = _rk4_step(joint, 0.0, start, dt)
+    _, M, N = rk4_step(joint, 0.0, start, dt)
     phi = np.concatenate([[1.0], np.cumprod(M)])
     return phi, phi * np.concatenate([[0.0], np.cumsum(N / phi[1:])])
 
@@ -686,7 +616,7 @@ def _shoot_autarky_endog(dist0, params, regime, config):
         rows = [nodes]
         with np.errstate(all="ignore"):  # checked below
             for _ in range(steps):
-                Y = _rk4_step(field, 0.0, Y, dt)
+                Y = rk4_step(field, 0.0, Y, dt)
                 rows.append(Y[:, :, 0].copy())
         if not (np.all(np.isfinite(Y)) and np.all(Y[:, :, 0] > 0.0)):
             return None

@@ -390,6 +390,8 @@ def sweep_trials(trials: int, n: int, seed: int) -> Iterator[TrialBlock]:
         raise NonPositiveInput("trials must be >= 1")
     if not (1 <= n <= 10):
         raise OutOfRange("n", "sweep economies are desk-scale: 1 <= n <= 10")
+    if seed < 0:
+        raise OutOfRange("seed", f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return (_trial_block(rng, range(start, min(start + _SWEEP_BLOCK, trials)), n)
             for start in range(0, trials, _SWEEP_BLOCK))

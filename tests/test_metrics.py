@@ -1,4 +1,4 @@
-"""Inequality metrics and the spread construction."""
+"""Inequality metrics."""
 
 import warnings
 
@@ -11,15 +11,9 @@ from ineqlab import (
     WealthDistribution,
     coefficient_of_variation,
     gini,
-    mean_preserving_spread,
     ratio_max_min,
 )
-from ineqlab.errors import (
-    AllZero,
-    NotSpreadIncreasing,
-    OutOfRange,
-    WouldViolatePositivity,
-)
+from ineqlab.errors import AllZero, OutOfRange
 
 
 def gini_double_loop(x):
@@ -132,27 +126,6 @@ class TestBitIdentity:
 
 
 class TestMeanPreservingSpread:
-    def test_four_six_to_three_seven(self):
-        d = mean_preserving_spread(WealthDistribution([4.0, 6.0]), 0, 1, 1.0)
-        assert np.allclose(d.as_array(), [3.0, 7.0])
-        assert d.mean == pytest.approx(5.0, abs=1e-15)
-
-    def test_three_seven_to_one_nine(self):
-        d = mean_preserving_spread(WealthDistribution([3.0, 7.0]), 0, 1, 2.0)
-        assert np.allclose(d.as_array(), [1.0, 9.0])
-
-    def test_null_transfer(self):
-        d = mean_preserving_spread(WealthDistribution([5.0, 5.0]), 0, 1, 0.0)
-        assert np.allclose(d.as_array(), [5.0, 5.0])
-
-    def test_positivity_guard(self):
-        with pytest.raises(WouldViolatePositivity):
-            mean_preserving_spread(WealthDistribution([4.0, 6.0]), 0, 1, 4.0)
-
-    def test_direction_guard(self):
-        with pytest.raises(NotSpreadIncreasing):
-            mean_preserving_spread(WealthDistribution([4.0, 6.0]), 1, 0, 1.0)
-
     @given(
         base=st.lists(st.floats(0.5, 100.0), min_size=2, max_size=8),
         eps_frac=st.floats(0.01, 0.9),
@@ -167,7 +140,11 @@ class TestMeanPreservingSpread:
         if dist[donor] == dist[recipient]:
             return
         eps = eps_frac * (dist[donor] - dist.floor)
-        spread = mean_preserving_spread(dist, donor, recipient, eps)
+        # move eps from the poorest household to the richest
+        x = dist.as_array().copy()
+        x[donor] -= eps
+        x[recipient] += eps
+        spread = WealthDistribution(x)
         assert spread.mean == pytest.approx(dist.mean, abs=1e-15 * (1 + dist.mean))
         if eps > 0:
             assert gini(spread) > gini(dist)

@@ -14,20 +14,16 @@ from ineqlab import (
     OLG_AUTARKY_EXOG,
     OLG_MARKET_AK,
     OLG_MARKET_EXOG,
-    RAMSEY_AUTARKY_EXOG,
     EconomyParams,
     WealthDistribution,
     cobweb_data,
-    gini,
     household_production,
-    mean_preserving_spread,
     olg_mean_map,
     olg_simulate,
     olg_steady_state,
     olg_step,
-    ratio_step,
 )
-from ineqlab.errors import NonPositiveInput, OutOfRange, WrongRegime
+from ineqlab.errors import NonPositiveInput, OutOfRange
 
 
 def params_exog(theta=0.0, L=2, alpha=0.5, tfp=1.0):
@@ -36,6 +32,17 @@ def params_exog(theta=0.0, L=2, alpha=0.5, tfp=1.0):
 
 def params_ak(tfp=3.0, theta=0.0, L=1, alpha=0.5):
     return EconomyParams(tfp=tfp, alpha=alpha, theta=theta, population=L)
+
+
+def ratio_step(ratio, regime, alpha):
+    """Oracle: one generation of a household's share of the mean bequest.
+
+    Only the endogenous regimes have a scale-free share recursion; under
+    autarky the power map is renormalised by its own mean afterwards.
+    """
+    if regime.is_market:
+        return 1.0 + alpha * (ratio - 1.0)
+    return ratio ** alpha
 
 
 def fixed_point_oracle(params, tol=1e-10, b0=1.0):
@@ -51,59 +58,47 @@ def fixed_point_oracle(params, tol=1e-10, b0=1.0):
 
 class TestOlgStep:
     def test_market_equal_distribution(self):
-        rep = olg_step(WealthDistribution([1.0, 1.0]), params_exog(), OLG_MARKET_EXOG)
-        assert np.allclose(rep.next.as_array(), [0.5, 0.5], atol=1e-15)
+        nxt, _ = olg_step(np.array([1.0, 1.0]), params_exog(), OLG_MARKET_EXOG)
+        assert np.allclose(nxt, [0.5, 0.5], atol=1e-15)
 
     def test_market_dispersed(self):
         # direct formula evaluation oracle at mean 5: f=sqrt(5), f'=1/(2 sqrt 5)
-        rep = olg_step(WealthDistribution([1.0, 9.0]), params_exog(), OLG_MARKET_EXOG)
+        nxt, interest = olg_step(np.array([1.0, 9.0]), params_exog(),
+                                 OLG_MARKET_EXOG)
         f, fp = math.sqrt(5.0), 0.5 / math.sqrt(5.0)
         expected = [0.5 * (f - fp * (5.0 - 1.0)), 0.5 * (f - fp * (5.0 - 9.0))]
-        assert np.allclose(rep.next.as_array(), expected, rtol=1e-14)
-        assert rep.next.mean == pytest.approx(math.sqrt(5.0) / 2.0, rel=1e-14)
-        assert rep.interest == pytest.approx(fp, rel=1e-14)
+        assert np.allclose(nxt, expected, rtol=1e-14)
+        assert nxt.mean() == pytest.approx(math.sqrt(5.0) / 2.0, rel=1e-14)
+        assert interest == pytest.approx(fp, rel=1e-14)
 
     def test_autarky_dispersed(self):
-        rep = olg_step(WealthDistribution([1.0, 9.0]), params_exog(),
-                       OLG_AUTARKY_EXOG)
-        assert np.allclose(rep.next.as_array(), [0.5, 1.5], rtol=1e-14)
+        nxt, _ = olg_step(np.array([1.0, 9.0]), params_exog(), OLG_AUTARKY_EXOG)
+        assert np.allclose(nxt, [0.5, 1.5], rtol=1e-14)
         # autarky mean falls short of the market mean: output lost to dispersion
-        assert rep.next.mean == pytest.approx(1.0)
-        assert rep.next.mean < math.sqrt(5.0) / 2.0
-
-    def test_next_below_the_floor_is_out_of_range(self):
-        # 1e-6 * sqrt(1e-12) / 2 = 5e-13, below the floor of 1e-12
-        with pytest.raises(OutOfRange) as err:
-            olg_step(WealthDistribution([1e-12]),
-                     EconomyParams(tfp=1e-6, alpha=0.5, theta=0.0),
-                     OLG_AUTARKY_EXOG)
-        assert err.value.field == "holdings"
+        assert nxt.mean() == pytest.approx(1.0)
+        assert nxt.mean() < math.sqrt(5.0) / 2.0
 
     def test_endogenous_market_formula(self):
         p = params_ak(tfp=3.0, L=1)
-        rep = olg_step(WealthDistribution([2.0]), p, OLG_MARKET_AK)
+        b = np.array([2.0])
+        nxt, _ = olg_step(b, p, OLG_MARKET_AK)
         # (3/2) * ((1-a) bbar + a b) with bbar = b
-        assert rep.next.as_array()[0] == pytest.approx(3.0, rel=1e-14)
-        assert rep.average_growth == pytest.approx(1.5, rel=1e-14)
+        assert nxt[0] == pytest.approx(3.0, rel=1e-14)
+        assert nxt.mean() / b.mean() == pytest.approx(1.5, rel=1e-14)
 
     def test_endogenous_autarky_formula(self):
         p = params_ak(tfp=3.0, L=2)
-        rep = olg_step(WealthDistribution([1.0, 4.0]), p, OLG_AUTARKY_AK)
+        nxt, _ = olg_step(np.array([1.0, 4.0]), p, OLG_AUTARKY_AK)
         m = 3.0 * 2.0 ** 0.5
         expected = (m / 2.0) * 2.5 ** 0.5 * np.array([1.0, 2.0])
-        assert np.allclose(rep.next.as_array(), expected, rtol=1e-14)
+        assert np.allclose(nxt, expected, rtol=1e-14)
 
     def test_autarky_exog_step_is_the_mean_map(self):
         # one bequest law: income / (2 + theta), with income A b**alpha
         p = params_exog(theta=0.3, L=4, alpha=0.35, tfp=1.7)
-        d = WealthDistribution([0.02, 0.7, 1.3, 9.0])
-        nxt = olg_step(d, p, OLG_AUTARKY_EXOG).next.as_array()
-        np.testing.assert_array_equal(nxt, olg_mean_map(d.as_array(), p))
-
-    def test_wrong_regime(self):
-        with pytest.raises(WrongRegime):
-            olg_step(WealthDistribution([1.0]), EconomyParams(1, 0.5, 0.05),
-                     RAMSEY_AUTARKY_EXOG)
+        b = np.array([0.02, 0.7, 1.3, 9.0])
+        nxt, _ = olg_step(b, p, OLG_AUTARKY_EXOG)
+        np.testing.assert_array_equal(nxt, olg_mean_map(b, p))
 
     @given(
         theta=st.floats(0.0, 3.0),
@@ -118,8 +113,9 @@ class TestOlgStep:
         else:
             tfp = 1.0
         p = EconomyParams(tfp=tfp, alpha=0.5, theta=theta, population=len(holdings))
-        rep = olg_step(WealthDistribution(holdings), p, case)
-        assert rep.savings_rate == 1.0 / (2.0 + theta)  # bitwise
+        traj = olg_simulate(WealthDistribution(holdings), p, case,
+                            max_generations=1)
+        assert traj.savings_rate == 1.0 / (2.0 + theta)  # bitwise
 
     @given(
         holdings=st.lists(st.floats(0.05, 50.0), min_size=2, max_size=5),
@@ -129,17 +125,17 @@ class TestOlgStep:
     @settings(max_examples=150, deadline=None)
     def test_mean_closure_market(self, holdings, theta, alpha):
         # the mean of the market step equals the scalar map at the mean
-        d = WealthDistribution(holdings)
+        b = np.array(holdings)
         p = EconomyParams(tfp=1.0, alpha=alpha, theta=theta,
                           population=len(holdings))
-        rep = olg_step(d, p, OLG_MARKET_EXOG)
-        assert rep.next.mean == pytest.approx(olg_mean_map(d.mean, p), rel=1e-12)
+        nxt, _ = olg_step(b, p, OLG_MARKET_EXOG)
+        assert nxt.mean() == pytest.approx(olg_mean_map(b.mean(), p), rel=1e-12)
 
         p_ak = EconomyParams(tfp=3.1 + theta, alpha=alpha, theta=theta,
                              population=len(holdings))
-        rep_ak = olg_step(d, p_ak, OLG_MARKET_AK)
-        expected = p_ak.ak_scale() * d.mean / (2.0 + theta)
-        assert rep_ak.next.mean == pytest.approx(expected, rel=1e-12)
+        nxt_ak, _ = olg_step(b, p_ak, OLG_MARKET_AK)
+        expected = p_ak.ak_scale() * b.mean() / (2.0 + theta)
+        assert nxt_ak.mean() == pytest.approx(expected, rel=1e-12)
 
     @given(
         holdings=st.lists(st.floats(0.05, 50.0), min_size=2, max_size=5),
@@ -148,15 +144,16 @@ class TestOlgStep:
     @settings(max_examples=150, deadline=None)
     def test_hoelder_bound_autarky_ak(self, holdings, theta):
         # concavity penalty: autarky growth never beats the spillover bound
-        d = WealthDistribution(holdings)
+        b = np.array(holdings)
         p = EconomyParams(tfp=3.1 + theta, alpha=0.5, theta=theta,
                           population=len(holdings))
-        rep = olg_step(d, p, OLG_AUTARKY_AK)
+        nxt, _ = olg_step(b, p, OLG_AUTARKY_AK)
+        average_growth = nxt.mean() / b.mean()
         bound = p.ak_scale() / (2.0 + theta)
-        assert rep.average_growth <= bound * (1.0 + 1e-12)
+        assert average_growth <= bound * (1.0 + 1e-12)
         spread = max(holdings) / min(holdings)
         if spread > 1.0 + 1e-6:
-            assert rep.average_growth < bound
+            assert average_growth < bound
 
     @given(
         base=st.lists(st.floats(0.5, 20.0), min_size=2, max_size=5),
@@ -164,16 +161,19 @@ class TestOlgStep:
     )
     @settings(max_examples=100, deadline=None)
     def test_spread_lowers_next_mean_autarky_ak(self, base, eps_frac):
-        d = WealthDistribution(base)
-        order = np.argsort(d.as_array())
+        b = np.array(base)
+        order = np.argsort(b)
         donor, recipient = int(order[0]), int(order[-1])
-        eps = eps_frac * (d[donor] - d.floor)
-        if eps <= 0.0 or d[donor] == d[recipient]:
+        eps = eps_frac * b[donor]
+        if eps <= 0.0 or b[donor] == b[recipient]:
             return
-        spread = mean_preserving_spread(d, donor, recipient, eps)
+        # move eps from the poorest household to the richest
+        spread = b.copy()
+        spread[donor] -= eps
+        spread[recipient] += eps
         p = EconomyParams(tfp=3.0, alpha=0.5, theta=0.0, population=len(base))
-        before = olg_step(d, p, OLG_AUTARKY_AK).next.mean
-        after = olg_step(spread, p, OLG_AUTARKY_AK).next.mean
+        before = olg_step(b, p, OLG_AUTARKY_AK)[0].mean()
+        after = olg_step(spread, p, OLG_AUTARKY_AK)[0].mean()
         assert after < before
 
 
@@ -207,11 +207,11 @@ class TestSteadyState:
         assert ss.interest_star == pytest.approx(1.5, abs=1e-15)
         assert ss.holding_star is None
         # ratio oracle: iterate the step, growth factor settles at 1.5
-        d = WealthDistribution([1.0])
+        b = np.array([1.0])
         for _ in range(5):
-            rep = olg_step(d, p, OLG_MARKET_AK)
-            assert rep.average_growth == pytest.approx(1.5, rel=1e-14)
-            d = rep.next
+            nxt, _ = olg_step(b, p, OLG_MARKET_AK)
+            assert nxt.mean() / b.mean() == pytest.approx(1.5, rel=1e-14)
+            b = nxt
 
 
 class TestSimulate:
@@ -244,17 +244,16 @@ class TestSimulate:
                             stop_tol=stop_tol)
         assert traj.converged is settles
         assert (len(traj) < max_generations + 1) is settles
-        d = start
-        rep = olg_step(d, p, regime)
+        b = start.as_array()
         # row 0 carries the rate over the step from it
-        assert traj.interest[0] == rep.interest
+        assert traj.interest[0] == olg_step(b, p, regime)[1]
         assert traj.growth[0] == 0.0
         for t in range(1, len(traj)):
-            rep = olg_step(d, p, regime)
-            d = rep.next
-            np.testing.assert_array_equal(traj.holdings[t], d.as_array())
-            assert traj.interest[t] == rep.interest
-            assert traj.growth[t] == rep.average_growth - 1.0
+            nxt, interest = olg_step(b, p, regime)
+            np.testing.assert_array_equal(traj.holdings[t], nxt)
+            assert traj.interest[t] == interest
+            assert traj.growth[t] == nxt.mean() / b.mean() - 1.0
+            b = nxt
 
     @pytest.mark.parametrize("market, autarky, p", [
         (OLG_MARKET_EXOG, OLG_AUTARKY_EXOG,
@@ -273,8 +272,7 @@ class TestSimulate:
         own = household_production(traj.holdings, bbar[:, None], p,
                                    autarky.technology)[0].mean(axis=1)
         assert np.all(traj.mean_output > own)
-        next_mean = olg_step(WealthDistribution(traj.holdings[0]), p,
-                             market).next.mean
+        next_mean = olg_step(traj.holdings[0], p, market)[0].mean()
         assert next_mean == pytest.approx(traj.mean_output[0] / (2.0 + p.theta),
                                           rel=1e-14)
 
@@ -287,6 +285,15 @@ class TestSimulate:
         dev0 = dev[0]
         for t in range(1, 25):
             assert np.allclose(dev[t], 0.5 ** t * dev0, rtol=1e-9)
+
+    def test_next_below_the_floor_is_out_of_range(self):
+        # 1e-6 * sqrt(1e-12) / 2 = 5e-13, below the floor of 1e-12; the
+        # start already lies within the default stop_tol of b* = 2.5e-13
+        with pytest.raises(OutOfRange, match="generation 1 ") as err:
+            olg_simulate(WealthDistribution([1e-12]),
+                         EconomyParams(tfp=1e-6, alpha=0.5, theta=0.0),
+                         OLG_AUTARKY_EXOG, stop_tol=0.0)
+        assert err.value.field == "holdings"
 
     def test_nonconvergence_is_flagged(self):
         p = params_exog(theta=0.0)
@@ -337,12 +344,12 @@ class TestSimulate:
             with pytest.raises(OutOfRange, match=r"generation \d+") as info:
                 olg_simulate(start, p, regime, max_generations=1000, stop_tol=0.0)
         named = int(re.search(r"generation (\d+)", str(info.value)).group(1))
-        b = start
+        b = start.as_array()
         with np.errstate(over="ignore", invalid="ignore"):
             for generation in range(1, named):
-                b = olg_step(b, p, regime).next
-                assert np.isfinite(b.as_array().mean())
-            last = olg_step(b, p, regime).next.as_array()
+                b, _ = olg_step(b, p, regime)
+                assert np.isfinite(b.mean())
+            last, _ = olg_step(b, p, regime)
             assert not np.isfinite(last.mean())
 
     @pytest.mark.parametrize("regime", [OLG_MARKET_AK, OLG_AUTARKY_AK])
@@ -369,10 +376,6 @@ class TestRatioStep:
         assert ratio_step(1.0, OLG_MARKET_AK, 0.3) == 1.0
         assert ratio_step(1.0, OLG_AUTARKY_AK, 0.3) == 1.0
 
-    def test_wrong_regime(self):
-        with pytest.raises(WrongRegime):
-            ratio_step(1.5, OLG_MARKET_EXOG, 0.5)
-
     @given(
         ratio=st.floats(0.01, 100.0),
         alpha=st.floats(0.05, 0.95),
@@ -388,25 +391,24 @@ class TestRatioStep:
     def test_market_recursion_matches_simulation(self):
         # the distribution-level step reproduces the scalar ratio recursion
         p = params_ak(tfp=3.0, L=2)
-        d = WealthDistribution([1.0, 3.0])
-        rep = olg_step(d, p, OLG_MARKET_AK)
+        b = np.array([1.0, 3.0])
+        nxt, _ = olg_step(b, p, OLG_MARKET_AK)
         for i in range(2):
-            expected = ratio_step(d[i] / d.mean, OLG_MARKET_AK, p.alpha)
-            assert rep.next[i] / rep.next.mean == pytest.approx(expected, rel=1e-12)
+            expected = ratio_step(b[i] / b.mean(), OLG_MARKET_AK, p.alpha)
+            assert nxt[i] / nxt.mean() == pytest.approx(expected, rel=1e-12)
 
     def test_autarky_recursion_matches_simulation(self):
         # the power map gives next ratios after renormalizing by its own mean
         # (the raw map divides by the map-of-the-mean, not the mean-of-the-map)
         p = params_ak(tfp=3.0, L=2)
-        d = WealthDistribution([1.0, 4.0])
-        rep = olg_step(d, p, OLG_AUTARKY_AK)
+        b = np.array([1.0, 4.0])
+        nxt, _ = olg_step(b, p, OLG_AUTARKY_AK)
         raw = np.array([
-            ratio_step(d[i] / d.mean, OLG_AUTARKY_AK, p.alpha) for i in range(2)
+            ratio_step(b[i] / b.mean(), OLG_AUTARKY_AK, p.alpha) for i in range(2)
         ])
         expected = raw / raw.mean()
         for i in range(2):
-            assert rep.next[i] / rep.next.mean == pytest.approx(
-                expected[i], rel=1e-12)
+            assert nxt[i] / nxt.mean() == pytest.approx(expected[i], rel=1e-12)
 
 
 class TestCobweb:

@@ -16,11 +16,9 @@ from ineqlab import (
     RAMSEY_MARKET_AK,
     RAMSEY_MARKET_EXOG,
     EconomyParams,
-    RamseyState,
     ShootingConfig,
     Trajectory,
     WealthDistribution,
-    euler_growth,
     market_decompose,
     olg_simulate,
     ramsey_rhs,
@@ -33,7 +31,6 @@ from ineqlab.errors import (
     NonPositiveInput,
     OutOfRange,
     ShootingFailed,
-    StateLeftDomain,
     ThetaZeroNoSteadyState,
     WrongRegime,
 )
@@ -42,53 +39,67 @@ from ineqlab.ramsey import _ride, _saddle_policy
 CLASSIC = EconomyParams(tfp=1.0, alpha=0.5, theta=0.05, gamma=1.0, population=1)
 
 
-def state(k, c, t=0.0):
-    k = np.atleast_1d(np.asarray(k, float))
-    return RamseyState(time=t, holdings=WealthDistribution(k),
-                       consumption=np.atleast_1d(np.asarray(c, float)))
+def rhs(k, c, params, regime):
+    """``ramsey_rhs`` on scalars or lists, one entry per household."""
+    return ramsey_rhs(np.atleast_1d(np.asarray(k, float)),
+                      np.atleast_1d(np.asarray(c, float)), params, regime)
+
+
+def euler_growth(k, c, params, regime):
+    """Per-household consumption growth rates dc / c."""
+    return rhs(k, c, params, regime)[1] / np.atleast_1d(c)
+
+
+def rk4_advance(k, c, h, n, params, regime):
+    """n RK4 steps of size h of the (holdings, consumption) field."""
+    L = len(k)
+
+    def field(_, y):
+        return np.concatenate(ramsey_rhs(y[:L], y[L:], params, regime))
+
+    y = np.concatenate([k, c])
+    for i in range(n):
+        y = rk4_step(field, i * h, y, h)
+    return y[:L], y[L:]
 
 
 class TestEulerGrowth:
     def test_steady_point_rate_zero(self):
-        rates = euler_growth(state(100.0, 10.0), CLASSIC, RAMSEY_AUTARKY_EXOG)
+        rates = euler_growth(100.0, 10.0, CLASSIC, RAMSEY_AUTARKY_EXOG)
         assert rates[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_ak_common_rate(self):
         p = EconomyParams(tfp=3.0, alpha=0.5, theta=0.1, gamma=2.0, population=1)
-        rates = euler_growth(state(2.0, 1.0), p, RAMSEY_MARKET_AK)
+        rates = euler_growth(2.0, 1.0, p, RAMSEY_MARKET_AK)
         assert rates[0] == pytest.approx(0.7, rel=1e-14)
 
     def test_below_target_rate_positive(self):
-        rates = euler_growth(state(25.0, 3.0), CLASSIC, RAMSEY_AUTARKY_EXOG)
+        rates = euler_growth(25.0, 3.0, CLASSIC, RAMSEY_AUTARKY_EXOG)
         assert rates[0] > 0.0
 
     def test_market_rates_identical_autarky_specific(self):
         p = EconomyParams(tfp=1.0, alpha=0.5, theta=0.05, gamma=1.0, population=2)
-        s = state([4.0, 16.0], [1.0, 1.0])
-        market = euler_growth(s, p, RAMSEY_MARKET_EXOG)
+        k, c = [4.0, 16.0], [1.0, 1.0]
+        market = euler_growth(k, c, p, RAMSEY_MARKET_EXOG)
         assert market[0] == market[1]  # common rate through the mean
-        autarky = euler_growth(s, p, RAMSEY_AUTARKY_EXOG)
+        autarky = euler_growth(k, c, p, RAMSEY_AUTARKY_EXOG)
         assert autarky[0] > autarky[1]  # poorer household grows faster
-
-    def test_wrong_regime(self):
-        with pytest.raises(WrongRegime):
-            euler_growth(state(1.0, 1.0), CLASSIC, OLG_MARKET_EXOG)
 
 
 class TestRhs:
     def test_autarky_balance(self):
-        dk, dc = ramsey_rhs(state(1.0, 1.0), CLASSIC, RAMSEY_AUTARKY_EXOG)
+        dk, dc = rhs(1.0, 1.0, CLASSIC, RAMSEY_AUTARKY_EXOG)
         assert dk[0] == pytest.approx(0.0, abs=1e-15)
 
     def test_market_asset_drift(self):
         p = EconomyParams(tfp=1.0, alpha=0.5, theta=0.0, gamma=1.0, population=1)
-        dk, dc = ramsey_rhs(state(1.0, 0.5), p, RAMSEY_MARKET_EXOG)
+        dk, dc = rhs(1.0, 0.5, p, RAMSEY_MARKET_EXOG)
         # wage 0.5 plus interest 0.5 on one unit, minus consumption 0.5
         assert dk[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_ak_autarky_drift(self):
         p = EconomyParams(tfp=1.0, alpha=0.5, theta=0.1, gamma=1.0, population=2)
-        dk, dc = ramsey_rhs(state([1.0, 1.0], [1.0, 1.0]), p, RAMSEY_AUTARKY_AK)
+        dk, dc = rhs([1.0, 1.0], [1.0, 1.0], p, RAMSEY_AUTARKY_AK)
         assert dk[0] == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-14)
 
     @given(
@@ -115,7 +126,7 @@ class TestRhs:
                 income = p.ak_scale() * kbar ** 0.5 * k ** 0.5
             else:
                 income = k ** 0.5
-        dk, _ = ramsey_rhs(state(k, income), p, regime)
+        dk, _ = ramsey_rhs(k, income, p, regime)
         assert np.max(np.abs(dk)) < 1e-12 * max(1.0, float(np.max(income)))
 
     def test_hoelder_national_income_bound(self):
@@ -125,7 +136,7 @@ class TestRhs:
         for k in ([1.0, 2.0, 3.0], [0.5, 0.5, 5.0], [2.0, 2.0, 2.0]):
             k = np.asarray(k)
             c = np.full(3, 0.1)
-            dk, _ = ramsey_rhs(state(k, c), p, RAMSEY_AUTARKY_AK)
+            dk, _ = ramsey_rhs(k, c, p, RAMSEY_AUTARKY_AK)
             national_income = float(np.sum(c + dk))
             bound = p.tfp * k.sum() * 3.0 ** (1.0 - 0.5)
             assert national_income <= bound * (1.0 + 1e-12)
@@ -137,48 +148,36 @@ class TestRhs:
 
 class TestRk4Step:
     def test_fixed_point(self):
-        s = state(100.0, 10.0)
-        out = rk4_step(s, 0.01, CLASSIC, RAMSEY_AUTARKY_EXOG)
-        assert out.holdings[0] == pytest.approx(100.0, abs=1e-14)
-        assert out.consumption[0] == pytest.approx(10.0, abs=1e-14)
+        k, c = rk4_advance([100.0], [10.0], 0.01, 1, CLASSIC, RAMSEY_AUTARKY_EXOG)
+        assert k[0] == pytest.approx(100.0, abs=1e-14)
+        assert c[0] == pytest.approx(10.0, abs=1e-14)
 
     def test_richardson_one_step(self):
         # two half steps beat one full step by ~2^4 on the same interval
         p = EconomyParams(tfp=1.0, alpha=0.5, theta=0.05, gamma=1.0)
-        s0 = state(1.0, 0.4)
         dt = 0.5
 
-        def advance(s, h, n):
-            for _ in range(n):
-                s = rk4_step(s, h, p, RAMSEY_AUTARKY_EXOG)
-            return np.array([s.holdings[0], s.consumption[0]])
+        def advance(h, n):
+            return np.concatenate(rk4_advance([1.0], [0.4], h, n, p,
+                                              RAMSEY_AUTARKY_EXOG))
 
-        ref = advance(s0, dt / 100.0, 100)
-        err_full = np.max(np.abs(advance(s0, dt, 1) - ref))
-        err_half = np.max(np.abs(advance(s0, dt / 2.0, 2) - ref))
+        ref = advance(dt / 100.0, 100)
+        err_full = np.max(np.abs(advance(dt, 1) - ref))
+        err_half = np.max(np.abs(advance(dt / 2.0, 2) - ref))
         assert err_full / err_half == pytest.approx(16.0, rel=0.35)
 
     def test_ak_market_consumption_exponential(self):
         # one step tracks e^(g dt) with a fifth-order defect
         p = EconomyParams(tfp=3.0, alpha=0.5, theta=0.1, gamma=2.0, population=1)
         g = 0.7
-        s = state(2.0, 1.0)
 
         def one_step_error(dt):
-            out = rk4_step(s, dt, p, RAMSEY_MARKET_AK)
-            return abs(out.consumption[0] - math.exp(g * dt))
+            _, c = rk4_advance([2.0], [1.0], dt, 1, p, RAMSEY_MARKET_AK)
+            return abs(c[0] - math.exp(g * dt))
 
         err = one_step_error(0.1)
         assert err == pytest.approx((g * 0.1) ** 5 / 120.0, rel=0.1)
         assert err / one_step_error(0.05) == pytest.approx(32.0, rel=0.15)
-
-    def test_domain_exit_raises(self):
-        with pytest.raises(StateLeftDomain):
-            rk4_step(state(1.0, 5.0), 1.0, CLASSIC, RAMSEY_AUTARKY_EXOG)
-
-    def test_bad_dt(self):
-        with pytest.raises(NonPositiveInput):
-            rk4_step(state(1.0, 1.0), 0.0, CLASSIC, RAMSEY_AUTARKY_EXOG)
 
 
 def bisect_mpk_equals_theta(params):
@@ -512,7 +511,7 @@ class TestShootMarketAk:
         assert np.max(np.abs(traj.gini - traj.gini[0])) <= 1e-15
         # the budget da = wage + r a - c then grows every holding at g
         for i in (0, len(traj) - 1):
-            dk, _ = ramsey_rhs(state(traj.holdings[i], traj.consumption[i]), p,
+            dk, _ = ramsey_rhs(traj.holdings[i], traj.consumption[i], p,
                                RAMSEY_MARKET_AK)
             assert np.allclose(dk, g * traj.holdings[i], rtol=1e-12, atol=0.0)
 

@@ -464,7 +464,9 @@ class TestSweepCli:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == fmt_sweep(50, 4, 1).text() + "\n"
 
-    def test_size_out_of_range_is_a_config_error(self, capsys):
-        argv = ["fmt-sweep", "--size", "11", "--trials", "50", "--seed", "1"]
+    @pytest.mark.parametrize("size, seed", [("11", "1"), ("3", "-1")],
+                             ids=["size", "seed"])
+    def test_size_out_of_range_is_a_config_error(self, capsys, size, seed):
+        argv = ["fmt-sweep", "--size", size, "--trials", "50", "--seed", seed]
         assert main(argv) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
