@@ -126,6 +126,45 @@ class TestBitIdentity:
 
 
 class TestMeanPreservingSpread:
+    """A transfer from a poorer household to a richer one keeps the mean and
+    raises every dispersion statistic (the Pigou-Dalton principle)."""
+
+    @staticmethod
+    def statistics(x):
+        return gini(x), coefficient_of_variation(x), ratio_max_min(x)
+
+    def test_four_six_to_three_seven(self):
+        # gini 2 |x1 - x2| / (2 n^2 mu), cv |x1 - x2| / (2 mu), ratio max/min
+        before, after = WealthDistribution([4.0, 6.0]), WealthDistribution([3.0, 7.0])
+        assert after.mean == before.mean == 5.0
+        assert self.statistics(before) == pytest.approx((0.1, 0.2, 1.5), rel=1e-15)
+        assert self.statistics(after) == pytest.approx((0.2, 0.4, 7.0 / 3.0),
+                                                       rel=1e-15)
+
+    def test_three_seven_to_one_nine(self):
+        after = WealthDistribution([1.0, 9.0])
+        assert after.mean == 5.0
+        assert self.statistics(after) == pytest.approx((0.4, 0.8, 9.0), rel=1e-15)
+
+    def test_null_transfer(self):
+        assert self.statistics(WealthDistribution([5.0, 5.0])) == (0.0, 0.0, 1.0)
+
+    def test_positivity_guard(self):
+        # moving all of the donor's 4 leaves a zero holding: the statistics
+        # take it, at their extremes, but no distribution holds it
+        x = [0.0, 10.0]
+        assert self.statistics(x) == (0.5, 1.0, np.inf)
+        with pytest.raises(OutOfRange) as info:
+            WealthDistribution(x)
+        assert info.value.field == "holdings"
+
+    def test_direction_guard(self):
+        # the same transfer from the richer household to the poorer one
+        # lowers every statistic
+        before = self.statistics(WealthDistribution([4.0, 6.0]))
+        after = self.statistics(WealthDistribution([4.5, 5.5]))
+        assert all(a < b for a, b in zip(after, before))
+
     @given(
         base=st.lists(st.floats(0.5, 100.0), min_size=2, max_size=8),
         eps_frac=st.floats(0.01, 0.9),

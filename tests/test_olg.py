@@ -14,6 +14,7 @@ from ineqlab import (
     OLG_AUTARKY_EXOG,
     OLG_MARKET_AK,
     OLG_MARKET_EXOG,
+    RAMSEY_AUTARKY_EXOG,
     EconomyParams,
     WealthDistribution,
     cobweb_data,
@@ -23,7 +24,7 @@ from ineqlab import (
     olg_steady_state,
     olg_step,
 )
-from ineqlab.errors import NonPositiveInput, OutOfRange
+from ineqlab.errors import NonPositiveInput, OutOfRange, WrongRegime
 
 
 def params_exog(theta=0.0, L=2, alpha=0.5, tfp=1.0):
@@ -213,6 +214,10 @@ class TestSteadyState:
             assert nxt.mean() / b.mean() == pytest.approx(1.5, rel=1e-14)
             b = nxt
 
+    def test_wrong_regime(self):
+        with pytest.raises(WrongRegime):
+            olg_steady_state(EconomyParams(1.0, 0.5, 0.05), RAMSEY_AUTARKY_EXOG)
+
 
 class TestSimulate:
     def test_convergence_market(self):
@@ -294,6 +299,22 @@ class TestSimulate:
                          EconomyParams(tfp=1e-6, alpha=0.5, theta=0.0),
                          OLG_AUTARKY_EXOG, stop_tol=0.0)
         assert err.value.field == "holdings"
+
+    def test_wrong_regime(self):
+        with pytest.raises(WrongRegime):
+            olg_simulate(WealthDistribution([1.0]), EconomyParams(1.0, 0.5, 0.05),
+                         RAMSEY_AUTARKY_EXOG)
+
+    def test_holdings_must_match_population(self):
+        with pytest.raises(OutOfRange) as info:
+            olg_simulate(WealthDistribution([1.0, 2.0, 3.0]), params_exog(L=2),
+                         OLG_MARKET_EXOG)
+        assert info.value.field == "holdings"
+
+    def test_max_generations_must_be_positive(self):
+        with pytest.raises(NonPositiveInput):
+            olg_simulate(WealthDistribution([1.0, 2.0]), params_exog(),
+                         OLG_MARKET_EXOG, max_generations=0)
 
     def test_nonconvergence_is_flagged(self):
         p = params_exog(theta=0.0)
@@ -433,3 +454,7 @@ class TestCobweb:
     def test_bad_range(self):
         with pytest.raises(NonPositiveInput):
             cobweb_data(params_exog(L=1), 1.0, 0.5)
+
+    def test_too_few_points(self):
+        with pytest.raises(NonPositiveInput):
+            cobweb_data(params_exog(L=1), 0.5, 1.0, n_points=1)

@@ -15,7 +15,7 @@ from ineqlab import (
     equal_allocation_is_optimal,
     household_production,
 )
-from ineqlab.errors import GridTooCoarse
+from ineqlab.errors import GridTooCoarse, NonPositiveInput
 
 EXOG = Technology.EXOGENOUS
 AK = Technology.ENDOGENOUS_AK
@@ -184,6 +184,22 @@ class TestMpk:
 
 class TestHouseholdProduction:
     @pytest.mark.parametrize("technology", [EXOG, AK])
+    def test_matches_closed_forms(self, technology):
+        # scalar oracle: y = s k**alpha and mpk = alpha s k**(alpha - 1), with
+        # s = tfp, or m kbar**(1 - alpha) under the spillover
+        params = EconomyParams(1.7, 0.35, 0.0, population=4)
+        alpha, kbar = params.alpha, 2.3
+        scale = params.tfp
+        if technology is AK:
+            scale = params.tfp * 4.0 ** (1.0 - alpha) * kbar ** (1.0 - alpha)
+        k = np.random.default_rng(3).uniform(0.01, 40.0, 200)
+        y, mpk = household_production(k, kbar, params, technology)
+        for x, y_x, mpk_x in zip(k.tolist(), y.tolist(), mpk.tolist()):
+            assert y_x == pytest.approx(scale * math.pow(x, alpha), rel=1e-14)
+            assert mpk_x == pytest.approx(
+                alpha * scale * math.pow(x, alpha - 1.0), rel=1e-14)
+
+    @pytest.mark.parametrize("technology", [EXOG, AK])
     def test_mpk_matches_central_difference(self, technology):
         params = EconomyParams(2.0, 0.4, 0.0, population=3)
         for k in np.logspace(-3, 3, 25):
@@ -293,6 +309,12 @@ class TestEqualAllocation:
         # the lexicographically first balanced composition
         assert np.all(np.diff(check.argmax) >= 0.0)
         assert check.equal_is_argmax
+
+    @pytest.mark.parametrize("K, L", [(0.0, 2), (-1.0, 2), (math.nan, 2),
+                                      (1.0, 0)])
+    def test_rejects_nonpositive(self, K, L):
+        with pytest.raises(NonPositiveInput):
+            equal_allocation_is_optimal(K, L, economy())
 
     def test_grid_too_coarse(self):
         with pytest.raises(GridTooCoarse):

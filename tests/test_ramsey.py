@@ -179,6 +179,18 @@ class TestRk4Step:
         assert err == pytest.approx((g * 0.1) ** 5 / 120.0, rel=0.1)
         assert err / one_step_error(0.05) == pytest.approx(32.0, rel=0.15)
 
+    def test_autarky_households_step_alone(self):
+        # with neither a market nor a spillover no household's field reads
+        # another's state, so a step of all of them as one vector is each
+        # one's own step, bit for bit
+        p = EconomyParams(tfp=3.0, alpha=0.5, theta=0.1, gamma=2.0, population=3)
+        k, c = [0.5, 2.0, 9.0], [0.3, 1.1, 2.5]
+        together = np.concatenate(
+            rk4_advance(k, c, 0.05, 3, p, RAMSEY_AUTARKY_EXOG))
+        for i in range(3):
+            alone = rk4_advance([k[i]], [c[i]], 0.05, 3, p, RAMSEY_AUTARKY_EXOG)
+            assert (together[i], together[3 + i]) == (alone[0][0], alone[1][0])
+
 
 def bisect_mpk_equals_theta(params):
     """Independent oracle: solve f'(k) = theta by plain bisection."""
@@ -224,6 +236,10 @@ class TestSteadyState:
         with pytest.raises(ThetaZeroNoSteadyState):
             ramsey_steady_state(EconomyParams(1.0, 0.5, 0.0),
                                 RAMSEY_AUTARKY_EXOG)
+
+    def test_wrong_regime(self):
+        with pytest.raises(WrongRegime):
+            ramsey_steady_state(CLASSIC, OLG_MARKET_EXOG)
 
 
 FAST_EXOG = EconomyParams(tfp=1.0, alpha=0.5, theta=0.1, gamma=1.0, population=1)
