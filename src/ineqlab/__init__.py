@@ -8,12 +8,11 @@ for scenario runs and figure reproduction.
 Each model law has one public function, an array kernel:
 ``household_production`` (output and marginal product), ``ramsey_rhs``
 (asset drift and Euler growth), ``rk4_step`` (the one integrator) and
-``olg_step`` (one generation's bequests). They validate nothing; inputs are
-checked where they enter, at the solver entry points and in
-``parse_scenario``. The checked scalar forms of these laws
-(``TechnologyView``, ``per_capita_output``, ``mpk_private``,
-``RamseyState``, ``euler_growth``, the report-returning ``olg_step`` and
-others) are gone, a break of the public API.
+``olg_step`` (one generation's bequests). They validate nothing. Each input
+bound is checked once, by the type or function that owns it
+(``validate_params``, ``WealthDistribution``, ``ShootingConfig``, the solver
+entry points), which raises ``errors.OutOfRange`` naming its field;
+``parse_scenario`` names the scenario key instead, and the CLI the option.
 """
 
 from .core import (

@@ -1,15 +1,17 @@
 """Command-line surface: simulate, steady-state, figure, fmt-sweep, cobweb.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 a property
-sweep found a counterexample. The output directory defaults to ./out and can
-be overridden by --out or the INEQ_LAB_OUT environment variable.
+sweep found a counterexample. An input outside a bound is a configuration
+error: its owner raises OutOfRange naming its field, and the scenario reader
+and the cobweb command name their key or option instead. The output
+directory defaults to ./out and can be overridden by --out or the
+INEQ_LAB_OUT environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -19,7 +21,6 @@ from .errors import (
     IneqLabError,
     OutOfRange,
     ParseError,
-    UnknownFigure,
     ValidationError,
     WrongRegime,
 )
@@ -40,7 +41,7 @@ from .svgplot import line_chart
 from .value_theory import fmt_sweep
 
 _CONFIG_ERRORS = (ParseError, ValidationError, OutOfRange,
-                  GrowthConditionViolated, UnknownFigure, WrongRegime)
+                  GrowthConditionViolated, WrongRegime)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -137,20 +138,16 @@ def _cmd_cobweb(args) -> int:
     b_min = args.min if args.min is not None else min(0.05 * b_star, 0.5 * start)
     b_max = args.max if args.max is not None else 2.5 * max(b_star,
                                                             *config.initial_distribution)
-    if args.points < 2:
-        raise ValidationError("--points",
-                              f"--points: must be >= 2, got {args.points}")
-    # the defaults are finite and in order, so a bad range names an option
-    # that was given
-    for option, value in (("--min", b_min), ("--max", b_max)):
-        if not 0.0 < value < math.inf:
-            raise ValidationError(
-                option, f"{option}: must be finite and > 0, got {value!r}")
-    if not b_min < b_max:
-        option = "--min" if args.min is not None else "--max"
-        raise ValidationError(
-            option, f"{option}: need --min {b_min!r} below --max {b_max!r}")
-    data = cobweb_data(config.params, b_min, b_max, args.points)
+    try:
+        data = cobweb_data(config.params, b_min, b_max, args.points)
+    except OutOfRange as exc:
+        # the defaults are finite and in order, so a range out of order
+        # names --max only when --min was not given
+        option = {"b_min": "--min", "b_max": "--max",
+                  "n_points": "--points"}[exc.field]
+        if option == "--min" and args.min is None:
+            option = "--max"
+        raise ValidationError(option, f"{option}: {exc}") from exc
     out = _default_out(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{config.name}_cobweb.csv"
@@ -165,7 +162,7 @@ def _cmd_cobweb(args) -> int:
         svg_path = out / f"{config.name}_cobweb.svg"
         atomic_write(svg_path, line_chart(
             [("map", data.levels, data.mapped),
-             ("diagonal", data.levels, data.diagonal)],
+             ("diagonal", data.levels, data.levels)],
             title=f"{config.name}: bequest map",
             xlabel="b(t)", ylabel="b(t+1)",
         ))
@@ -225,8 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "fmt-sweep" and args.trials < 1:
-        parser.error("--trials must be >= 1")
     try:
         return args.func(args)
     except _CONFIG_ERRORS as exc:

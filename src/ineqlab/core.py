@@ -1,8 +1,9 @@
 """Shared domain types: parameters, regime taxonomy, distributions, paths.
 
 All types here are immutable value objects; they can be shared freely across
-threads or processes. Validation is centralised in :func:`validate_params`,
-which acts as the single gatekeeper for parameter/regime combinations.
+threads or processes. Each bound is checked once, by its owner: the
+parameters and the conditions that depend on the regime by
+:func:`validate_params`, the holdings by :class:`WealthDistribution`.
 """
 
 from __future__ import annotations
@@ -116,13 +117,15 @@ class EconomyParams:
 def validate_params(params: EconomyParams, regime: Regime) -> EconomyParams:
     """Check all parameter bounds plus regime-conditional growth conditions.
 
-    Under AK technology the generation models need tfp > 2 + theta. The
-    dynasty models need, with r = alpha * tfp * L**(1 - alpha) the interest
-    rate and g = (r - theta) / gamma the balanced growth rate, both
-    g > 0 (positive balanced growth) and r > g (transversality, i.e.
-    theta + (gamma - 1) * g > 0). ``parse_scenario`` calls this function, so
-    a scenario that breaks any of these conditions is rejected when it is
-    parsed, not when it is solved.
+    A fixed-technology dynasty needs theta > 0, or its target capital
+    diverges. Under AK technology the generation models need tfp > 2 +
+    theta. The dynasty models need, with r = alpha * tfp * L**(1 - alpha)
+    the interest rate and g = (r - theta) / gamma the balanced growth rate,
+    both g > 0 (positive balanced growth) and r > g (transversality, i.e.
+    theta + (gamma - 1) * g > 0), or GrowthConditionViolated is raised.
+    ``parse_scenario`` calls this function, so a scenario that breaks any
+    of these conditions is rejected when it is parsed, not when it is
+    solved.
 
     Returns the object unchanged when every invariant holds; idempotent.
     """
@@ -137,6 +140,8 @@ def validate_params(params: EconomyParams, regime: Regime) -> EconomyParams:
     if not isinstance(params.population, (int, np.integer)) or params.population < 1:
         raise OutOfRange("population", "population must be an integer >= 1")
 
+    if not (regime.is_olg or regime.is_endogenous or params.theta > 0.0):
+        raise OutOfRange("theta", "a fixed-technology dynasty needs theta > 0")
     if regime.is_endogenous:
         if regime.is_olg and not (params.tfp > 2.0 + params.theta):
             raise GrowthConditionViolated(
@@ -165,12 +170,11 @@ def validate_params(params: EconomyParams, regime: Regime) -> EconomyParams:
 class WealthDistribution:
     """Per-household holdings; the state variable of every model.
 
-    Entries are strictly positive (at or above ``floor``); the vector length
+    Entries are finite and >= ``POSITIVITY_FLOOR``; the vector length
     equals the household population and never changes within a scenario.
     """
 
     holdings: np.ndarray
-    floor: float = POSITIVITY_FLOOR
 
     def __post_init__(self):
         arr = np.array(self.holdings, dtype=float, copy=True).reshape(-1)
@@ -178,10 +182,9 @@ class WealthDistribution:
             raise OutOfRange("holdings", "distribution must have at least one entry")
         if not np.all(np.isfinite(arr)):
             raise OutOfRange("holdings", "holdings must be finite")
-        if np.any(arr < self.floor):
-            raise OutOfRange(
-                "holdings", f"holdings must be >= positivity floor {self.floor}"
-            )
+        if np.any(arr < POSITIVITY_FLOOR):
+            raise OutOfRange("holdings", "holdings must be >= positivity "
+                             f"floor {POSITIVITY_FLOOR}")
         arr.flags.writeable = False
         object.__setattr__(self, "holdings", arr)
 

@@ -2,6 +2,11 @@
 
 Every error raised on purpose derives from :class:`IneqLabError`, so callers
 (and the CLI) can distinguish model/config problems from genuine bugs.
+
+Each input bound is stated once, by the type or function that owns it, as
+:class:`OutOfRange` naming the owner's field (``"dt"``, ``"alpha"``,
+``"b_max"``). A boundary that knows where the value came from, the scenario
+reader or the CLI, maps that field to its own key or option.
 """
 
 
@@ -10,7 +15,7 @@ class IneqLabError(Exception):
 
 
 class OutOfRange(IneqLabError):
-    """A numeric field violates its documented bounds."""
+    """An input violates a bound of its owner; ``field`` names it there."""
 
     def __init__(self, field: str, message: str = ""):
         self.field = field
@@ -21,24 +26,12 @@ class GrowthConditionViolated(IneqLabError):
     """Sustained-growth requirement on productivity vs. discounting fails."""
 
 
-class NonPositiveInput(IneqLabError):
-    """A quantity that must be strictly positive is not."""
-
-
 class WrongRegime(IneqLabError):
     """Operation called for a regime it is not defined in."""
 
 
 class NegativeBequest(IneqLabError):
     """The capital-market bequest formula produced a non-positive bequest."""
-
-
-class GridTooCoarse(IneqLabError):
-    """Allocation grid step too large relative to total capital."""
-
-
-class ThetaZeroNoSteadyState(IneqLabError):
-    """Exogenous continuous-time steady state diverges when theta = 0."""
 
 
 class StateLeftDomain(IneqLabError):
@@ -64,10 +57,6 @@ class NotProductive(IneqLabError):
 
 class AllZero(IneqLabError):
     """Distribution statistics are undefined for an all-zero vector."""
-
-
-class UnknownFigure(IneqLabError):
-    """Figure name not in the reproducible set."""
 
 
 class ParseError(IneqLabError):

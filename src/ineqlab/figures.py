@@ -21,7 +21,7 @@ from .core import (
     EconomyParams,
     WealthDistribution,
 )
-from .errors import UnknownFigure
+from .errors import OutOfRange
 from .olg import cobweb_data, olg_mean_map, olg_simulate
 from .scenario import atomic_write, csv_text, format_float
 from .svgplot import line_chart
@@ -166,7 +166,7 @@ def _figA3(out: Path, fmt: str) -> list[Path]:
     rows += [["staircase_low", x, yv] for x, yv in zip(lo_x, lo_y)]
     series = [
         ("next-generation map", data.levels, data.mapped),
-        ("45-degree line", data.levels, data.diagonal),
+        ("45-degree line", data.levels, data.levels),
         ("path from above", hi_x, hi_y),
         ("path from below", lo_x, lo_y),
     ]
@@ -180,7 +180,7 @@ def _figA3(out: Path, fmt: str) -> list[Path]:
 def figure(name: str, out_dir: str | Path = "out", fmt: str = "both") -> list[Path]:
     """Write one named figure's data (and chart) files; returns the paths."""
     if name not in FIGURE_NAMES:
-        raise UnknownFigure(f"unknown figure {name!r}; pick from {FIGURE_NAMES}")
+        raise OutOfRange("name", f"unknown figure {name!r}; pick from {FIGURE_NAMES}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if name == "fig1":

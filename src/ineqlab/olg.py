@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     OLG_AUTARKY_EXOG,
+    POSITIVITY_FLOOR,
     EconomyParams,
     Regime,
     SteadyState,
@@ -29,12 +30,7 @@ from .core import (
     check_population,
     validate_params,
 )
-from .errors import (
-    NegativeBequest,
-    NonPositiveInput,
-    OutOfRange,
-    WrongRegime,
-)
+from .errors import NegativeBequest, OutOfRange, WrongRegime
 from .metrics import coefficient_of_variation, gini, ratio_max_min
 from .production import household_production
 
@@ -70,7 +66,8 @@ def olg_steady_state(params: EconomyParams, regime: Regime) -> SteadyState:
     Fixed technology (market or autarky alike): the bequest level where the
     map A b**alpha / (2 + theta) crosses the diagonal; interest there equals
     alpha (2 + theta). Endogenous technology: no level target exists, only a
-    ray with gross growth tfp L**(1-alpha) / (2 + theta).
+    ray with gross growth tfp L**(1-alpha) / (2 + theta). A tfp whose
+    steady level or consumption leaves float64 raises OutOfRange("tfp").
     """
     validate_params(params, regime)
     if not regime.is_olg:
@@ -84,7 +81,12 @@ def olg_steady_state(params: EconomyParams, regime: Regime) -> SteadyState:
             interest_star=params.alpha * m,
             regime=regime,
         )
-    b_star = (params.tfp / (2.0 + params.theta)) ** (1.0 / (1.0 - params.alpha))
+    try:
+        b_star = (params.tfp / (2.0 + params.theta)) ** (1.0 / (1.0 - params.alpha))
+    except OverflowError:
+        b_star = math.inf
+    if not math.isfinite((1.0 + params.theta) * b_star):
+        raise OutOfRange("tfp", f"tfp={params.tfp} puts b* beyond float64")
     return SteadyState(
         holding_star=b_star,
         growth_star=0.0,
@@ -102,16 +104,16 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
     level (fixed technology) or once relative dispersion around the mean
     falls below ``stop_tol`` (endogenous technology). Failure to converge is
     flagged on the returned trajectory, never raised; a generation whose
-    holdings overflow float64 or fall below ``dist0.floor`` raises
-    OutOfRange, naming that generation, and so does a ``stop_tol`` that is
-    not finite and >= 0.
+    holdings overflow float64 or fall below ``POSITIVITY_FLOOR`` raises
+    OutOfRange("holdings"), naming that generation, and a bad
+    ``max_generations`` or ``stop_tol`` raises OutOfRange naming it.
     """
     validate_params(params, regime)
     if not regime.is_olg:
         raise WrongRegime("olg_simulate requires an OLG regime")
     check_population(dist0, params)
     if max_generations < 1:
-        raise NonPositiveInput("max_generations must be >= 1")
+        raise OutOfRange("max_generations", "max_generations must be >= 1")
     if not 0.0 <= stop_tol < math.inf:
         raise OutOfRange("stop_tol",
                          f"stop_tol must be finite and >= 0, got {stop_tol!r}")
@@ -147,11 +149,11 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
                     f"holding is {bbar}); lower max_generations or raise "
                     "stop_tol",
                 )
-            if b.min() < dist0.floor:
+            if b.min() < POSITIVITY_FLOOR:
                 raise OutOfRange(
                     "holdings",
                     f"generation {len(rows_b)} falls below the positivity "
-                    f"floor {dist0.floor} (its least holding is {b.min()})",
+                    f"floor {POSITIVITY_FLOOR} (its least holding is {b.min()})",
                 )
             rows_b.append(b)
             interest.append(rate)
@@ -185,11 +187,10 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
 
 @dataclass(frozen=True)
 class CobwebData:
-    """Samples of the scalar bequest map against the 45-degree line."""
+    """Samples of the scalar bequest map; ``levels`` is the diagonal."""
 
     levels: np.ndarray
     mapped: np.ndarray
-    diagonal: np.ndarray
     b_star: float
 
 
@@ -203,12 +204,18 @@ def olg_mean_map(b, params: EconomyParams):
 
 def cobweb_data(params: EconomyParams, b_min: float, b_max: float,
                 n_points: int = 200) -> CobwebData:
-    """Sample the mean-bequest map for a cobweb plot (fixed technology only)."""
-    if not (0.0 < b_min < b_max):
-        raise NonPositiveInput("need 0 < b_min < b_max")
+    """Sample the mean-bequest map for a cobweb plot (fixed technology only).
+
+    A range out of order is OutOfRange("b_min").
+    """
+    for field, value in (("b_min", b_min), ("b_max", b_max)):
+        if not 0.0 < value < math.inf:
+            raise OutOfRange(field, f"{field} must be finite and > 0, got {value!r}")
+    if not b_min < b_max:
+        raise OutOfRange("b_min", f"b_min {b_min!r} must lie below b_max {b_max!r}")
     if n_points < 2:
-        raise NonPositiveInput("n_points must be >= 2")
+        raise OutOfRange("n_points", f"n_points must be >= 2, got {n_points!r}")
     b_star = olg_steady_state(params, OLG_AUTARKY_EXOG).holding_star
     levels = np.linspace(b_min, b_max, n_points)
     return CobwebData(levels=levels, mapped=olg_mean_map(levels, params),
-                      diagonal=levels.copy(), b_star=b_star)
+                      b_star=b_star)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EconomyParams, Technology
-from .errors import GridTooCoarse, NonPositiveInput
+from .errors import OutOfRange
 
 
 def household_production(k, kbar, params: EconomyParams, technology: Technology,
@@ -55,7 +55,6 @@ class AllocationCheck:
     equal_allocation: np.ndarray
     equal_output: float
     equal_minus_max: float
-    equal_is_argmax: bool
     grid_step: float
 
 
@@ -72,16 +71,18 @@ def equal_allocation_is_optimal(K: float, L: int, params: EconomyParams,
     multiset, whose float sums can differ in the last bit, so ``argmax`` is
     the lexicographically first of them, [q] * (L - r) + [q + 1] * r with
     q, r = divmod(N, L), and ``argmax_output`` is its output summed in that
-    order. Only the fixed technology is covered: under AK the split is
-    irrelevant for aggregate output at fixed spillover.
+    order; each of its entries lies within one grid step of K / L. Only the
+    fixed technology is covered: under AK the split is irrelevant for
+    aggregate output at fixed spillover.
     """
-    if not (K > 0.0) or L < 1:
-        raise NonPositiveInput("need K > 0 and L >= 1")
+    if not K > 0.0 or L < 1:
+        raise OutOfRange("K" if L >= 1 else "L",
+                         f"need K > 0 and L >= 1, got K={K!r}, L={L!r}")
     if grid_step is None:
         grid_step = K / (100.0 * L)
     if grid_step > K / (10.0 * L):
-        raise GridTooCoarse(
-            f"grid_step {grid_step} exceeds K/(10 L) = {K / (10.0 * L)}"
+        raise OutOfRange(
+            "grid_step", f"grid_step {grid_step} exceeds K/(10 L) = {K / (10.0 * L)}"
         )
     N = int(round(K / grid_step))
     step = K / N
@@ -98,6 +99,5 @@ def equal_allocation_is_optimal(K: float, L: int, params: EconomyParams,
         equal_allocation=equal,
         equal_output=equal_out,
         equal_minus_max=equal_out - best_out,
-        equal_is_argmax=bool(np.max(np.abs(argmax - K / L)) <= step + 1e-12),
         grid_step=step,
     )

@@ -45,10 +45,9 @@ from .core import (
 )
 from .errors import (
     DecompositionInconsistent,
-    NonPositiveInput,
+    OutOfRange,
     ShootingFailed,
     StateLeftDomain,
-    ThetaZeroNoSteadyState,
     WrongRegime,
 )
 from .metrics import coefficient_of_variation, gini, ratio_max_min
@@ -69,7 +68,9 @@ class ShootingConfig:
     distance from the steady state (or balanced ray) that counts as
     arrival. ``max_iterations`` caps the Newton iterations of the autarky
     spillover solve. ``record_stride`` keeps every n-th step of the
-    recorded path, plus its last.
+    recorded path, plus its last. ``dt`` and ``terminal_band`` are finite
+    and > 0, ``horizon`` finite and above ``dt``, and the two counts >= 1,
+    or OutOfRange names the field.
     """
 
     horizon: float | None = None
@@ -79,12 +80,12 @@ class ShootingConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not (0.0 < self.dt < math.inf and 0.0 < self.terminal_band < math.inf):
-            raise NonPositiveInput("dt and terminal_band must be finite and > 0")
-        if self.horizon is not None and not (self.dt < self.horizon < math.inf):
-            raise NonPositiveInput("horizon must be finite and exceed dt")
-        if self.max_iterations < 1 or self.record_stride < 1:
-            raise NonPositiveInput("max_iterations and record_stride must be >= 1")
+        for field, low in (("dt", 0.0), ("terminal_band", 0.0), ("horizon", self.dt),
+                           ("max_iterations", 0), ("record_stride", 0)):
+            value = getattr(self, field)
+            if value is not None and not low < value < math.inf:
+                raise OutOfRange(field, f"{field} must be finite and above "
+                                        f"{low!r}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +126,7 @@ def ramsey_steady_state(params: EconomyParams, regime: Regime) -> SteadyState:
     Fixed technology: capital where the private return equals the discount
     rate. Endogenous technology: balanced growth at (alpha tfp L**(1-alpha)
     - theta) / gamma; the transformation rule r = theta + gamma g holds by
-    construction.
+    construction. A tfp that puts k* or c* beyond float64 is OutOfRange.
     """
     validate_params(params, regime)
     if regime.is_olg:
@@ -140,12 +141,14 @@ def ramsey_steady_state(params: EconomyParams, regime: Regime) -> SteadyState:
             interest_star=r_star,
             regime=regime,
         )
-    if params.theta == 0.0:
-        raise ThetaZeroNoSteadyState(
-            "with theta = 0 the fixed-technology target capital diverges"
-        )
-    k_star = (params.alpha * params.tfp / params.theta) ** (1.0 / (1.0 - params.alpha))
+    try:
+        k_star = ((params.alpha * params.tfp / params.theta)
+                  ** (1.0 / (1.0 - params.alpha)))
+    except OverflowError:
+        k_star = math.inf
     c_star = params.tfp * k_star ** params.alpha
+    if not math.isfinite(c_star):
+        raise OutOfRange("tfp", f"tfp={params.tfp} puts k* beyond float64")
     return SteadyState(
         holding_star=k_star,
         growth_star=0.0,

@@ -17,8 +17,10 @@ for convenience). Example::
 
 ``_KEYS`` is the one list of the keys: for each, the part of the config it
 sets (the config itself, its regime, params or shooting), the field there,
-and the reader that checks its value. Both ``parse_scenario`` and
-``render_scenario`` go through it.
+and the reader that checks its value's type. Both ``parse_scenario`` and
+``render_scenario`` go through it. The model bounds belong to the types and
+functions that own them, which raise OutOfRange naming their field;
+``parse_scenario`` names the key of that field instead.
 
 Running a scenario writes ``<name>_trajectory.csv`` and ``<name>_metrics.csv``
 (RFC-4180, CRLF line endings) and optionally a minimal SVG chart; identical
@@ -46,7 +48,6 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    POSITIVITY_FLOOR,
     EconomyParams,
     Family,
     Market,
@@ -55,6 +56,7 @@ from .core import (
     Technology,
     Trajectory,
     WealthDistribution,
+    check_population,
     validate_params,
 )
 from .errors import (
@@ -98,15 +100,8 @@ def _integer(key: str, value) -> int:
     return value
 
 
-def _positive(key: str, value) -> float:
-    value = _number(key, value)
-    if not 0.0 < value < math.inf:
-        raise ValidationError(key, f"{key} must be finite and > 0, got {value!r}")
-    return value
-
-
-def _positive_or_null(key: str, value) -> float | None:
-    return None if value is None else _positive(key, value)
+def _number_or_null(key: str, value) -> float | None:
+    return None if value is None else _number(key, value)
 
 
 def _tolerance(key: str, value) -> float:
@@ -146,16 +141,9 @@ def _file_name(key: str, value) -> str:
 
 
 def _holdings(key: str, value) -> tuple[float, ...]:
-    if not isinstance(value, list) or not value:
-        raise ValidationError(key, f"{key} must be a nonempty list")
-    holdings = tuple(_number(key, x) for x in value)
-    # the solvers take no holding below the floor, and none that is not finite
-    if not all(POSITIVITY_FLOOR <= x < math.inf for x in holdings):
-        if any(x <= 0.0 for x in holdings):
-            raise ValidationError(key, f"{key} entries must be > 0")
-        raise ValidationError(
-            key, f"{key} entries must be finite and >= {POSITIVITY_FLOOR}")
-    return holdings
+    if not isinstance(value, list):
+        raise ValidationError(key, f"{key} must be a list")
+    return tuple(_number(key, x) for x in value)
 
 
 def _outputs(key: str, value) -> frozenset[str]:
@@ -184,11 +172,11 @@ _KEYS = {
     "initial_distribution": (ScenarioConfig, "initial_distribution", _holdings),
     "horizon.max_generations": (ScenarioConfig, "max_generations", _count),
     "horizon.stop_tol": (ScenarioConfig, "stop_tol", _tolerance),
-    "horizon.time": (ShootingConfig, "horizon", _positive_or_null),
-    "horizon.dt": (ShootingConfig, "dt", _positive),
-    "horizon.max_iterations": (ShootingConfig, "max_iterations", _count),
-    "horizon.terminal_band": (ShootingConfig, "terminal_band", _positive),
-    "horizon.record_stride": (ShootingConfig, "record_stride", _count),
+    "horizon.time": (ShootingConfig, "horizon", _number_or_null),
+    "horizon.dt": (ShootingConfig, "dt", _number),
+    "horizon.max_iterations": (ShootingConfig, "max_iterations", _integer),
+    "horizon.terminal_band": (ShootingConfig, "terminal_band", _number),
+    "horizon.record_stride": (ShootingConfig, "record_stride", _integer),
     "outputs": (ScenarioConfig, "outputs", _outputs),
 }
 
@@ -214,16 +202,23 @@ _REQUIRED = [key for key, (part, field, _) in _KEYS.items()
              if all(f.default is MISSING and f.default_factory is MISSING
                     for f in fields(part) if f.name == field)]
 
+#: The key of each field that an owner's OutOfRange can name.
+_KEY_OF = {"holdings": "initial_distribution",
+           **{field: key for key, (part, field, _) in _KEYS.items()
+              if part in (EconomyParams, ShootingConfig)}}
+
 
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a scenario document.
 
     Raises ParseError for malformed lines and ValidationError (naming the
     offending key) for unknown keys, bad types, or violated model bounds.
-    Each value is checked by its key's reader as its line is read; missing
-    keys, the model bounds and the checks across keys come after the last
-    line. A field whose key is absent takes its dataclass default, except
-    ``params.population``, which defaults to the number of holdings.
+    Each value's type is checked by its key's reader as its line is read.
+    After the last line come the missing keys, then the bounds, checked by
+    the types and functions that own them; the field their OutOfRange
+    names is mapped to its key, and a growth condition is named
+    ``params``. A field whose key is absent takes its dataclass default,
+    except ``params.population``, which defaults to the number of holdings.
     """
     given = {part: {} for part, _, _ in _KEYS.values()}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -245,27 +240,20 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if field not in given[part]:
             raise ValidationError(key, f"missing required key {key!r}")
 
-    dist = given[ScenarioConfig]["initial_distribution"]
+    holdings = given[ScenarioConfig]["initial_distribution"]
     regime = Regime(**given[Regime])
-    params = EconomyParams(**{"population": len(dist), **given[EconomyParams]})
+    params = EconomyParams(**{"population": len(holdings), **given[EconomyParams]})
     try:
+        shooting = ShootingConfig(**given[ShootingConfig])
+        dist = WealthDistribution(np.asarray(holdings))
         validate_params(params, regime)
-    except (OutOfRange, GrowthConditionViolated) as exc:
-        field = getattr(exc, "field", "params")
-        raise ValidationError(field, str(exc)) from exc
-    if len(dist) != params.population:
-        raise ValidationError(
-            "initial_distribution",
-            f"length {len(dist)} does not match population {params.population}",
-        )
-    shooting = given[ShootingConfig]
-    horizon = shooting.get("horizon")
-    if horizon is not None and horizon <= shooting.get("dt", ShootingConfig.dt):
-        raise ValidationError(
-            "horizon.time",
-            f"horizon.time must exceed horizon.dt, got {horizon!r}")
-    return ScenarioConfig(regime=regime, params=params,
-                          shooting=ShootingConfig(**shooting),
+        check_population(dist, params)
+    except OutOfRange as exc:
+        key = _KEY_OF[exc.field]
+        raise ValidationError(key, f"{key}: {exc}") from exc
+    except GrowthConditionViolated as exc:
+        raise ValidationError("params", f"params: {exc}") from exc
+    return ScenarioConfig(regime=regime, params=params, shooting=shooting,
                           **given[ScenarioConfig])
 
 

@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NonPositiveInput, NotProductive, OutOfRange
+from .errors import NotProductive, OutOfRange
 
 
 def _radius_below(stack: np.ndarray, bound) -> np.ndarray:
@@ -112,7 +112,7 @@ class LeontiefEconomy:
         if np.any(A < 0.0) or not np.all(np.isfinite(A)):
             raise OutOfRange("input_matrix", "input coefficients must be >= 0")
         if np.any(l <= 0.0) or not np.all(np.isfinite(l)):
-            raise NonPositiveInput("labor requirements must be > 0")
+            raise OutOfRange("labor", "labor requirements must be > 0")
         if np.any(b < 0.0) or not np.all(np.isfinite(b)):
             raise OutOfRange("wage_bundle", "wage bundle must be >= 0")
         if spectral_radius(A) >= 1.0:
@@ -387,7 +387,7 @@ def sweep_trials(trials: int, n: int, seed: int) -> Iterator[TrialBlock]:
     order, with the bits of one ``rng.uniform`` call per draw.
     """
     if trials < 1:
-        raise NonPositiveInput("trials must be >= 1")
+        raise OutOfRange("trials", f"trials must be >= 1, got {trials}")
     if not (1 <= n <= 10):
         raise OutOfRange("n", "sweep economies are desk-scale: 1 <= n <= 10")
     if seed < 0:

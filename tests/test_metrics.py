@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ineqlab import (
+    POSITIVITY_FLOOR,
     WealthDistribution,
     coefficient_of_variation,
     gini,
@@ -178,7 +179,7 @@ class TestMeanPreservingSpread:
         recipient = int(order[-1])
         if dist[donor] == dist[recipient]:
             return
-        eps = eps_frac * (dist[donor] - dist.floor)
+        eps = eps_frac * (dist[donor] - POSITIVITY_FLOOR)
         # move eps from the poorest household to the richest
         x = dist.as_array().copy()
         x[donor] -= eps

@@ -24,7 +24,7 @@ from ineqlab import (
     olg_steady_state,
     olg_step,
 )
-from ineqlab.errors import NonPositiveInput, OutOfRange, WrongRegime
+from ineqlab.errors import OutOfRange, WrongRegime
 
 
 def params_exog(theta=0.0, L=2, alpha=0.5, tfp=1.0):
@@ -312,9 +312,10 @@ class TestSimulate:
         assert info.value.field == "holdings"
 
     def test_max_generations_must_be_positive(self):
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(OutOfRange) as info:
             olg_simulate(WealthDistribution([1.0, 2.0]), params_exog(),
                          OLG_MARKET_EXOG, max_generations=0)
+        assert info.value.field == "max_generations"
 
     def test_nonconvergence_is_flagged(self):
         p = params_exog(theta=0.0)
@@ -443,7 +444,7 @@ class TestCobweb:
     def test_crossing_at_steady_state(self):
         p = params_exog(theta=0.0, L=1)
         data = cobweb_data(p, 0.01, 1.0, n_points=991)
-        gap = data.mapped - data.diagonal
+        gap = data.mapped - data.levels
         step = data.levels[1] - data.levels[0]
         # map starts above the diagonal and stays below after one crossing
         first_nonpositive = int(np.argmax(gap <= 0.0))
@@ -452,9 +453,13 @@ class TestCobweb:
         assert abs(data.levels[first_nonpositive] - data.b_star) <= step
 
     def test_bad_range(self):
-        with pytest.raises(NonPositiveInput):
-            cobweb_data(params_exog(L=1), 1.0, 0.5)
+        for b_min, b_max, field in ((1.0, 0.5, "b_min"), (0.1, math.inf, "b_max"),
+                                    (math.nan, 1.0, "b_min")):
+            with pytest.raises(OutOfRange) as info:
+                cobweb_data(params_exog(L=1), b_min, b_max)
+            assert info.value.field == field
 
     def test_too_few_points(self):
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(OutOfRange) as info:
             cobweb_data(params_exog(L=1), 0.5, 1.0, n_points=1)
+        assert info.value.field == "n_points"

@@ -15,7 +15,7 @@ from ineqlab import (
     equal_allocation_is_optimal,
     household_production,
 )
-from ineqlab.errors import GridTooCoarse, NonPositiveInput
+from ineqlab.errors import OutOfRange
 
 EXOG = Technology.EXOGENOUS
 AK = Technology.ENDOGENOUS_AK
@@ -265,13 +265,13 @@ class TestEqualAllocation:
     def test_two_households(self):
         check = equal_allocation_is_optimal(10.0, 2, economy(), grid_step=0.1)
         assert np.allclose(check.argmax, [5.0, 5.0])
-        assert check.equal_is_argmax
+        assert np.max(np.abs(check.argmax - 10.0 / 2)) <= check.grid_step
         assert check.equal_minus_max >= -1e-12
 
     def test_three_households(self):
         check = equal_allocation_is_optimal(6.0, 3, economy(), grid_step=0.2)
         assert np.allclose(check.argmax, [2.0, 2.0, 2.0])
-        assert check.equal_is_argmax
+        assert np.max(np.abs(check.argmax - 6.0 / 3)) <= check.grid_step
 
     def test_matches_direct_enumeration(self):
         # independent brute-force oracle with simple loops
@@ -308,23 +308,26 @@ class TestEqualAllocation:
         assert check.argmax_output == pytest.approx(best_out, rel=1e-15)
         # the lexicographically first balanced composition
         assert np.all(np.diff(check.argmax) >= 0.0)
-        assert check.equal_is_argmax
+        assert np.max(np.abs(check.argmax - K / L)) <= check.grid_step
 
     @pytest.mark.parametrize("K, L", [(0.0, 2), (-1.0, 2), (math.nan, 2),
                                       (1.0, 0)])
     def test_rejects_nonpositive(self, K, L):
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(OutOfRange) as info:
             equal_allocation_is_optimal(K, L, economy())
+        assert info.value.field == ("L" if L < 1 else "K")
 
     def test_grid_too_coarse(self):
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(OutOfRange) as info:
             equal_allocation_is_optimal(10.0, 2, economy(), grid_step=0.6)
+        assert info.value.field == "grid_step"
         # the rule binds at step > K / (10 L)
-        with pytest.raises(GridTooCoarse):
+        with pytest.raises(OutOfRange) as info:
             equal_allocation_is_optimal(6.0, 3, economy(), grid_step=0.5)
+        assert info.value.field == "grid_step"
 
     @pytest.mark.parametrize("L", [2, 3, 5, 50])
     def test_equal_split_beats_grid(self, L):
         check = equal_allocation_is_optimal(7.3, L, economy(alpha=0.6))
         assert check.equal_minus_max >= -1e-12
-        assert check.equal_is_argmax
+        assert np.max(np.abs(check.argmax - 7.3 / L)) <= check.grid_step

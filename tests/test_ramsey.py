@@ -28,10 +28,8 @@ from ineqlab import (
 )
 from ineqlab.errors import (
     DecompositionInconsistent,
-    NonPositiveInput,
     OutOfRange,
     ShootingFailed,
-    ThetaZeroNoSteadyState,
     WrongRegime,
 )
 from ineqlab.ramsey import _ride, _saddle_policy
@@ -233,9 +231,10 @@ class TestSteadyState:
             p.theta + p.gamma * ss.growth_star, abs=1e-12)
 
     def test_theta_zero_diverges(self):
-        with pytest.raises(ThetaZeroNoSteadyState):
+        with pytest.raises(OutOfRange) as info:
             ramsey_steady_state(EconomyParams(1.0, 0.5, 0.0),
                                 RAMSEY_AUTARKY_EXOG)
+        assert info.value.field == "theta"
 
     def test_wrong_regime(self):
         with pytest.raises(WrongRegime):
@@ -670,17 +669,14 @@ class TestRecordStride:
 
 class TestConfigValidation:
     def test_bad_config(self):
-        with pytest.raises(NonPositiveInput):
-            ShootingConfig(dt=-0.1)
-        with pytest.raises(NonPositiveInput):
-            ShootingConfig(horizon=0.001, dt=0.01)
-        with pytest.raises(NonPositiveInput):
-            ShootingConfig(record_stride=0)
-        for bad in ({"dt": math.nan}, {"terminal_band": math.nan},
+        for bad in ({"dt": -0.1}, {"horizon": 0.001, "dt": 0.01},
+                    {"record_stride": 0}, {"max_iterations": 0},
+                    {"dt": math.nan}, {"terminal_band": math.nan},
                     {"terminal_band": math.inf}, {"horizon": math.inf},
                     {"horizon": math.nan}):
-            with pytest.raises(NonPositiveInput):
+            with pytest.raises(OutOfRange) as info:
                 ShootingConfig(**bad)
+            assert info.value.field == list(bad)[0]
 
     def test_wrong_regime(self):
         with pytest.raises(WrongRegime):

@@ -53,7 +53,7 @@ class TestParse:
         doc = MINIMAL.replace("params.alpha = 0.5", "params.alpha = 1.2")
         with pytest.raises(ValidationError) as err:
             parse_scenario(doc)
-        assert err.value.field == "alpha"
+        assert err.value.field == "params.alpha"
 
     def test_bisection_tolerance_key_is_gone(self):
         with pytest.raises(ValidationError):
@@ -153,6 +153,39 @@ initial_distribution = [1.0]
             == EXIT_CONFIG
         assert "initial_distribution" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_fixed_technology_dynasty_needs_positive_theta(self):
+        doc = RAMSEY_MINIMAL.replace("params.theta = 0.1", "params.theta = 0.0")
+        with pytest.raises(ValidationError) as err:
+            parse_scenario(doc)
+        assert err.value.field == "params.theta"
+        assert str(err.value).startswith("params.theta: ")
+
+    @pytest.mark.parametrize("stem, line, command, field", [
+        ("ramsey_autarky_saddle", "params.theta = 0.0", "simulate",
+         "params.theta"),
+        ("ramsey_autarky_saddle", "params.tfp = 1e300", "steady-state", "tfp"),
+        ("ramsey_autarky_saddle", "params.tfp = 1e300", "simulate", "tfp"),
+        ("olg_autarky_converge", "params.tfp = 1e300", "steady-state", "tfp"),
+        ("olg_autarky_converge", "params.tfp = 1e300", "simulate", "tfp"),
+    ])
+    def test_model_bounds_are_config_errors(self, stem, line, command, field,
+                                            tmp_path, capsys):
+        # the steady state of tfp = 1e300 lies beyond float64
+        key = line.partition(" = ")[0]
+        text = (SCENARIO_DIR / f"{stem}.scn").read_text(encoding="utf-8")
+        path = tmp_path / "bound.scn"
+        path.write_text("\n".join(line if old.startswith(f"{key} =") else old
+                                  for old in text.splitlines()),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [command, str(path)]
+        if command == "simulate":
+            argv += ["--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert not out.exists()
 
     def test_quoted_and_bare_strings_agree(self):
         bare = parse_scenario(MINIMAL)

@@ -24,7 +24,7 @@ from ineqlab import (
 )
 from ineqlab import value_theory
 from ineqlab.cli import EXIT_CONFIG, EXIT_OK, main
-from ineqlab.errors import NonPositiveInput, NotProductive, OutOfRange
+from ineqlab.errors import NotProductive, OutOfRange
 from ineqlab.value_theory import _draw, _radius_below, _trial_block
 
 
@@ -235,8 +235,9 @@ class TestEmbodiedValues:
                             np.array([1.0, 1.0]), np.array([0.0, 0.0]))
 
     def test_input_validation(self):
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(OutOfRange) as info:
             LeontiefEconomy(np.array([[0.1]]), np.array([0.0]), np.array([0.1]))
+        assert info.value.field == "labor"
         with pytest.raises(OutOfRange):
             LeontiefEconomy(np.array([[-0.1]]), np.array([1.0]), np.array([0.1]))
 
@@ -445,8 +446,9 @@ class TestSweep:
         assert a == b
 
     def test_rejects_bad_args(self):
-        with pytest.raises(NonPositiveInput):
+        with pytest.raises(OutOfRange) as info:
             fmt_sweep(trials=0, n=2, seed=1)
+        assert info.value.field == "trials"
         with pytest.raises(OutOfRange):
             fmt_sweep(trials=10, n=11, seed=1)
 
@@ -464,9 +466,12 @@ class TestSweepCli:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == fmt_sweep(50, 4, 1).text() + "\n"
 
-    @pytest.mark.parametrize("size, seed", [("11", "1"), ("3", "-1")],
-                             ids=["size", "seed"])
-    def test_size_out_of_range_is_a_config_error(self, capsys, size, seed):
-        argv = ["fmt-sweep", "--size", size, "--trials", "50", "--seed", seed]
+    @pytest.mark.parametrize("size, trials, seed",
+                             [("11", "50", "1"), ("3", "50", "-1"),
+                              ("3", "0", "1")],
+                             ids=["size", "seed", "trials"])
+    def test_size_out_of_range_is_a_config_error(self, capsys, size, trials,
+                                                 seed):
+        argv = ["fmt-sweep", "--size", size, "--trials", trials, "--seed", seed]
         assert main(argv) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
