@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 a property
 sweep found a counterexample. An input outside a bound is a configuration
 error: its owner raises OutOfRange naming its field, and the scenario reader
-and the cobweb command name their key or option instead. The output
-directory defaults to ./out and can be overridden by --out or the
+and the cobweb and fmt-sweep commands name their key or option instead. The
+output directory defaults to ./out and can be overridden by --out or the
 INEQ_LAB_OUT environment variable.
 """
 
@@ -122,7 +122,12 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_fmt_sweep(args) -> int:
-    report = fmt_sweep(args.trials, args.size, args.seed)
+    try:
+        report = fmt_sweep(args.trials, args.size, args.seed)
+    except OutOfRange as exc:
+        option = {"trials": "--trials", "n": "--size",
+                  "seed": "--seed"}.get(exc.field, exc.field)
+        raise ValidationError(option, f"{option}: {exc}") from exc
     print(report.text())
     return EXIT_OK if report.clean else EXIT_COUNTEREXAMPLE
 

@@ -54,6 +54,7 @@ from .metrics import coefficient_of_variation, gini, ratio_max_min
 from .production import household_production
 
 _EPS = float(np.finfo(float).eps)
+_MAX_STEPS = 10**6  # dt steps that one path may ask for
 
 
 @dataclass(frozen=True)
@@ -61,16 +62,16 @@ class ShootingConfig:
     """Solver controls for saddle-path shooting.
 
     ``horizon`` caps the solved path's time; None picks a per-regime
-    default. Fixed-technology and autarky spillover paths stop on arrival,
-    so a long cap costs nothing there, and a path that has not arrived by
-    the cap raises ShootingFailed. A spillover path that starts on its ray
-    is recorded over the whole horizon. ``terminal_band`` is the relative
-    distance from the steady state (or balanced ray) that counts as
-    arrival. ``max_iterations`` caps the Newton iterations of the autarky
-    spillover solve. ``record_stride`` keeps every n-th step of the
-    recorded path, plus its last. ``dt`` and ``terminal_band`` are finite
-    and > 0, ``horizon`` finite and above ``dt``, and the two counts >= 1,
-    or OutOfRange names the field.
+    default. Paths that stop on arrival take a long horizon at no cost up
+    to the step cap of shoot_saddle_path, and raise ShootingFailed if they
+    have not arrived by it. A path on its ray from t = 0 is recorded over
+    the whole horizon. ``terminal_band`` is the relative distance from the
+    steady state (or balanced ray) that counts as arrival.
+    ``max_iterations`` caps the Newton iterations of the autarky spillover
+    solve. ``record_stride`` keeps every n-th step of the recorded path,
+    plus its last. ``dt`` and ``terminal_band`` are finite and > 0,
+    ``horizon`` finite and above ``dt``, and the two counts >= 1, or
+    OutOfRange names the field.
     """
 
     horizon: float | None = None
@@ -86,6 +87,15 @@ class ShootingConfig:
             if value is not None and not low < value < math.inf:
                 raise OutOfRange(field, f"{field} must be finite and above "
                                         f"{low!r}, got {value!r}")
+
+
+def _steps(T: float, dt: float) -> int:
+    """The number of dt steps in horizon T; above _MAX_STEPS, OutOfRange."""
+    n = T / dt
+    if n > _MAX_STEPS:
+        raise OutOfRange("dt", f"dt={dt!r} asks for {n:.4g} steps to t={T:g}, "
+                               f"above the cap of {_MAX_STEPS}")
+    return round(n)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +288,9 @@ def _ride(policy: _Policy, k0: np.ndarray, n_steps: int,
     return np.concatenate(blocks)
 
 
-def _ride_into_band(k0: np.ndarray, params: EconomyParams, config: ShootingConfig):
-    """Ride the saddle policy from k0 into the terminal band; (times, K, C)."""
+def _ride_into_band(k0: np.ndarray, params: EconomyParams, regime: Regime,
+                    config: ShootingConfig) -> Trajectory:
+    """Ride the saddle policy from k0 into the terminal band, and record it."""
     policy = _saddle_policy(params, k0, config.dt)
     k_star, c_star, band = policy.k_star, policy.c_star, config.terminal_band
     # phi rises through (k*, c*), so the band in (k, c) is an interval of k
@@ -293,14 +304,14 @@ def _ride_into_band(k0: np.ndarray, params: EconomyParams, config: ShootingConfi
         reach = min(hi - k_star, k_star - lo)
         dev = max(float(np.max(np.abs(k0 - k_star))), reach)
         T = 2.0 * (math.log(dev / reach) + 1.0) / -policy.lam_s
-    K = _ride(policy, k0, int(round(T / config.dt)), (lo, hi))
+    K = _ride(policy, k0, _steps(T, config.dt), (lo, hi))
     if not (lo <= K[-1].min() and K[-1].max() <= hi):
         raise ShootingFailed(
             f"no arrival in the terminal band by horizon {T}; "
             f"widen the horizon or the band"
         )
-    times = config.dt * np.arange(K.shape[0])
-    return times, K, np.interp(K, policy.grid, policy.consumption)
+    C = np.interp(K, policy.grid, policy.consumption)
+    return _ramsey_trajectory(config.dt * np.arange(K.shape[0]), K, C, params, regime)
 
 
 def _ramsey_trajectory(times, K, C, params, regime, note=""):
@@ -333,17 +344,7 @@ def _ramsey_trajectory(times, K, C, params, regime, note=""):
 
 
 # ---------------------------------------------------------------------------
-# autarky, fixed technology: independent household saddles
-
-
-def _shoot_autarky_exog(dist0, params, regime, config):
-    times, K, C = _ride_into_band(dist0.as_array(), params, config)
-    return _ramsey_trajectory(times, K, C, params, regime)
-
-
-# ---------------------------------------------------------------------------
-# market regimes: the spillover economy in closed form; fixed technology as
-# an aggregate saddle plus a linear household decomposition
+# balanced spillover paths in closed form; fixed-technology market households
 
 
 def _balanced_path(a0, params, regime, config):
@@ -355,32 +356,17 @@ def _balanced_path(a0, params, regime, config):
     retains. Equal autarky households farm the mean, so their path is the
     same, with c_i0 = mu a_i0.
     """
-    m = params.ak_scale()
-    r = params.alpha * m
-    g = (r - params.theta) / params.gamma
+    ray = ramsey_steady_state(params, regime)
+    r, g, m = ray.interest_star, ray.growth_star, params.ak_scale()
     # the default horizon is the one a float64 shot could hold the ray
     # for; it is kept so that the recorded rows stay the same
     T = config.horizon if config.horizon is not None else max(
         2.0, math.log(config.terminal_band / (256.0 * _EPS)) / (m - g))
-    times = np.arange(int(round(T / config.dt)) + 1) * config.dt
+    times = np.arange(_steps(T, config.dt) + 1) * config.dt
     growth = np.exp(g * times)[:, None]
     c0 = (1.0 - params.alpha) * m * float(a0.mean()) + (r - g) * a0
     return _ramsey_trajectory(times, growth * a0, growth * c0, params,
                               regime, note="closed-form balanced path")
-
-
-def _shoot_market(dist0, params, regime, config):
-    a0 = dist0.as_array()
-    if regime.is_endogenous:
-        return _balanced_path(a0, params, regime, config)
-
-    kbar0 = float(a0.mean())
-    times, K, C = _ride_into_band(np.array([kbar0]), params, config)
-    aggregate = _ramsey_trajectory(times, K, C, params, regime,
-                                   note="aggregate (per-capita) path")
-    if len(dist0) == 1:
-        return aggregate
-    return market_decompose(aggregate, dist0, params, regime)
 
 
 def market_decompose(aggregate: Trajectory, a0: WealthDistribution,
@@ -436,7 +422,7 @@ def market_decompose(aggregate: Trajectory, a0: WealthDistribution,
 
     # terminal drift of the deviation, dc G_T - r_T (phi_T da - dc pg_T),
     # is zero at this consumption gap
-    r_T = params.alpha * params.tfp * k_path[-1] ** (params.alpha - 1.0)
+    r_T = household_production(None, k_path[-1], params, regime.technology, True)[1]
     G_T, phi_T, pg_T = growth_factor[-1], phi[-1], pg[-1]
     dc = r_T * phi_T * (a - kbar0) / (G_T + r_T * pg_T)
 
@@ -494,16 +480,15 @@ _NEWTON_TOL = 1e-12  # on the detrended matching and terminal residuals
 _MIN_DAMPING = 2.0 ** -30  # smallest Newton step fraction tried
 
 
-def _asym_rates(params: EconomyParams):
+def _asym_rates(params: EconomyParams, regime: Regime):
     """Linearised rates around the equalised balanced ray.
 
     Returns (mu, lam_plus, lam_minus, slope) where x' = a11 x - mu u and
     u' = -q x describe a household's relative capital x and consumption u,
     and slope maps x onto the stable manifold: u = slope * x.
     """
-    m = params.ak_scale()
-    alpha, gamma, theta = params.alpha, params.gamma, params.theta
-    g = (alpha * m - theta) / gamma
+    m, alpha, gamma = params.ak_scale(), params.alpha, params.gamma
+    g = ramsey_steady_state(params, regime).growth_star
     mu = m - g
     a11 = m * alpha - g
     q = alpha * m * (1.0 - alpha) / gamma
@@ -572,7 +557,7 @@ def _newton_step(G, gap, tail, B, L):
     return step
 
 
-def _shoot_autarky_endog(dist0, params, regime, config):
+def _shoot_autarky_endog(k0, params, regime, config):
     """Multiple shooting over [0, T] by Newton with exact Jacobians.
 
     Time is cut into S segments of the same number of dt steps, each about
@@ -587,15 +572,11 @@ def _shoot_autarky_endog(dist0, params, regime, config):
     takes a segment out of the positive domain is halved. T is the time the
     linearised dispersion needs to fall to half the band, capped by the
     horizon. The path is recorded from the converged segments and stops at
-    arrival. Equal holdings sit on the ray at t = 0 and take the closed
-    form.
+    arrival.
     """
-    k0 = dist0.as_array()
-    if np.all(k0 == k0[0]):
-        return _balanced_path(k0, params, regime, config)
     L = k0.size
     n = 2 * L
-    mu, lam_plus, lam_minus, slope = _asym_rates(params)
+    mu, lam_plus, lam_minus, slope = _asym_rates(params, regime)
     g = params.ak_scale() - mu
     dt, band = config.dt, config.terminal_band
     steps = max(1, round(1.0 / (3.0 * max(mu, lam_plus) * dt)))
@@ -604,8 +585,9 @@ def _shoot_autarky_endog(dist0, params, regime, config):
     kbar0 = float(k0.mean())
     T = math.log(max(float(np.max(np.abs(k0 / kbar0 - 1.0))), band)
                  / (0.5 * band)) / -lam_minus
-    limit = round(config.horizon / dt) if config.horizon is not None else math.inf
+    limit = _steps(config.horizon, dt) if config.horizon is not None else math.inf
     S = max(1, math.ceil(min(T / seg, limit / steps)))
+    _steps(S * seg, dt)  # and the steps the segments take
     field = _variational_field(params, L)
     # the terminal conditions are linear in the state: B s(T) = 0
     centre = np.eye(L) - 1.0 / L
@@ -682,12 +664,18 @@ def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,
                       config: ShootingConfig | None = None) -> Trajectory:
     """Find the saddle path from the given holdings and record it.
 
-    Consumption levels at time zero are solved so the path enters the
-    terminal band around the steady state (fixed technology) or the balanced
-    growth ray (spillover technology) within the horizon; the recorded
-    trajectory stops at arrival. A spillover economy that starts on its
-    ray (any market, or equal autarky holdings) is on its balanced path
-    from the start and is recorded over the whole horizon.
+    Consumption at time zero is solved so that the path enters the terminal
+    band around the steady state or the balanced growth ray within the
+    horizon, and the recorded trajectory stops at arrival. A horizon (given
+    or default) of more than 10**6 dt steps, or shooting segments that take
+    more, is OutOfRange("dt") before any step. One method per economy:
+
+    * spillover with a market, or equal holdings: on the ray from t = 0,
+      so the closed-form balanced path over the whole horizon;
+    * spillover autarky, unequal holdings: multiple shooting;
+    * fixed-technology market, more than one household: the aggregate
+      rides the saddle policy, and market_decompose splits it;
+    * otherwise every household rides the saddle policy.
     """
     validate_params(params, regime)
     if regime.is_olg:
@@ -695,12 +683,16 @@ def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,
     check_population(dist0, params)
     if config is None:
         config = ShootingConfig()
-    if regime.is_market:
-        traj = _shoot_market(dist0, params, regime, config)
+    k0 = dist0.as_array()
+    if regime.is_endogenous and (regime.is_market or np.all(k0 == k0[0])):
+        traj = _balanced_path(k0, params, regime, config)
     elif regime.is_endogenous:
-        traj = _shoot_autarky_endog(dist0, params, regime, config)
+        traj = _shoot_autarky_endog(k0, params, regime, config)
+    elif regime.is_market and k0.size > 1:
+        aggregate = _ride_into_band(k0.mean(keepdims=True), params, regime, config)
+        traj = market_decompose(aggregate, dist0, params, regime)
     else:
-        traj = _shoot_autarky_exog(dist0, params, regime, config)
+        traj = _ride_into_band(k0, params, regime, config)
     if config.record_stride == 1:
         return traj
     n = len(traj)

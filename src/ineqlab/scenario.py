@@ -91,7 +91,10 @@ class ScenarioConfig:
 def _number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(key, f"{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond float64
+        raise ValidationError(key, f"{key} must fit in a float64") from None
 
 
 def _integer(key: str, value) -> int:

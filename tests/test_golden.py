@@ -9,7 +9,9 @@ production function shows in some artifact. ``SWEEP_GOLDEN`` pins the
 Leontief theorem sweep the same way: the report text of ``fmt_sweep`` and
 the bytes of every ``sweep_trials`` array, at n = 1..10 and seeds 0 and 1.
 ``RENDER_GOLDEN`` pins the canonical text ``render_scenario`` gives each of
-these scenarios.
+these scenarios. ``FIGURE_GOLDEN`` pins every file that each named figure
+writes with ``fmt="both"``, and ``COBWEB_GOLDEN`` the files of
+``ineqlab cobweb scenarios/olg_autarky_converge.scn --format both``.
 A change that is meant to keep outputs as they are (a refactor or a
 speed-up) leaves these tables alone. A change that alters a
 numerical method updates the digests in the same commit and states the
@@ -24,12 +26,15 @@ from pathlib import Path
 import pytest
 
 from ineqlab import (
+    FIGURE_NAMES,
+    figure,
     fmt_sweep,
     parse_scenario,
     render_scenario,
     run_scenario,
     sweep_trials,
 )
+from ineqlab.cli import EXIT_OK, main
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -153,6 +158,37 @@ RENDER_GOLDEN = {
     "ramsey_market_exog": "11cf042c03c557d283e08e54f0dace88b99a1061822f6e221e4cb05661ef6ec8",
 }
 
+#: Figure name -> {file it writes: digest}.
+FIGURE_GOLDEN = {
+    "fig1": {
+        "fig1.csv": "d3358ddb2478064372fd0b017cc0f9672ce7a8695588550871ea19d60ba1872e",
+        "fig1.svg": "73940b9b434128456b45cfa460eba5bb9b5247d8d02c68726a6108f5cfc10080",
+    },
+    "fig2": {
+        "fig2.csv": "9e5fff14cfa81b14d929848202aab371cd4546d1b1f4cb203af761b822c4fef2",
+        "fig2.svg": "4745f6bd111e6f206a33f676b4b16258ee01f376441dc024a6fb09a17c418548",
+    },
+    "figA1": {
+        "figA1.csv": "12ac5c20cc01fc1a2a58aa82bf7487333d6e4a9bb523980aa962ff4228872a1a",
+    },
+    "figA2": {
+        "figA2.csv": "332887db6a6d6203f08dca4c081d2a04da9d551d4e134b9ce984e24497ac15b1",
+        "figA2.svg": "8ac3953d5ff091edd18b9f53f38d1cb64a909a10e16f8e65c3c85480ebe90877",
+    },
+    "figA3": {
+        "figA3.csv": "45d7c6aa02f9798827780247762828cbc9db0b1040f878d8889acca9bd5b84e5",
+        "figA3.svg": "3b349e8d10afedc41db4daa3e68de308c73824e3abc4225ffa5c66a3ce5e2775",
+    },
+    "figA4": {
+        "figA4.csv": "44e93c2bc22db681a6ec324b6b5a1013271d8ca8bd678187b35024e99372a13c",
+    },
+}
+
+COBWEB_GOLDEN = {
+    "olg-autarky-converge_cobweb.csv": "bf4a054fcf06ae97b7d6b3fcd721c1a326335add2ae7decf6c4bd025c40568a5",
+    "olg-autarky-converge_cobweb.svg": "da64fdffd090456511262b7bc04098c79575144fd8eec134c488554f4b4023ae",
+}
+
 #: (n, seed) -> digests of ``fmt_sweep(400, n, seed).text()`` and of the
 #: surplus_sign, profit_sign and own_values bytes of each block of
 #: ``sweep_trials(400, n, seed)``, in that order.
@@ -253,3 +289,25 @@ def test_sweep_matches_golden_digests(n, seed):
             trials.update(array.tobytes())
     text = _sha256(fmt_sweep(400, n, seed).text().encode("utf-8"))
     assert (text, trials.hexdigest()) == SWEEP_GOLDEN[n, seed]
+
+
+def test_every_figure_has_digests():
+    assert sorted(FIGURE_GOLDEN) == sorted(FIGURE_NAMES)
+
+
+@pytest.mark.parametrize("name", FIGURE_NAMES)
+def test_figure_files_match_golden_digests(name, tmp_path):
+    paths = figure(name, tmp_path, fmt="both")
+    assert sorted(paths) == sorted(tmp_path.iterdir())
+    assert {p.name: _sha256(p.read_bytes()) for p in paths} == FIGURE_GOLDEN[name]
+
+
+def test_cobweb_files_match_golden_digests(tmp_path, capsys):
+    path = SCENARIO_DIR / "olg_autarky_converge.scn"
+    assert main(["cobweb", str(path), "--format", "both",
+                 "--out", str(tmp_path)]) == EXIT_OK
+    found = {p.name: _sha256(p.read_bytes()) for p in tmp_path.iterdir()}
+    assert found == COBWEB_GOLDEN
+    assert capsys.readouterr().out == "".join(
+        f"wrote {tmp_path / name}\n" for name in sorted(COBWEB_GOLDEN)
+    ) + "steady state b* = 0.25\n"

@@ -1,5 +1,6 @@
-"""Names that other code counts on: the benchmark's traced layers, and an
-error class for every error the package raises and no other."""
+"""Names that other code counts on: the benchmark's traced layers, an error
+class for every error the package raises and no other, and no private name
+shared between the package's modules."""
 
 import ast
 import importlib.util
@@ -34,6 +35,28 @@ def _raised_names():
     return names
 
 
+def _private_imports():
+    """(file, name) for every import in the package that takes an
+    ``_underscore`` module or name from the package itself."""
+    found = []
+    for path in sorted((ROOT / "src" / "ineqlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level == 0 and module.split(".")[0] != "ineqlab":
+                    continue
+                names = module.split(".") + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [part for alias in node.names
+                         if alias.name.split(".")[0] == "ineqlab"
+                         for part in alias.name.split(".")]
+            else:
+                continue
+            found += [(path.name, name) for name in names
+                      if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
 @pytest.mark.parametrize("module, name", _traced_layers(),
                          ids=lambda part: part)
 def test_traced_layer_resolves(module, name):
@@ -47,3 +70,7 @@ def test_traced_layer_resolves(module, name):
 ], ids=lambda cls: cls.__name__)
 def test_error_class_is_raised(cls):
     assert cls.__name__ in _raised_names()
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert _private_imports() == []

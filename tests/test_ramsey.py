@@ -32,7 +32,7 @@ from ineqlab.errors import (
     ShootingFailed,
     WrongRegime,
 )
-from ineqlab.ramsey import _ride, _saddle_policy
+from ineqlab.ramsey import _MAX_STEPS, _ride, _saddle_policy, _steps
 
 CLASSIC = EconomyParams(tfp=1.0, alpha=0.5, theta=0.05, gamma=1.0, population=1)
 
@@ -665,6 +665,35 @@ class TestRecordStride:
                      "mean_output", "interest", "growth", "gini", "cv",
                      "ratio_max_min"):
             assert np.array_equal(getattr(thin, name), getattr(full, name)[keep])
+
+
+class TestStepCap:
+    def test_cap_is_inclusive(self):
+        assert _MAX_STEPS == 10**6
+        assert _steps(0.5 * _MAX_STEPS, 0.5) == _MAX_STEPS
+        with pytest.raises(OutOfRange, match="above the cap of 1000000") as info:
+            _steps(0.5 * (_MAX_STEPS + 1), 0.5)
+        assert info.value.field == "dt"
+
+    # one economy per row of the method table of shoot_saddle_path
+    @pytest.mark.parametrize("regime, params, holdings", [
+        (RAMSEY_MARKET_AK, AK_MARKET, [1.0, 2.0]),
+        (RAMSEY_AUTARKY_AK, replace(AK_AUTARKY, population=3), [2.0, 2.0, 2.0]),
+        (RAMSEY_AUTARKY_AK, AK_AUTARKY, [1.0, 2.0]),
+        (RAMSEY_MARKET_EXOG, replace(FAST_EXOG, population=2), [12.0, 20.0]),
+        (RAMSEY_AUTARKY_EXOG, replace(FAST_EXOG, population=2), [12.0, 20.0]),
+        (RAMSEY_MARKET_EXOG, FAST_EXOG, [12.0]),
+    ], ids=["market-ak", "autarky-ak-equal", "autarky-ak", "market-exog",
+            "autarky-exog", "market-exog-one"])
+    @pytest.mark.parametrize("horizon", [None, 175.0], ids=["default", "given"])
+    def test_every_method_refuses_too_many_steps(self, regime, params, holdings,
+                                                 horizon):
+        # 1e-9 would take 1e8 steps or more on every path; the cap refuses it
+        # before the first one
+        config = ShootingConfig(horizon=horizon, dt=1e-9)
+        with pytest.raises(OutOfRange, match="above the cap of 1000000") as info:
+            shoot_saddle_path(WealthDistribution(holdings), params, regime, config)
+        assert info.value.field == "dt"
 
 
 class TestConfigValidation:

@@ -247,6 +247,50 @@ class TestHorizonBounds:
     def test_zero_stop_tol_is_valid(self):
         assert parse_scenario(MINIMAL + "horizon.stop_tol = 0\n").stop_tol == 0.0
 
+    @pytest.mark.parametrize("key, value", [
+        ("params.tfp", "1" + "0" * 400),
+        ("initial_distribution", "[1.0, -1" + "0" * 400 + "]"),
+    ])
+    def test_integer_beyond_float64_is_a_config_error(self, key, value, tmp_path,
+                                                      capsys):
+        text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =")
+                         else line for line in MINIMAL.splitlines())
+        with pytest.raises(ValidationError) as exc:
+            parse_scenario(text)
+        assert exc.value.field == key
+        path = tmp_path / "huge.scn"
+        path.write_text(text, encoding="utf-8")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == (f"config error: {key} must fit in a "
+                                           f"float64\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("market", ["market", "autarky"])
+    @pytest.mark.parametrize("technology", ["exogenous", "endogenous_ak"])
+    @pytest.mark.parametrize("horizon", ["", "horizon.time = 175.0\n"],
+                             ids=["default", "given"])
+    def test_cli_step_cap_is_a_config_error(self, market, technology, horizon,
+                                            tmp_path, capsys):
+        path = tmp_path / "tiny_dt.scn"
+        path.write_text(f"""name = "tiny-dt"
+regime.family = ramsey
+regime.market = {market}
+regime.technology = {technology}
+params.tfp = 3.0
+params.alpha = 0.5
+params.theta = 0.1
+params.gamma = 2.0
+initial_distribution = [1.0, 2.0]
+horizon.dt = 1e-9
+{horizon}""", encoding="utf-8")
+        assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dt=1e-09 asks for ")
+        assert err.endswith(" above the cap of 1000000\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("stem, args, key", [
         ("ramsey_market_growth", ["--tol", "-1"], "horizon.terminal_band"),
         ("ramsey_market_growth", ["--tol", "nan"], "horizon.terminal_band"),

@@ -466,12 +466,12 @@ class TestSweepCli:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == fmt_sweep(50, 4, 1).text() + "\n"
 
-    @pytest.mark.parametrize("size, trials, seed",
-                             [("11", "50", "1"), ("3", "50", "-1"),
-                              ("3", "0", "1")],
+    @pytest.mark.parametrize("size, trials, seed, option",
+                             [("11", "50", "1", "--size"), ("3", "50", "-1", "--seed"),
+                              ("3", "0", "1", "--trials")],
                              ids=["size", "seed", "trials"])
     def test_size_out_of_range_is_a_config_error(self, capsys, size, trials,
-                                                 seed):
+                                                 seed, option):
         argv = ["fmt-sweep", "--size", size, "--trials", trials, "--seed", seed]
         assert main(argv) == EXIT_CONFIG
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"config error: {option}: ")
