@@ -9,10 +9,10 @@ Each model law has one public function, an array kernel:
 ``household_production`` (output and marginal product), ``ramsey_rhs``
 (asset drift and Euler growth), ``rk4_step`` (the one integrator) and
 ``olg_step`` (one generation's bequests). They validate nothing. Each input
-bound is checked once, by the type or function that owns it
-(``validate_params``, ``WealthDistribution``, ``ShootingConfig``, the solver
-entry points), which raises ``errors.OutOfRange`` naming its field;
-``parse_scenario`` names the scenario key instead, and the CLI the option.
+bound is checked once, by the type or function that owns it, which raises
+``errors.OutOfRange`` naming its field, and a float fault in a solver entry
+point is ``OutOfRange("params")``. The scenario module names the scenario
+key of that field, and the CLI the option.
 """
 
 from .core import (

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 a property
 sweep found a counterexample. An input outside a bound is a configuration
-error: its owner raises OutOfRange naming its field, and the scenario reader
-and the cobweb and fmt-sweep commands name their key or option instead. The
-output directory defaults to ./out and can be overridden by --out or the
+error, named once at each boundary: its owner raises OutOfRange naming its
+field, a float fault in a solver is OutOfRange("params"), the scenario
+module names the key, and ``_named_by_option`` the option. The output
+directory defaults to ./out and can be overridden by --out or the
 INEQ_LAB_OUT environment variable.
 """
 
@@ -14,10 +15,10 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import (
-    GrowthConditionViolated,
     IneqLabError,
     OutOfRange,
     ParseError,
@@ -25,7 +26,7 @@ from .errors import (
     WrongRegime,
 )
 from .figures import FIGURE_NAMES, figure
-from .olg import cobweb_data, olg_steady_state
+from .olg import cobweb_data
 from .scenario import (
     RunArtifacts,
     ScenarioConfig,
@@ -40,8 +41,7 @@ from .scenario import (
 from .svgplot import line_chart
 from .value_theory import fmt_sweep
 
-_CONFIG_ERRORS = (ParseError, ValidationError, OutOfRange,
-                  GrowthConditionViolated, WrongRegime)
+_CONFIG_ERRORS = (ParseError, ValidationError, OutOfRange, WrongRegime)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,13 +59,26 @@ def _load_config(path: str) -> ScenarioConfig:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
+@contextmanager
+def _named_by_option(options: dict[str, str]):
+    """Re-raise an OutOfRange or ValidationError of a field in ``options`` as
+    a ValidationError naming its option, ``"--opt: message"``."""
+    try:
+        yield
+    except (OutOfRange, ValidationError) as exc:
+        if exc.field not in options:
+            raise
+        raise ValidationError(options[exc.field],
+                              f"{options[exc.field]}: {exc}") from exc
+
+
 def _apply_overrides(config: ScenarioConfig, tol: float | None,
                      max_steps: int | None) -> ScenarioConfig:
     """``config`` with --tol and --max-steps in place of its horizon keys.
 
     The overridden text is parsed again, so the values meet the same checks
     as in a scenario file; a violated one is a ValidationError naming the
-    option.
+    option. Only the keys of the options given are named by an option.
     """
     keys = (("horizon.stop_tol", "horizon.max_generations") if config.regime.is_olg
             else ("horizon.terminal_band", "horizon.max_iterations"))
@@ -79,11 +92,8 @@ def _apply_overrides(config: ScenarioConfig, tol: float | None,
         key = line.partition(" = ")[0]
         if key in options:
             lines[i] = f"{key} = {json.dumps(options[key][1])}"
-    try:
+    with _named_by_option({key: option for key, (option, _) in options.items()}):
         return parse_scenario("\n".join(lines))
-    except ValidationError as exc:
-        option = options[exc.field][0]
-        raise ValidationError(option, f"{option}: {exc}") from exc
 
 
 def _cmd_simulate(args) -> int:
@@ -122,12 +132,8 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_fmt_sweep(args) -> int:
-    try:
+    with _named_by_option({"trials": "--trials", "n": "--size", "seed": "--seed"}):
         report = fmt_sweep(args.trials, args.size, args.seed)
-    except OutOfRange as exc:
-        option = {"trials": "--trials", "n": "--size",
-                  "seed": "--seed"}.get(exc.field, exc.field)
-        raise ValidationError(option, f"{option}: {exc}") from exc
     print(report.text())
     return EXIT_OK if report.clean else EXIT_COUNTEREXAMPLE
 
@@ -135,24 +141,17 @@ def _cmd_fmt_sweep(args) -> int:
 def _cmd_cobweb(args) -> int:
     config = _load_config(args.config)
     if config.regime.is_endogenous or not config.regime.is_olg:
-        raise WrongRegime(
-            "cobweb diagrams exist for the fixed-technology OLG map only"
-        )
-    b_star = olg_steady_state(config.params, config.regime).holding_star
+        raise WrongRegime("cobweb diagrams exist for the fixed-technology OLG map only")
+    b_star = steady_state_for(config).holding_star
     start = min(config.initial_distribution)
     b_min = args.min if args.min is not None else min(0.05 * b_star, 0.5 * start)
     b_max = args.max if args.max is not None else 2.5 * max(b_star,
                                                             *config.initial_distribution)
-    try:
+    # the default b_min is finite and positive, so it is named only by a
+    # range out of order, and that is the given --max's fault
+    with _named_by_option({"b_min": "--min" if args.min is not None else "--max",
+                           "b_max": "--max", "n_points": "--points"}):
         data = cobweb_data(config.params, b_min, b_max, args.points)
-    except OutOfRange as exc:
-        # the defaults are finite and in order, so a range out of order
-        # names --max only when --min was not given
-        option = {"b_min": "--min", "b_max": "--max",
-                  "n_points": "--points"}[exc.field]
-        if option == "--min" and args.min is None:
-            option = "--max"
-        raise ValidationError(option, f"{option}: {exc}") from exc
     out = _default_out(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{config.name}_cobweb.csv"

@@ -4,10 +4,13 @@ All types here are immutable value objects; they can be shared freely across
 threads or processes. Each bound is checked once, by its owner: the
 parameters and the conditions that depend on the regime by
 :func:`validate_params`, the holdings by :class:`WealthDistribution`.
+A float fault inside a solver entry point is named once, by
+:func:`float_guard`, as OutOfRange("params").
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -164,6 +167,24 @@ def validate_params(params: EconomyParams, regime: Regime) -> EconomyParams:
                     f"(theta + (gamma-1)*g = {params.theta + (params.gamma - 1.0) * growth} <= 0)"
                 )
     return params
+
+
+def float_guard(solver):
+    """``solver`` with every overflow, invalid operation or division by zero,
+    numpy's or Python's, raised as OutOfRange("params"), quoting the
+    parameters and the original error. A solver that tests a trial step for
+    faults keeps its own ``np.errstate`` around it."""
+    @functools.wraps(solver)
+    def guarded(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return solver(*args, **kwargs)
+        except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
+            params = next(arg for arg in (*args, *kwargs.values())
+                          if isinstance(arg, EconomyParams))
+            raise OutOfRange("params", f"{solver.__name__} leaves float64 at "
+                                       f"{params}: {exc}") from exc
+    return guarded
 
 
 @dataclass(frozen=True, eq=False)

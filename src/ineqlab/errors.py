@@ -3,10 +3,10 @@
 Every error raised on purpose derives from :class:`IneqLabError`, so callers
 (and the CLI) can distinguish model/config problems from genuine bugs.
 
-Each input bound is stated once, by the type or function that owns it, as
-:class:`OutOfRange` naming the owner's field (``"dt"``, ``"alpha"``,
-``"b_max"``). A boundary that knows where the value came from, the scenario
-reader or the CLI, maps that field to its own key or option.
+Each input fault is named once: the type or function that owns a bound
+raises :class:`OutOfRange` naming its field (``"dt"``, ``"alpha"``), and
+``core.float_guard`` names a solver's float fault ``"params"``. The
+scenario module names the scenario key of that field, the CLI the option.
 """
 
 

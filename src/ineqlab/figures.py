@@ -62,25 +62,14 @@ def _emit(out: Path, name: str, fmt: str, csv_text: str | None,
 
 def _fig1(out: Path, fmt: str) -> list[Path]:
     dist = WealthDistribution(np.asarray(_FIG12_START))
-    runs = {}
-    for tag, regime in (("market", OLG_MARKET_AK), ("autarky", OLG_AUTARKY_AK)):
-        runs[tag] = olg_simulate(dist, _FIG12_PARAMS, regime,
-                                 max_generations=_FIG12_GENERATIONS, stop_tol=0.0)
-    n = _FIG12_GENERATIONS + 1
-    header = ["t"] + [f"{tag}_h{h}" for tag in ("market", "autarky")
-                      for h in range(3)]
-    rows = []
-    for i in range(n):
-        row = [float(i)]
-        for tag in ("market", "autarky"):
-            row.extend(runs[tag].holdings[i])
-        rows.append(row)
-    series = []
-    for tag in ("market", "autarky"):
-        for h, label in enumerate("ABC"):
-            series.append((
-                f"{tag} {label}", runs[tag].times, runs[tag].holdings[:, h]
-            ))
+    runs = {tag: olg_simulate(dist, _FIG12_PARAMS, regime,
+                              max_generations=_FIG12_GENERATIONS, stop_tol=0.0)
+            for tag, regime in (("market", OLG_MARKET_AK), ("autarky", OLG_AUTARKY_AK))}
+    header = ["t"] + [f"{tag}_h{h}" for tag in runs for h in range(3)]
+    rows = [[float(i), *market, *autarky] for i, (market, autarky)
+            in enumerate(zip(runs["market"].holdings, runs["autarky"].holdings))]
+    series = [(f"{tag} {label}", run.times, run.holdings[:, h])
+              for tag, run in runs.items() for h, label in enumerate("ABC")]
     svg = line_chart(series, title="capital per household: market vs autarky "
                                    "(spillover growth)",
                      xlabel="generation", ylabel="capital per household")
@@ -88,21 +77,13 @@ def _fig1(out: Path, fmt: str) -> list[Path]:
 
 
 def _fig2(out: Path, fmt: str) -> list[Path]:
-    paths = {}
-    for tag, start in (("narrow", _FIG2_NARROW), ("wide", _FIG2_WIDE)):
-        dist = WealthDistribution(np.asarray(start))
-        paths[tag] = olg_simulate(dist, _FIG2_PARAMS, OLG_AUTARKY_AK,
-                                  max_generations=_FIG12_GENERATIONS,
-                                  stop_tol=0.0)
-    n = _FIG12_GENERATIONS + 1
-    rows = [
-        [float(i), paths["narrow"].mean_holding[i], paths["wide"].mean_holding[i]]
-        for i in range(n)
-    ]
-    series = [
-        ("narrow spread", paths["narrow"].times, paths["narrow"].mean_holding),
-        ("wide spread", paths["wide"].times, paths["wide"].mean_holding),
-    ]
+    narrow, wide = (olg_simulate(WealthDistribution(np.asarray(start)), _FIG2_PARAMS,
+                                 OLG_AUTARKY_AK, max_generations=_FIG12_GENERATIONS,
+                                 stop_tol=0.0) for start in (_FIG2_NARROW, _FIG2_WIDE))
+    rows = [[float(i), n, w] for i, (n, w)
+            in enumerate(zip(narrow.mean_holding, wide.mean_holding))]
+    series = [("narrow spread", narrow.times, narrow.mean_holding),
+              ("wide spread", wide.times, wide.mean_holding)]
     svg = line_chart(series, title="mean capital: equal totals, unequal spread "
                                    "(autarky, spillover growth)",
                      xlabel="generation", ylabel="mean capital")
@@ -110,16 +91,11 @@ def _fig2(out: Path, fmt: str) -> list[Path]:
                  svg)
 
 
-def _surface(out: Path, name: str, fmt: str, ak: bool) -> list[Path]:
+def _surface(out: Path, name: str) -> list[Path]:
+    """The figA1 (fixed technology) or figA4 (AK) surface, as CSV only."""
     grid = np.linspace(0.0, 4.0, 41)
-    rows = []
-    for K in grid:
-        for L in grid:
-            if ak:
-                Y = K * math.sqrt(L)
-            else:
-                Y = math.sqrt(K * L)
-            rows.append([K, L, Y])
+    rows = [[K, L, K * math.sqrt(L) if name == "figA4" else math.sqrt(K * L)]
+            for K in grid for L in grid]
     return _emit(out, name, "csv", _csv(rows, ["K", "L", "Y"]), None)
 
 
@@ -183,14 +159,7 @@ def figure(name: str, out_dir: str | Path = "out", fmt: str = "both") -> list[Pa
         raise OutOfRange("name", f"unknown figure {name!r}; pick from {FIGURE_NAMES}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if name == "fig1":
-        return _fig1(out, fmt)
-    if name == "fig2":
-        return _fig2(out, fmt)
-    if name == "figA1":
-        return _surface(out, "figA1", fmt, ak=False)
-    if name == "figA2":
-        return _figA2(out, fmt)
-    if name == "figA3":
-        return _figA3(out, fmt)
-    return _surface(out, "figA4", fmt, ak=True)
+    if name in ("figA1", "figA4"):
+        return _surface(out, name)
+    draw = {"fig1": _fig1, "fig2": _fig2, "figA2": _figA2, "figA3": _figA3}
+    return draw[name](out, fmt)

@@ -28,6 +28,7 @@ from .core import (
     Trajectory,
     WealthDistribution,
     check_population,
+    float_guard,
     validate_params,
 )
 from .errors import NegativeBequest, OutOfRange, WrongRegime
@@ -60,14 +61,16 @@ def olg_step(b: np.ndarray, params: EconomyParams, regime: Regime):
     return nxt, interest
 
 
+@float_guard
 def olg_steady_state(params: EconomyParams, regime: Regime) -> SteadyState:
     """Closed-form long-run target.
 
     Fixed technology (market or autarky alike): the bequest level where the
     map A b**alpha / (2 + theta) crosses the diagonal; interest there equals
     alpha (2 + theta). Endogenous technology: no level target exists, only a
-    ray with gross growth tfp L**(1-alpha) / (2 + theta). A tfp whose
-    steady level or consumption leaves float64 raises OutOfRange("tfp").
+    ray with gross growth tfp L**(1-alpha) / (2 + theta). A ratio
+    tfp / (2 + theta) that puts b* or c* outside (0, inf) in float64 is
+    OutOfRange("params").
     """
     validate_params(params, regime)
     if not regime.is_olg:
@@ -81,21 +84,32 @@ def olg_steady_state(params: EconomyParams, regime: Regime) -> SteadyState:
             interest_star=params.alpha * m,
             regime=regime,
         )
-    try:
-        b_star = (params.tfp / (2.0 + params.theta)) ** (1.0 / (1.0 - params.alpha))
-    except OverflowError:
-        b_star = math.inf
-    if not math.isfinite((1.0 + params.theta) * b_star):
-        raise OutOfRange("tfp", f"tfp={params.tfp} puts b* beyond float64")
+    ratio = params.tfp / (2.0 + params.theta)
+    b_star = ratio ** (1.0 / (1.0 - params.alpha))
+    c_star = (1.0 + params.theta) * b_star
+    if not (0.0 < b_star < math.inf and 0.0 < c_star < math.inf):
+        raise OutOfRange("params", f"tfp/(2+theta)={ratio!r} puts b*={b_star!r} "
+                                   f"or c*={c_star!r} outside (0, inf)")
     return SteadyState(
         holding_star=b_star,
         growth_star=0.0,
         interest_star=params.alpha * (2.0 + params.theta),
         regime=regime,
-        consumption_star=(1.0 + params.theta) * b_star,
+        consumption_star=c_star,
     )
 
 
+def check_horizon(max_generations: int, stop_tol: float):
+    """The bounds of an OLG run: ``max_generations`` >= 1 and ``stop_tol``
+    finite and >= 0, or OutOfRange names the field."""
+    if max_generations < 1:
+        raise OutOfRange("max_generations",
+                         f"max_generations must be >= 1, got {max_generations!r}")
+    if not 0.0 <= stop_tol < math.inf:
+        raise OutOfRange("stop_tol", f"stop_tol must be finite and >= 0, got {stop_tol!r}")
+
+
+@float_guard
 def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regime,
                  max_generations: int = 10000, stop_tol: float = 1e-9) -> Trajectory:
     """Iterate the generation map, recording states and diagnostics.
@@ -104,19 +118,16 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
     level (fixed technology) or once relative dispersion around the mean
     falls below ``stop_tol`` (endogenous technology). Failure to converge is
     flagged on the returned trajectory, never raised; a generation whose
-    holdings overflow float64 or fall below ``POSITIVITY_FLOOR`` raises
-    OutOfRange("holdings"), naming that generation, and a bad
-    ``max_generations`` or ``stop_tol`` raises OutOfRange naming it.
+    holdings leave float64 or fall below ``POSITIVITY_FLOOR`` raises
+    OutOfRange("holdings"), naming that generation, ``check_horizon``
+    bounds ``max_generations`` and ``stop_tol``, and any other float fault
+    is OutOfRange("params").
     """
     validate_params(params, regime)
     if not regime.is_olg:
         raise WrongRegime("olg_simulate requires an OLG regime")
     check_population(dist0, params)
-    if max_generations < 1:
-        raise OutOfRange("max_generations", "max_generations must be >= 1")
-    if not 0.0 <= stop_tol < math.inf:
-        raise OutOfRange("stop_tol",
-                         f"stop_tol must be finite and >= 0, got {stop_tol!r}")
+    check_horizon(max_generations, stop_tol)
 
     b_star = None
     if not regime.is_endogenous:
@@ -145,9 +156,8 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
             if not math.isfinite(bbar):
                 raise OutOfRange(
                     "holdings",
-                    f"generation {len(rows_b)} overflows float64 (its mean "
-                    f"holding is {bbar}); lower max_generations or raise "
-                    "stop_tol",
+                    f"generation {len(rows_b)} leaves float64; lower "
+                    "max_generations or raise stop_tol",
                 )
             if b.min() < POSITIVITY_FLOOR:
                 raise OutOfRange(

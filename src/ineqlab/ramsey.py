@@ -41,6 +41,7 @@ from .core import (
     Trajectory,
     WealthDistribution,
     check_population,
+    float_guard,
     validate_params,
 )
 from .errors import (
@@ -69,7 +70,8 @@ class ShootingConfig:
     steady state (or balanced ray) that counts as arrival.
     ``max_iterations`` caps the Newton iterations of the autarky spillover
     solve. ``record_stride`` keeps every n-th step of the recorded path,
-    plus its last. ``dt`` and ``terminal_band`` are finite and > 0,
+    plus its last. ``dt`` is finite and > 0, ``terminal_band`` inside
+    (0, 1) (a band of 1 or more counts a zero holding as arrival),
     ``horizon`` finite and above ``dt``, and the two counts >= 1, or
     OutOfRange names the field.
     """
@@ -81,12 +83,14 @@ class ShootingConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        for field, low in (("dt", 0.0), ("terminal_band", 0.0), ("horizon", self.dt),
-                           ("max_iterations", 0), ("record_stride", 0)):
+        for field, low, high in (("dt", 0.0, math.inf), ("terminal_band", 0.0, 1.0),
+                                 ("horizon", self.dt, math.inf),
+                                 ("max_iterations", 0, math.inf),
+                                 ("record_stride", 0, math.inf)):
             value = getattr(self, field)
-            if value is not None and not low < value < math.inf:
-                raise OutOfRange(field, f"{field} must be finite and above "
-                                        f"{low!r}, got {value!r}")
+            if value is not None and not low < value < high:
+                raise OutOfRange(field, f"{field} must lie inside ({low!r}, {high!r}), "
+                                        f"got {value!r}")
 
 
 def _steps(T: float, dt: float) -> int:
@@ -130,13 +134,15 @@ def rk4_step(f, x, y, h):
     return y + (h / 6.0) * (d1 + 2.0 * (d2 + d3) + d4)
 
 
+@float_guard
 def ramsey_steady_state(params: EconomyParams, regime: Regime) -> SteadyState:
     """Long-run target of the dynasty models.
 
     Fixed technology: capital where the private return equals the discount
     rate. Endogenous technology: balanced growth at (alpha tfp L**(1-alpha)
     - theta) / gamma; the transformation rule r = theta + gamma g holds by
-    construction. A tfp that puts k* or c* beyond float64 is OutOfRange.
+    construction. A ratio alpha tfp / theta that puts k* or c* outside
+    (0, inf) in float64 is OutOfRange("params").
     """
     validate_params(params, regime)
     if regime.is_olg:
@@ -151,14 +157,12 @@ def ramsey_steady_state(params: EconomyParams, regime: Regime) -> SteadyState:
             interest_star=r_star,
             regime=regime,
         )
-    try:
-        k_star = ((params.alpha * params.tfp / params.theta)
-                  ** (1.0 / (1.0 - params.alpha)))
-    except OverflowError:
-        k_star = math.inf
+    ratio = params.alpha * params.tfp / params.theta
+    k_star = ratio ** (1.0 / (1.0 - params.alpha))
     c_star = params.tfp * k_star ** params.alpha
-    if not math.isfinite(c_star):
-        raise OutOfRange("tfp", f"tfp={params.tfp} puts k* beyond float64")
+    if not (0.0 < k_star < math.inf and 0.0 < c_star < math.inf):
+        raise OutOfRange("params", f"alpha*tfp/theta={ratio!r} puts k*={k_star!r} "
+                                   f"or c*={c_star!r} outside (0, inf)")
     return SteadyState(
         holding_star=k_star,
         growth_star=0.0,
@@ -659,6 +663,7 @@ def _shoot_autarky_endog(k0, params, regime, config):
                               regime)
 
 
+@float_guard
 def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,
                       regime: Regime,
                       config: ShootingConfig | None = None) -> Trajectory:
@@ -668,7 +673,8 @@ def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,
     band around the steady state or the balanced growth ray within the
     horizon, and the recorded trajectory stops at arrival. A horizon (given
     or default) of more than 10**6 dt steps, or shooting segments that take
-    more, is OutOfRange("dt") before any step. One method per economy:
+    more, is OutOfRange("dt") before any step, and a float fault on the way
+    is OutOfRange("params"). One method per economy:
 
     * spillover with a market, or equal holdings: on the ray from t = 0,
       so the closed-form balanced path over the whole horizon;

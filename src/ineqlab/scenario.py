@@ -19,8 +19,11 @@ for convenience). Example::
 sets (the config itself, its regime, params or shooting), the field there,
 and the reader that checks its value's type. Both ``parse_scenario`` and
 ``render_scenario`` go through it. The model bounds belong to the types and
-functions that own them, which raise OutOfRange naming their field;
-``parse_scenario`` names the key of that field instead.
+functions that own them, which raise OutOfRange naming their field, and a
+float fault in a solver is OutOfRange("params"). ``parse_scenario``,
+``steady_state_for`` and ``run_scenario`` run the model code inside one
+helper, ``_named_by_key``, which names the scenario key of that field
+instead.
 
 Running a scenario writes ``<name>_trajectory.csv`` and ``<name>_metrics.csv``
 (RFC-4180, CRLF line endings) and optionally a minimal SVG chart; identical
@@ -37,9 +40,9 @@ and the whole text is built once, from the blocks' strings.
 from __future__ import annotations
 
 import json
-import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from itertools import chain, cycle, repeat
@@ -66,7 +69,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .olg import olg_simulate, olg_steady_state
+from .olg import check_horizon, olg_simulate, olg_steady_state
 from .production import household_production
 from .ramsey import ShootingConfig, ramsey_steady_state, shoot_saddle_path
 from .svgplot import line_chart
@@ -105,20 +108,6 @@ def _integer(key: str, value) -> int:
 
 def _number_or_null(key: str, value) -> float | None:
     return None if value is None else _number(key, value)
-
-
-def _tolerance(key: str, value) -> float:
-    value = _number(key, value)
-    if not 0.0 <= value < math.inf:
-        raise ValidationError(key, f"{key} must be finite and >= 0, got {value!r}")
-    return value
-
-
-def _count(key: str, value) -> int:
-    value = _integer(key, value)
-    if value < 1:
-        raise ValidationError(key, f"{key} must be >= 1, got {value!r}")
-    return value
 
 
 def _choice(kind: type[Enum]):
@@ -173,8 +162,8 @@ _KEYS = {
     "params.gamma": (EconomyParams, "gamma", _number),
     "params.population": (EconomyParams, "population", _integer),
     "initial_distribution": (ScenarioConfig, "initial_distribution", _holdings),
-    "horizon.max_generations": (ScenarioConfig, "max_generations", _count),
-    "horizon.stop_tol": (ScenarioConfig, "stop_tol", _tolerance),
+    "horizon.max_generations": (ScenarioConfig, "max_generations", _integer),
+    "horizon.stop_tol": (ScenarioConfig, "stop_tol", _number),
     "horizon.time": (ShootingConfig, "horizon", _number_or_null),
     "horizon.dt": (ShootingConfig, "dt", _number),
     "horizon.max_iterations": (ShootingConfig, "max_iterations", _integer),
@@ -205,10 +194,25 @@ _REQUIRED = [key for key, (part, field, _) in _KEYS.items()
              if all(f.default is MISSING and f.default_factory is MISSING
                     for f in fields(part) if f.name == field)]
 
-#: The key of each field that an owner's OutOfRange can name.
-_KEY_OF = {"holdings": "initial_distribution",
-           **{field: key for key, (part, field, _) in _KEYS.items()
-              if part in (EconomyParams, ShootingConfig)}}
+#: The key of each field that the model code's OutOfRange can name; a float
+#: fault, or a steady state or path out of its domain, is named ``params``.
+_KEY_OF = {**dict.fromkeys(("params", "holding_star", "growth_star",
+                            "trajectory"), "params"),
+           "holdings": "initial_distribution",
+           **{field: key for key, (_, field, _) in _KEYS.items()}}
+
+
+@contextmanager
+def _named_by_key():
+    """Re-raise the model code's OutOfRange and GrowthConditionViolated as
+    ValidationError naming the scenario key: ``"key: message"``."""
+    try:
+        yield
+    except OutOfRange as exc:
+        key = _KEY_OF[exc.field]
+        raise ValidationError(key, f"{key}: {exc}") from exc
+    except GrowthConditionViolated as exc:
+        raise ValidationError("params", f"params: {exc}") from exc
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -218,10 +222,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     offending key) for unknown keys, bad types, or violated model bounds.
     Each value's type is checked by its key's reader as its line is read.
     After the last line come the missing keys, then the bounds, checked by
-    the types and functions that own them; the field their OutOfRange
-    names is mapped to its key, and a growth condition is named
-    ``params``. A field whose key is absent takes its dataclass default,
-    except ``params.population``, which defaults to the number of holdings.
+    the types and functions that own them inside ``_named_by_key``. A
+    field whose key is absent takes its dataclass default, except
+    ``params.population``, which defaults to the number of holdings.
     """
     given = {part: {} for part, _, _ in _KEYS.values()}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -246,18 +249,15 @@ def parse_scenario(text: str) -> ScenarioConfig:
     holdings = given[ScenarioConfig]["initial_distribution"]
     regime = Regime(**given[Regime])
     params = EconomyParams(**{"population": len(holdings), **given[EconomyParams]})
-    try:
+    with _named_by_key():
         shooting = ShootingConfig(**given[ShootingConfig])
         dist = WealthDistribution(np.asarray(holdings))
         validate_params(params, regime)
         check_population(dist, params)
-    except OutOfRange as exc:
-        key = _KEY_OF[exc.field]
-        raise ValidationError(key, f"{key}: {exc}") from exc
-    except GrowthConditionViolated as exc:
-        raise ValidationError("params", f"params: {exc}") from exc
-    return ScenarioConfig(regime=regime, params=params, shooting=shooting,
-                          **given[ScenarioConfig])
+        config = ScenarioConfig(regime=regime, params=params, shooting=shooting,
+                                **given[ScenarioConfig])
+        check_horizon(config.max_generations, config.stop_tol)
+    return config
 
 
 def render_scenario(config: ScenarioConfig) -> str:
@@ -412,9 +412,9 @@ def metrics_csv_text(traj: Trajectory) -> str:
 
 def steady_state_for(config: ScenarioConfig) -> SteadyState:
     """The steady state (or balanced ray) of the configured economy."""
-    if config.regime.is_olg:
-        return olg_steady_state(config.params, config.regime)
-    return ramsey_steady_state(config.params, config.regime)
+    steady_state = olg_steady_state if config.regime.is_olg else ramsey_steady_state
+    with _named_by_key():
+        return steady_state(config.params, config.regime)
 
 
 def summary_text(config: ScenarioConfig, steady: SteadyState,
@@ -426,17 +426,10 @@ def summary_text(config: ScenarioConfig, steady: SteadyState,
          f"theta={format_float(p.theta)} gamma={format_float(p.gamma)} "
          f"population={p.population}"),
     ]
-    if steady.holding_star is not None:
-        lines.append(
-            f"steady state: holding*={format_float(steady.holding_star)} "
-            f"r*={format_float(steady.interest_star)} "
-            f"g*={format_float(steady.growth_star)}"
-        )
-    else:
-        lines.append(
-            f"steady state: balanced ray, r*={format_float(steady.interest_star)} "
-            f"g*={format_float(steady.growth_star)}"
-        )
+    target = ("balanced ray," if steady.holding_star is None
+              else f"holding*={format_float(steady.holding_star)}")
+    lines.append(f"steady state: {target} r*={format_float(steady.interest_star)} "
+                 f"g*={format_float(steady.growth_star)}")
     i = len(traj) - 1
     lines.append(
         f"terminal t={format_float(traj.times[i])}: "
@@ -470,18 +463,20 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path = "out",
 
     ``fmt`` narrows file outputs to "csv", "svg", or "both" (None means
     both); which artifacts exist at all is governed by ``config.outputs``.
-    Identical configs produce byte-identical files.
+    Identical configs produce byte-identical files. A bound or float fault
+    of the solve is a ValidationError naming its scenario key.
     """
     steady = steady_state_for(config)
-    dist0 = WealthDistribution(np.asarray(config.initial_distribution))
-    if config.regime.is_olg:
-        traj = olg_simulate(
-            dist0, config.params, config.regime,
-            max_generations=config.max_generations, stop_tol=config.stop_tol,
-        )
-    else:
-        traj = shoot_saddle_path(dist0, config.params, config.regime,
-                                 config.shooting)
+    with _named_by_key():
+        dist0 = WealthDistribution(np.asarray(config.initial_distribution))
+        if config.regime.is_olg:
+            traj = olg_simulate(
+                dist0, config.params, config.regime,
+                max_generations=config.max_generations, stop_tol=config.stop_tol,
+            )
+        else:
+            traj = shoot_saddle_path(dist0, config.params, config.regime,
+                                     config.shooting)
     # made only now, so a failed solve leaves no directory behind
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

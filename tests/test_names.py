@@ -1,6 +1,7 @@
 """Names that other code counts on: the benchmark's traced layers, an error
-class for every error the package raises and no other, and no private name
-shared between the package's modules."""
+class for every error the package raises and no other, no private name
+shared between the package's modules, and the one place each input fault is
+named: the scenario and CLI naming helpers, and the float guard."""
 
 import ast
 import importlib.util
@@ -11,6 +12,7 @@ import pytest
 
 import ineqlab
 from ineqlab import errors
+from ineqlab.scenario import _KEY_OF
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,6 +59,26 @@ def _private_imports():
     return found
 
 
+def _top_level_nodes():
+    """(module, top-level name, node) for every node of the package's
+    modules, under the function or class that holds it."""
+    for path in sorted((ROOT / "src" / "ineqlab").glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                yield path.stem, getattr(top, "name", None), node
+
+
+def _catchers(names):
+    """(module, top-level name) of every ``except`` that names one of ``names``."""
+    found = set()
+    for module, owner, node in _top_level_nodes():
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if {getattr(t, "id", getattr(t, "attr", None)) for t in types} & names:
+                found.add((module, owner))
+    return sorted(found)
+
+
 @pytest.mark.parametrize("module, name", _traced_layers(),
                          ids=lambda part: part)
 def test_traced_layer_resolves(module, name):
@@ -74,3 +96,27 @@ def test_error_class_is_raised(cls):
 
 def test_no_module_imports_a_private_name_of_another():
     assert _private_imports() == []
+
+
+def test_only_the_naming_helpers_catch_out_of_range():
+    # an owner names its field; only the scenario and CLI boundaries rename it
+    assert _catchers({"OutOfRange"}) == [("cli", "_named_by_option"),
+                                         ("scenario", "_named_by_key")]
+
+
+def test_only_the_float_guard_catches_float_faults():
+    # and the two readers whose faults are not a solver's: an integer beyond
+    # float64, and a Hawkins-Simon elimination that leaves it
+    assert _catchers({"ArithmeticError", "FloatingPointError", "OverflowError",
+                      "ZeroDivisionError"}) == [("core", "float_guard"),
+                                                ("scenario", "_number"),
+                                                ("value_theory", "numeraire_values")]
+
+
+def test_every_solver_field_has_a_scenario_key():
+    # the model code a scenario runs; the cobweb's range is named by the CLI
+    fields = {node.args[0].value for module, owner, node in _top_level_nodes()
+              if module in ("core", "ramsey", "olg") and owner != "cobweb_data"
+              and isinstance(node, ast.Call) and getattr(node.func, "id", "") == "OutOfRange"
+              and isinstance(node.args[0], ast.Constant)}
+    assert "params" in fields and fields <= set(_KEY_OF)

@@ -374,6 +374,16 @@ class TestSimulate:
             last, _ = olg_step(b, p, regime)
             assert not np.isfinite(last.mean())
 
+    def test_market_overflow_names_the_generation_not_its_mean(self):
+        # income is inf - inf at generation 2, so the mean is NaN, not inf
+        with pytest.raises(OutOfRange) as info:
+            olg_simulate(WealthDistribution([1.0, 2.0, 3.0]),
+                         params_ak(tfp=1e300, theta=0.1, L=3), OLG_MARKET_AK,
+                         max_generations=40)
+        assert info.value.field == "holdings"
+        assert str(info.value).startswith("generation 2 leaves float64; ")
+        assert "nan" not in str(info.value)
+
     @pytest.mark.parametrize("regime", [OLG_MARKET_AK, OLG_AUTARKY_AK])
     def test_dispersion_of_huge_finite_holdings_is_finite(self, regime):
         # by generation 300 the holdings pass 1e154, where squared

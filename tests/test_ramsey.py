@@ -707,6 +707,13 @@ class TestConfigValidation:
                 ShootingConfig(**bad)
             assert info.value.field == list(bad)[0]
 
+    @pytest.mark.parametrize("band", [1.0, 1e300])
+    def test_terminal_band_lies_below_one(self, band):
+        # a relative band of 1 or more counts a zero holding as arrival
+        with pytest.raises(OutOfRange, match=r"inside \(0\.0, 1\.0\)") as info:
+            ShootingConfig(terminal_band=band)
+        assert info.value.field == "terminal_band"
+
     def test_wrong_regime(self):
         with pytest.raises(WrongRegime):
             shoot_saddle_path(WealthDistribution([1.0]),

@@ -216,6 +216,8 @@ class TestHorizonBounds:
         ("ramsey", "horizon.dt", "Infinity"),
         ("ramsey", "horizon.terminal_band", "NaN"),
         ("ramsey", "horizon.terminal_band", "-1e-4"),
+        ("ramsey", "horizon.terminal_band", "1.0"),
+        ("ramsey", "horizon.terminal_band", "1e300"),
         ("ramsey", "horizon.time", "0.001"),
         ("ramsey", "horizon.time", "Infinity"),
         ("ramsey", "horizon.time", "NaN"),
@@ -287,7 +289,7 @@ horizon.dt = 1e-9
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) \
             == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("config error: dt=1e-09 asks for ")
+        assert err.startswith("config error: horizon.dt: dt=1e-09 asks for ")
         assert err.endswith(" above the cap of 1000000\n")
         assert not (tmp_path / "out").exists()
 
