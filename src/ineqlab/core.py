@@ -273,7 +273,7 @@ class Trajectory:
     ending at each time; zero, by convention, at the initial row for OLG and
     the instantaneous consumption-growth rate for Ramsey). Inequality
     channels ``gini``, ``cv`` and ``ratio_max_min`` are computed on holdings
-    row by row.
+    once per trajectory, each row with the bits of its own 1-D statistic.
     """
 
     times: np.ndarray

@@ -1,4 +1,10 @@
-"""Distribution statistics."""
+"""Distribution statistics.
+
+Each statistic takes one distribution (a WealthDistribution or a vector) and
+returns a float, or a (T, L) matrix of T distributions and returns the T row
+values, each with the bits of the 1-D call on that row. A solver calls each
+statistic once per trajectory.
+"""
 
 from __future__ import annotations
 
@@ -8,65 +14,90 @@ from .core import WealthDistribution
 from .errors import AllZero, OutOfRange
 
 
-def _values(dist) -> np.ndarray:
-    if isinstance(dist, WealthDistribution):
-        return dist.as_array()
-    x = np.asarray(dist, dtype=float)
-    return x if x.ndim == 1 else x.reshape(-1)
+def _rows(dist, name: str) -> tuple[np.ndarray, bool]:
+    """The values as a nonempty C-ordered (T, L) array, and whether they came
+    as one distribution. Row reductions over a C-ordered array sum each row
+    in the pairwise order of the 1-D reduction, so both forms share bits."""
+    x = (dist.as_array() if isinstance(dist, WealthDistribution)
+         else np.asarray(dist, dtype=float))
+    single = x.ndim <= 1
+    if x.ndim > 2:
+        raise OutOfRange("values", f"{name} takes a vector or a (T, L) matrix, "
+                                   f"got shape {x.shape}")
+    if x.size == 0:
+        raise OutOfRange("values", f"{name} needs a nonempty vector")
+    return np.ascontiguousarray(x.reshape(1, -1) if single else x), single
 
 
-def gini(dist) -> float:
+def _result(values: np.ndarray, single: bool) -> float | np.ndarray:
+    return float(values[0]) if single else values
+
+
+def gini(dist) -> float | np.ndarray:
     """Mean absolute difference over twice the mean: sum|x_i - x_j| / (2 n^2 mu).
 
     Population-weighted, no small-sample correction; ranges over [0, 1 - 1/n].
-    Accepts a WealthDistribution or any nonnegative vector (zeros allowed).
+    Accepts a WealthDistribution or any nonnegative vector (zeros allowed),
+    returning a float, or a (T, L) matrix, returning the T row values. A
+    negative value raises OutOfRange("values") and an all-zero row AllZero,
+    as the first such row of the matrix would alone.
     """
-    x = _values(dist)
-    n = x.size
-    xs = x.copy()
-    xs.sort()
+    x, single = _rows(dist, "gini")
+    n = x.shape[1]
+    xs = np.sort(x, axis=1)
+    total = np.add.reduce(x, axis=1)
     # the least value comes first, and NaN sorts last
-    if n == 0 or xs[0] < 0.0:
-        raise OutOfRange("values", "gini needs a nonempty nonnegative vector")
-    total = np.add.reduce(x)
-    if total == 0.0:
+    bad = (xs[:, 0] < 0.0) | (total == 0.0)
+    if bad.any():
+        row = int(np.argmax(bad))
+        if xs[row, 0] < 0.0:
+            raise OutOfRange("values", "gini needs a nonempty nonnegative vector")
         raise AllZero("gini undefined for an all-zero vector")
     # sum_i sum_j |x_i - x_j| = 2 * sum_k (2k + 1 - n) * x_(k) for sorted x;
-    # the weights are exact integers
-    return float(np.dot(np.arange(1.0 - n, n, 2.0), xs) / (n * total))
+    # the weights are exact integers. One dot per row keeps the 1-D bits,
+    # which a matrix product does not.
+    weights = np.arange(1.0 - n, n, 2.0)
+    numerator = np.array([np.dot(weights, row) for row in xs])
+    return _result(numerator / (n * total), single)
 
 
 #: Means above this are scaled towards one before the deviations are squared.
 _CV_RESCALE_ABOVE = 2.0 ** 256
 
 
-def coefficient_of_variation(dist) -> float:
+def coefficient_of_variation(dist) -> float | np.ndarray:
     """Population standard deviation over the mean.
 
-    Squared deviations overflow float64 once the values pass about 1e154,
-    though the ratio is finite. A mean that large is first scaled by a power
-    of two, which is exact, so the result has the same bits as the unscaled
-    ratio wherever that one is finite. The ufunc calls are those numpy's
-    ``mean`` and ``std`` make on a vector, so the bits are theirs too.
+    Takes one distribution, returning a float, or a (T, L) matrix, returning
+    the T row values; a row whose mean is zero raises AllZero. Squared
+    deviations overflow float64 once the values pass about 1e154, though the
+    ratio is finite. A row whose mean is that large is first scaled by a
+    power of two, which is exact, so the result has the same bits as the
+    unscaled ratio wherever that one is finite. The ufunc calls are those
+    numpy's ``mean`` and ``std`` make on a vector, so the bits are theirs too.
     """
-    x = _values(dist)
-    n = x.size
-    if n == 0:
-        raise OutOfRange("values", "cv needs a nonempty vector")
-    mu = center = np.add.reduce(x) / n
-    if mu == 0.0:
+    x, single = _rows(dist, "cv")
+    n = x.shape[1]
+    mu = center = np.add.reduce(x, axis=1) / n
+    if (mu == 0.0).any():
         raise AllZero("cv undefined for an all-zero vector")
-    if abs(mu) > _CV_RESCALE_ABOVE:
-        shift = -int(np.frexp(mu)[1])
-        x, mu = np.ldexp(x, shift), np.ldexp(mu, shift)
-        center = np.add.reduce(x) / n
-    d = x - center
-    return float(np.sqrt(np.add.reduce(d * d) / n) / mu)
+    big = np.abs(mu) > _CV_RESCALE_ABOVE
+    if big.any():
+        shift = np.where(big, -np.frexp(mu)[1], 0)
+        x, mu = np.ldexp(x, shift[:, None]), np.ldexp(mu, shift)
+        center = np.add.reduce(x, axis=1) / n
+    d = x - center[:, None]
+    return _result(np.sqrt(np.add.reduce(d * d, axis=1) / n) / mu, single)
 
 
-def ratio_max_min(dist) -> float:
-    x = _values(dist)
-    if x.size == 0:
-        raise OutOfRange("values", "ratio_max_min needs a nonempty vector")
-    lo = np.minimum.reduce(x)
-    return float(np.inf) if lo == 0.0 else float(np.maximum.reduce(x) / lo)
+def ratio_max_min(dist) -> float | np.ndarray:
+    """Largest over least value; ``inf`` where the least value is zero.
+
+    Takes one distribution, returning a float, or a (T, L) matrix, returning
+    the T row values.
+    """
+    x, single = _rows(dist, "ratio_max_min")
+    lo = np.minimum.reduce(x, axis=1)
+    zero = lo == 0.0
+    ratio = np.maximum.reduce(x, axis=1) / np.where(zero, 1.0, lo)
+    return _result(np.where(zero, np.inf, ratio), single)

@@ -117,11 +117,12 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
     Stops early once the distribution is within ``stop_tol`` of the steady
     level (fixed technology) or once relative dispersion around the mean
     falls below ``stop_tol`` (endogenous technology). Failure to converge is
-    flagged on the returned trajectory, never raised; a generation whose
-    holdings leave float64 or fall below ``POSITIVITY_FLOOR`` raises
-    OutOfRange("holdings"), naming that generation, ``check_horizon``
-    bounds ``max_generations`` and ``stop_tol``, and any other float fault
-    is OutOfRange("params").
+    flagged on the returned trajectory, never raised. The start row is
+    checked as holdings; a later generation whose holdings leave float64 or
+    fall below ``POSITIVITY_FLOOR`` was made by the parameters, so it raises
+    OutOfRange("params"), naming that generation and quoting them, as any
+    other float fault does. ``check_horizon`` bounds ``max_generations`` and
+    ``stop_tol``.
     """
     validate_params(params, regime)
     if not regime.is_olg:
@@ -155,15 +156,16 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
             b, previous, bbar = nxt, bbar, float(nxt.mean())
             if not math.isfinite(bbar):
                 raise OutOfRange(
-                    "holdings",
+                    "params",
                     f"generation {len(rows_b)} leaves float64; lower "
-                    "max_generations or raise stop_tol",
+                    f"max_generations or raise stop_tol ({params})",
                 )
             if b.min() < POSITIVITY_FLOOR:
                 raise OutOfRange(
-                    "holdings",
+                    "params",
                     f"generation {len(rows_b)} falls below the positivity "
-                    f"floor {POSITIVITY_FLOOR} (its least holding is {b.min()})",
+                    f"floor {POSITIVITY_FLOOR} (its least holding is {b.min()}; "
+                    f"{params})",
                 )
             rows_b.append(b)
             interest.append(rate)
@@ -185,9 +187,9 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
         mean_output=mean_output,
         interest=np.asarray(interest),
         growth=np.asarray(growth),
-        gini=np.array([gini(holdings[i]) for i in range(n)]),
-        cv=np.array([coefficient_of_variation(holdings[i]) for i in range(n)]),
-        ratio_max_min=np.array([ratio_max_min(holdings[i]) for i in range(n)]),
+        gini=gini(holdings),
+        cv=coefficient_of_variation(holdings),
+        ratio_max_min=ratio_max_min(holdings),
         regime=regime,
         converged=converged,
         savings_rate=1.0 / (2.0 + params.theta),

@@ -319,7 +319,6 @@ def _ride_into_band(k0: np.ndarray, params: EconomyParams, regime: Regime,
 
 
 def _ramsey_trajectory(times, K, C, params, regime, note=""):
-    n = times.shape[0]
     mean_holding = K.mean(axis=1)
     y, mpk = household_production(K, mean_holding[:, None], params,
                                   regime.technology, regime.is_market)
@@ -338,9 +337,9 @@ def _ramsey_trajectory(times, K, C, params, regime, note=""):
         mean_output=y.mean(axis=1),
         interest=r,
         growth=growth,
-        gini=np.array([gini(K[i]) for i in range(n)]),
-        cv=np.array([coefficient_of_variation(K[i]) for i in range(n)]),
-        ratio_max_min=np.array([ratio_max_min(K[i]) for i in range(n)]),
+        gini=gini(K),
+        cv=coefficient_of_variation(K),
+        ratio_max_min=ratio_max_min(K),
         regime=regime,
         converged=True,
         note=note,

@@ -85,12 +85,12 @@ def _named(line: str) -> str:
 # config error now starts with
 FAULTS = [
     ("olg_autarky_converge", "params.tfp", "1e-300", "params"),
-    ("olg_autarky_converge", "params.tfp", "1e-30", "initial_distribution"),
+    ("olg_autarky_converge", "params.tfp", "1e-30", "params"),
     ("olg_autarky_converge", "params.tfp", "1e300", "params"),
-    ("olg_autarky_converge", "params.theta", "1e30", "initial_distribution"),
+    ("olg_autarky_converge", "params.theta", "1e30", "params"),
     ("olg_autarky_converge", "params.theta", "1e300", "params"),
-    ("olg_market_growth", "params.tfp", "1e30", "initial_distribution"),
-    ("olg_market_growth", "params.tfp", "1e300", "initial_distribution"),
+    ("olg_market_growth", "params.tfp", "1e30", "params"),
+    ("olg_market_growth", "params.tfp", "1e300", "params"),
     ("ramsey_autarky_saddle", "params.tfp", "1e-300", "params"),
     ("ramsey_autarky_saddle", "params.tfp", "1e300", "params"),
     ("ramsey_autarky_saddle", "params.alpha", "1e-300", "params"),

@@ -8,11 +8,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ineqlab import (
+    OLG_AUTARKY_EXOG,
     POSITIVITY_FLOOR,
+    RAMSEY_MARKET_EXOG,
+    EconomyParams,
+    ShootingConfig,
     WealthDistribution,
     coefficient_of_variation,
     gini,
+    olg_simulate,
     ratio_max_min,
+    shoot_saddle_path,
 )
 from ineqlab.errors import AllZero, OutOfRange
 
@@ -124,6 +130,118 @@ class TestBitIdentity:
         for x in ([2.0, 1.0, -0.5], [-0.0, -3.0], [np.nan, -1.0]):
             with pytest.raises(OutOfRange):
                 gini(x)
+
+
+STATISTICS = (gini, coefficient_of_variation, ratio_max_min)
+
+
+def per_row(stat, X):
+    """The 1-D statistic of each row of X, as one array."""
+    return np.array([stat(X[i]) for i in range(X.shape[0])])
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def matrices(draw):
+    """Nonnegative (T, L) matrices with ties, zeros and rows on both sides of
+    the 2^256 rescale, in C order, in Fortran order or as strided views."""
+    T, L = draw(st.integers(1, 12)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(0.0, 1.0, (T, L))
+    distinct = draw(st.integers(0, 5))
+    if distinct:
+        X = rng.choice(X[0, :distinct], (T, L))
+    X[rng.uniform(size=(T, L)) < draw(st.sampled_from([0.0, 0.1, 0.9]))] = 0.0
+    # each row gets its own scale; 2^300 and 1e300 put a row's mean above
+    # 2^256, where cv rescales it
+    X *= rng.choice([1.0, 1e-300, 1e6, 2.0 ** 256, 2.0 ** 300, 1e300], (T, 1))
+    assume(X.any(axis=1).all())
+    layout = draw(st.sampled_from(["C", "F", "strided", "reversed"]))
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "strided":
+        wide = np.ones((2 * T, 2 * L + 1))
+        wide[::2, 1::2] = X
+        X = wide[::2, 1::2]
+    elif layout == "reversed":
+        X = X[::-1, ::-1]
+    return X
+
+
+class TestRows:
+    """A (T, L) matrix gives each row's 1-D statistic, bit for bit."""
+
+    @given(matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_row_calls(self, X):
+        for stat in STATISTICS:
+            assert_same_bits(stat(X), per_row(stat, X))
+
+    @pytest.mark.parametrize("stat", STATISTICS)
+    def test_one_distribution_gives_a_float(self, stat):
+        assert type(stat([1.0, 3.0])) is float
+        assert type(stat(WealthDistribution([1.0, 3.0]))) is float
+        assert stat([[1.0, 3.0]]).shape == (1,)
+
+    @pytest.mark.parametrize("stat", STATISTICS)
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (0, 0), (2, 2, 2), (1, 1, 3)])
+    def test_empty_or_three_dimensional_input_is_typed(self, stat, shape):
+        with pytest.raises(OutOfRange) as exc:
+            stat(np.ones(shape))
+        assert exc.value.field == "values"
+
+    @pytest.mark.parametrize("stat", [gini, coefficient_of_variation])
+    def test_all_zero_row(self, stat):
+        with pytest.raises(AllZero):
+            stat([[1.0, 2.0], [0.0, 0.0], [3.0, 1.0]])
+
+    def test_ratio_of_all_zero_row_is_inf(self):
+        assert_same_bits(ratio_max_min([[1.0, 2.0], [0.0, 0.0]]), np.array([2.0, np.inf]))
+
+    def test_gini_rejects_a_negative_anywhere(self):
+        for i in range(3):
+            for j in range(4):
+                X = np.ones((3, 4))
+                X[i, j] = -0.5
+                with pytest.raises(OutOfRange) as exc:
+                    gini(X)
+                assert exc.value.field == "values"
+
+    def test_gini_fault_of_the_first_bad_row(self):
+        # as the per-row calls would, the first faulty row decides the error
+        with pytest.raises(AllZero):
+            gini([[1.0, 2.0], [0.0, 0.0], [-1.0, 2.0]])
+        with pytest.raises(OutOfRange):
+            gini([[1.0, 2.0], [-1.0, 2.0], [0.0, 0.0]])
+
+
+class TestTrajectoryStatistics:
+    """The solvers' inequality channels equal the per-row 1-D calls, bit for
+    bit, at widths the golden digests do not reach."""
+
+    @staticmethod
+    def assert_rows(traj):
+        for channel, stat in zip((traj.gini, traj.cv, traj.ratio_max_min), STATISTICS):
+            assert_same_bits(channel, per_row(stat, traj.holdings))
+
+    def test_thousand_household_olg_autarky(self):
+        params = EconomyParams(tfp=2.2, alpha=0.95, theta=0.1, population=1000)
+        dist = WealthDistribution(np.random.default_rng(5).uniform(0.05, 8.0, 1000))
+        traj = olg_simulate(dist, params, OLG_AUTARKY_EXOG, max_generations=200)
+        assert traj.holdings.shape == (201, 1000)
+        self.assert_rows(traj)
+
+    def test_four_household_market(self):
+        params = EconomyParams(tfp=1.0, alpha=0.5, theta=0.1, gamma=1.0, population=4)
+        traj = shoot_saddle_path(WealthDistribution([5.0, 12.0, 40.0, 60.0]), params,
+                                 RAMSEY_MARKET_EXOG,
+                                 ShootingConfig(dt=0.05, terminal_band=1e-3))
+        assert traj.holdings.shape[0] > 1000
+        self.assert_rows(traj)
 
 
 class TestMeanPreservingSpread:

@@ -298,7 +298,7 @@ class TestSimulate:
             olg_simulate(WealthDistribution([1e-12]),
                          EconomyParams(tfp=1e-6, alpha=0.5, theta=0.0),
                          OLG_AUTARKY_EXOG, stop_tol=0.0)
-        assert err.value.field == "holdings"
+        assert err.value.field == "params"
 
     def test_wrong_regime(self):
         with pytest.raises(WrongRegime):
@@ -380,7 +380,7 @@ class TestSimulate:
             olg_simulate(WealthDistribution([1.0, 2.0, 3.0]),
                          params_ak(tfp=1e300, theta=0.1, L=3), OLG_MARKET_AK,
                          max_generations=40)
-        assert info.value.field == "holdings"
+        assert info.value.field == "params"
         assert str(info.value).startswith("generation 2 leaves float64; ")
         assert "nan" not in str(info.value)
 
