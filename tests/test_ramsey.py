@@ -377,6 +377,19 @@ class TestSaddlePolicy:
         assert len(expected) == (arrive_at or n_steps) + 1
         assert np.array_equal(_ride(policy, k0, n_steps, arrival), expected)
 
+    def test_market_rides_the_mean_once(self):
+        # the household paths of a market aggregate to the ride of its mean
+        p = replace(FAST_EXOG, population=4)
+        config = ShootingConfig(dt=0.05, terminal_band=1e-3)
+        market = shoot_saddle_path(WealthDistribution([5.0, 12.0, 40.0, 60.0]),
+                                   p, RAMSEY_MARKET_EXOG, config)
+        mean = shoot_saddle_path(WealthDistribution([29.25]), FAST_EXOG,
+                                 RAMSEY_MARKET_EXOG, config)
+        assert len(market) == len(mean)
+        assert np.max(np.abs(market.mean_holding / mean.mean_holding - 1.0)) <= 1e-8
+        assert np.max(np.abs(market.consumption.mean(axis=1)
+                             / mean.consumption[:, 0] - 1.0)) <= 1e-8
+
     def test_holdings_must_match_population(self):
         p = EconomyParams(tfp=3.0, alpha=0.5, theta=0.1, gamma=2.0, population=2)
         three = WealthDistribution([1.0, 2.0, 3.0])
@@ -388,29 +401,55 @@ class TestSaddlePolicy:
         assert err.value.field == "holdings"
 
 
+class TestConstantSavingOracle:
+    """With gamma = alpha the saddle policy is c = (theta / alpha) k, and
+    z = k^(1 - alpha) obeys z(t) = alpha A / theta + (z0 - alpha A / theta)
+    e^(-(1 - alpha) theta t / alpha) (Smith 2006, without depreciation)."""
+
+    PARAMS = EconomyParams(tfp=1.0, alpha=0.5, theta=0.1, gamma=0.5, population=1)
+    CONFIG = ShootingConfig(dt=0.05, terminal_band=1e-3)
+
+    def closed_form(self, times, k0):
+        A, alpha, theta = self.PARAMS.tfp, self.PARAMS.alpha, self.PARAMS.theta
+        z_star = alpha * A / theta
+        z = z_star + (np.asarray(k0) ** (1.0 - alpha) - z_star) * np.exp(
+            -(1.0 - alpha) * theta * np.asarray(times)[:, None] / alpha)
+        k = z ** (1.0 / (1.0 - alpha))
+        return k, (theta / alpha) * k
+
+    @pytest.mark.parametrize("k0", [[5.0, 12.0, 40.0, 60.0], [1.0, 400.0]])
+    def test_autarky_rides_the_closed_form(self, k0):
+        # starts on both sides of k* = 25
+        p = replace(self.PARAMS, population=len(k0))
+        traj = shoot_saddle_path(WealthDistribution(k0), p, RAMSEY_AUTARKY_EXOG,
+                                 self.CONFIG)
+        k, c = self.closed_form(traj.times, k0)
+        assert np.max(np.abs(traj.holdings / k - 1.0)) <= 1e-6
+        assert np.max(np.abs(traj.consumption / c - 1.0)) <= 1e-6
+
+    def test_market_mean_rides_the_closed_form(self):
+        k0 = [5.0, 12.0, 40.0, 60.0]
+        traj = shoot_saddle_path(WealthDistribution(k0),
+                                 replace(self.PARAMS, population=4),
+                                 RAMSEY_MARKET_EXOG, self.CONFIG)
+        k, c = self.closed_form(traj.times, [np.mean(k0)])
+        assert np.max(np.abs(traj.mean_holding / k[:, 0] - 1.0)) <= 1e-6
+        assert np.max(np.abs(traj.consumption.mean(axis=1) / c[:, 0] - 1.0)) <= 1e-6
+
+
 class TestShootMarketExog:
     def test_decompose_steady_state_budget(self):
-        # hand-built stationary aggregate: households keep their assets and
-        # consume wage plus interest, so the consumption gap equals the
-        # asset gap scaled by the interest rate
-        n = 201
-        times = 0.05 * np.arange(n)
-        K = np.full((n, 1), 100.0)
-        C = np.full((n, 1), 10.0)
-        agg = Trajectory(
-            times=times, holdings=K, consumption=C,
-            mean_holding=K[:, 0], mean_output=np.full(n, 10.0),
-            interest=np.full(n, 0.05), growth=np.zeros(n),
-            gini=np.zeros(n), cv=np.zeros(n), ratio_max_min=np.ones(n),
-            regime=RAMSEY_MARKET_EXOG, converged=True,
-        )
+        # holdings whose mean is k* = 100 start the aggregate at its steady
+        # state: households keep their assets and consume wage plus
+        # interest, so the consumption gap is the asset gap times r
         p = EconomyParams(tfp=1.0, alpha=0.5, theta=0.05, gamma=1.0,
                           population=2)
-        households = market_decompose(agg, WealthDistribution([50.0, 150.0]),
-                                      p, RAMSEY_MARKET_EXOG)
+        households = shoot_saddle_path(WealthDistribution([50.0, 150.0]), p,
+                                       RAMSEY_MARKET_EXOG,
+                                       ShootingConfig(dt=0.05, horizon=10.0))
         # c_i = (1-alpha) A kbar^alpha + alpha A kbar^(alpha-1) a_i
-        assert households.consumption[0, 0] == pytest.approx(7.5, rel=1e-6)
-        assert households.consumption[0, 1] == pytest.approx(12.5, rel=1e-6)
+        assert households.consumption[0, 0] == pytest.approx(7.5, rel=1e-12)
+        assert households.consumption[0, 1] == pytest.approx(12.5, rel=1e-12)
         assert np.allclose(households.holdings[-1], [50.0, 150.0], rtol=1e-6)
         assert np.max(np.abs(np.diff(households.holdings, axis=0))) < 1e-6
 
