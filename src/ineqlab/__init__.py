@@ -56,7 +56,6 @@ from .production import (
 )
 from .ramsey import (
     ShootingConfig,
-    market_decompose,
     ramsey_rhs,
     ramsey_steady_state,
     rk4_step,

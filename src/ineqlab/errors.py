@@ -48,7 +48,8 @@ class ShootingFailed(IneqLabError):
 
 
 class DecompositionInconsistent(IneqLabError):
-    """Household asset paths failed to aggregate back to the mean path."""
+    """Household asset paths of a market failed to aggregate back to the
+    mean's saddle ride that they were split from."""
 
 
 class NotProductive(IneqLabError):

@@ -16,14 +16,15 @@ household and the aggregate of a market economy obey the same 2-D system,
 whose stable manifold is one policy c = phi(k). It is computed once per
 solve by time elimination (integrating dc/dk outward from the steady state),
 and every path then rides the 1-D equation k' = f(k) - phi(k), all
-households as one vector. A fixed-technology market economy decomposes into
-household asset paths that are linear in the aggregate prices, and each
-household's consumption gap solves a linear equation. The autarky spillover
-case needs a genuinely multidimensional search: multiple shooting, one
-Newton solve over every segment of [0, T] at once, with the Jacobian from
-the variational equations integrated alongside the state. Equal autarky
-households are on the balanced ray from t = 0 and take the market's closed
-form. Every integration is the one RK4 step ``rk4_step``.
+households as one vector. A fixed-technology market economy rides it once,
+from its mean, and that one ride decomposes into household asset paths that
+are linear in the aggregate prices; each household's consumption gap solves
+a linear equation. The autarky spillover case needs a genuinely
+multidimensional search: multiple shooting, one Newton solve over every
+segment of [0, T] at once, with the Jacobian from the variational equations
+integrated alongside the state. Equal autarky households are on the
+balanced ray from t = 0 and take the market's closed form. Every
+integration is the one RK4 step ``rk4_step``.
 """
 
 from __future__ import annotations
@@ -292,9 +293,12 @@ def _ride(policy: _Policy, k0: np.ndarray, n_steps: int,
     return np.concatenate(blocks)
 
 
-def _ride_into_band(k0: np.ndarray, params: EconomyParams, regime: Regime,
-                    config: ShootingConfig) -> Trajectory:
-    """Ride the saddle policy from k0 into the terminal band, and record it."""
+def _ride_into_band(k0: np.ndarray, params: EconomyParams,
+                    config: ShootingConfig) -> tuple[_Policy, np.ndarray, np.ndarray]:
+    """Ride the saddle policy from k0 into the terminal band.
+
+    Returns the policy and the ride's capital and consumption rows.
+    """
     policy = _saddle_policy(params, k0, config.dt)
     k_star, c_star, band = policy.k_star, policy.c_star, config.terminal_band
     # phi rises through (k*, c*), so the band in (k, c) is an interval of k
@@ -314,8 +318,7 @@ def _ride_into_band(k0: np.ndarray, params: EconomyParams, regime: Regime,
             f"no arrival in the terminal band by horizon {T}; "
             f"widen the horizon or the band"
         )
-    C = np.interp(K, policy.grid, policy.consumption)
-    return _ramsey_trajectory(config.dt * np.arange(K.shape[0]), K, C, params, regime)
+    return policy, K, np.interp(K, policy.grid, policy.consumption)
 
 
 def _ramsey_trajectory(times, K, C, params, regime, note=""):
@@ -372,53 +375,25 @@ def _balanced_path(a0, params, regime, config):
                               regime, note="closed-form balanced path")
 
 
-def market_decompose(aggregate: Trajectory, a0: WealthDistribution,
-                     params: EconomyParams, regime: Regime) -> Trajectory:
-    """Expand a fixed-technology aggregate market path into household paths.
+def market_decompose(policy: _Policy, k_path: np.ndarray, dt: float,
+                     a: np.ndarray, params: EconomyParams,
+                     regime: Regime) -> Trajectory:
+    """Split a fixed-technology market's mean ride into household paths.
 
-    The aggregate is ridden again from its initial capital on its own grid,
-    along the same saddle policy; it must match that ride, or
-    DecompositionInconsistent is raised. Each household consumes its own
+    ``k_path`` is the mean capital ridden along ``policy`` at step ``dt``
+    from the mean of the holdings ``a``. Each household consumes its own
     initial level grown by the common factor; its assets obey the linear
-    equation da = wage + r a - c. Working in
-    deviations from the aggregate, a_i = kbar + phi * (a_i0 - kbar0) -
-    (c_i0 - cbar0) * pg, the initial consumption gap of each household is
-    the root of a linear equation: it makes the deviation's drift vanish at
-    the end of the path, which kills its growing mode. Deviations are
+    equation da = wage + r a - c. Working in deviations from the mean,
+    a_i = kbar + phi * (a_i0 - kbar0) - (c_i0 - cbar0) * pg, the initial
+    consumption gap of each household is the root of a linear equation: it
+    makes the deviation's drift vanish at the end of the path, which kills
+    its growing mode. A household whose initial consumption or assets
+    leave the positive domain raises StateLeftDomain. Deviations are
     mean-zero by construction, so the household paths must aggregate back
-    to the mean path; failure raises DecompositionInconsistent. The
-    spillover market needs no decomposition (its path is in closed form)
-    and raises WrongRegime.
+    to the mean path; failure raises DecompositionInconsistent.
     """
-    validate_params(params, regime)
-    if regime.is_olg or not regime.is_market or regime.is_endogenous:
-        raise WrongRegime(
-            "market_decompose requires the fixed-technology Ramsey "
-            "capital-market regime"
-        )
-    if len(aggregate.times) < 2:
-        raise DecompositionInconsistent("aggregate trajectory too short")
-    a = a0.as_array()
-    kbar0 = float(aggregate.mean_holding[0])
-    if abs(float(a.mean()) - kbar0) > 1e-10 * max(1.0, kbar0):
-        raise DecompositionInconsistent(
-            "mean of household assets does not match the aggregate initial capital"
-        )
-    dt = float(aggregate.times[1] - aggregate.times[0])
-    steps = np.diff(aggregate.times)
-    if not np.allclose(steps, dt, rtol=0.0, atol=1e-12 * max(dt, 1.0)):
-        raise DecompositionInconsistent("aggregate trajectory must use a uniform grid")
-    # re-ride the aggregate on its own grid; it must be the saddle path
-    policy = _saddle_policy(params, np.array([kbar0]), dt)
-    k_path = _ride(policy, np.array([kbar0]), len(aggregate.times) - 1)[:, 0]
+    kbar0 = float(k_path[0])
     c_path = np.interp(k_path, policy.grid, policy.consumption)
-    gap = max(np.max(np.abs(aggregate.mean_holding / k_path - 1.0)),
-              np.max(np.abs(aggregate.consumption[:, 0] / c_path - 1.0)))
-    if gap > 1e-8:
-        raise DecompositionInconsistent(
-            f"aggregate is not the saddle path from its initial capital "
-            f"(max relative gap {gap:.3e})"
-        )
     cbar0 = float(c_path[0])
     growth_factor = c_path / cbar0
     phi, pg = _aggregate_bases(policy, params, k_path, cbar0, dt)
@@ -447,7 +422,7 @@ def market_decompose(aggregate: Trajectory, a0: WealthDistribution,
             f"(max relative error {agg_err:.3e})"
         )
     return _ramsey_trajectory(
-        aggregate.times, assets, consumption, params, regime,
+        dt * np.arange(k_path.size), assets, consumption, params, regime,
         note="household decomposition of the aggregate path",
     )
 
@@ -678,8 +653,8 @@ def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,
     * spillover with a market, or equal holdings: on the ray from t = 0,
       so the closed-form balanced path over the whole horizon;
     * spillover autarky, unequal holdings: multiple shooting;
-    * fixed-technology market, more than one household: the aggregate
-      rides the saddle policy, and market_decompose splits it;
+    * fixed-technology market, more than one household: the mean rides
+      the saddle policy once, and market_decompose splits that ride;
     * otherwise every household rides the saddle policy.
     """
     validate_params(params, regime)
@@ -694,10 +669,12 @@ def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,
     elif regime.is_endogenous:
         traj = _shoot_autarky_endog(k0, params, regime, config)
     elif regime.is_market and k0.size > 1:
-        aggregate = _ride_into_band(k0.mean(keepdims=True), params, regime, config)
-        traj = market_decompose(aggregate, dist0, params, regime)
+        policy, K, _ = _ride_into_band(k0.mean(keepdims=True), params, config)
+        traj = market_decompose(policy, K[:, 0], config.dt, k0, params, regime)
     else:
-        traj = _ride_into_band(k0, params, regime, config)
+        _, K, C = _ride_into_band(k0, params, config)
+        traj = _ramsey_trajectory(config.dt * np.arange(K.shape[0]), K, C,
+                                  params, regime)
     if config.record_stride == 1:
         return traj
     n = len(traj)

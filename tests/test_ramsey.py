@@ -17,17 +17,15 @@ from ineqlab import (
     RAMSEY_MARKET_EXOG,
     EconomyParams,
     ShootingConfig,
-    Trajectory,
     WealthDistribution,
-    market_decompose,
     olg_simulate,
+    ramsey,
     ramsey_rhs,
     ramsey_steady_state,
     rk4_step,
     shoot_saddle_path,
 )
 from ineqlab.errors import (
-    DecompositionInconsistent,
     OutOfRange,
     ShootingFailed,
     WrongRegime,
@@ -390,6 +388,25 @@ class TestSaddlePolicy:
         assert np.max(np.abs(market.consumption.mean(axis=1)
                              / mean.consumption[:, 0] - 1.0)) <= 1e-8
 
+    def test_market_builds_rides_and_records_once(self, monkeypatch):
+        # one policy, one ride, one Trajectory and one call of each statistic
+        names = ("_saddle_policy", "_ride", "Trajectory", "gini",
+                 "coefficient_of_variation", "ratio_max_min")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(ramsey, name, counted(name, getattr(ramsey, name)))
+        shoot_saddle_path(WealthDistribution([5.0, 12.0, 40.0, 60.0]),
+                          replace(FAST_EXOG, population=4), RAMSEY_MARKET_EXOG,
+                          ShootingConfig(dt=0.05, terminal_band=1e-3))
+        assert calls == dict.fromkeys(names, 1)
+
     def test_holdings_must_match_population(self):
         p = EconomyParams(tfp=3.0, alpha=0.5, theta=0.1, gamma=2.0, population=2)
         three = WealthDistribution([1.0, 2.0, 3.0])
@@ -427,6 +444,11 @@ class TestConstantSavingOracle:
         assert np.max(np.abs(traj.holdings / k - 1.0)) <= 1e-6
         assert np.max(np.abs(traj.consumption / c - 1.0)) <= 1e-6
 
+    def test_policy_table_is_the_closed_form(self):
+        policy = _saddle_policy(self.PARAMS, np.array([1.0, 400.0]), 0.05)
+        kappa = self.PARAMS.theta / self.PARAMS.alpha
+        assert np.max(np.abs(policy.consumption / (kappa * policy.grid) - 1.0)) <= 1e-6
+
     def test_market_mean_rides_the_closed_form(self):
         k0 = [5.0, 12.0, 40.0, 60.0]
         traj = shoot_saddle_path(WealthDistribution(k0),
@@ -445,8 +467,7 @@ class TestShootMarketExog:
         p = EconomyParams(tfp=1.0, alpha=0.5, theta=0.05, gamma=1.0,
                           population=2)
         households = shoot_saddle_path(WealthDistribution([50.0, 150.0]), p,
-                                       RAMSEY_MARKET_EXOG,
-                                       ShootingConfig(dt=0.05, horizon=10.0))
+                                       RAMSEY_MARKET_EXOG, ShootingConfig(dt=0.05))
         # c_i = (1-alpha) A kbar^alpha + alpha A kbar^(alpha-1) a_i
         assert households.consumption[0, 0] == pytest.approx(7.5, rel=1e-12)
         assert households.consumption[0, 1] == pytest.approx(12.5, rel=1e-12)
@@ -476,41 +497,6 @@ class TestShootMarketExog:
         # household assets aggregate exactly to the per-capita path
         assert np.max(np.abs(traj.holdings.mean(axis=1) - traj.mean_holding)) \
             <= 1e-8 * np.max(traj.mean_holding)
-
-    def test_aggregate_mean_mismatch_rejected(self):
-        from ineqlab.errors import DecompositionInconsistent
-        n = 11
-        times = 0.05 * np.arange(n)
-        agg = Trajectory(
-            times=times, holdings=np.full((n, 1), 100.0),
-            consumption=np.full((n, 1), 10.0),
-            mean_holding=np.full(n, 100.0), mean_output=np.full(n, 10.0),
-            interest=np.full(n, 0.05), growth=np.zeros(n),
-            gini=np.zeros(n), cv=np.zeros(n), ratio_max_min=np.ones(n),
-            regime=RAMSEY_MARKET_EXOG, converged=True,
-        )
-        p = EconomyParams(tfp=1.0, alpha=0.5, theta=0.05, gamma=1.0,
-                          population=2)
-        with pytest.raises(DecompositionInconsistent):
-            market_decompose(agg, WealthDistribution([50.0, 100.0]), p,
-                             RAMSEY_MARKET_EXOG)
-
-    def test_aggregate_off_the_saddle_path_rejected(self):
-        # the steady capital with too much consumption is not a saddle path
-        n = 11
-        agg = Trajectory(
-            times=0.05 * np.arange(n), holdings=np.full((n, 1), 100.0),
-            consumption=np.full((n, 1), 11.0),
-            mean_holding=np.full(n, 100.0), mean_output=np.full(n, 10.0),
-            interest=np.full(n, 0.05), growth=np.zeros(n),
-            gini=np.zeros(n), cv=np.zeros(n), ratio_max_min=np.ones(n),
-            regime=RAMSEY_MARKET_EXOG, converged=True,
-        )
-        p = EconomyParams(tfp=1.0, alpha=0.5, theta=0.05, gamma=1.0,
-                          population=2)
-        with pytest.raises(DecompositionInconsistent):
-            market_decompose(agg, WealthDistribution([50.0, 150.0]), p,
-                             RAMSEY_MARKET_EXOG)
 
 
 AK_MARKET = EconomyParams(tfp=3.0, alpha=0.5, theta=0.1, gamma=2.0, population=2)
@@ -568,13 +554,6 @@ class TestShootMarketAk:
             dk, _ = ramsey_rhs(traj.holdings[i], traj.consumption[i], p,
                                RAMSEY_MARKET_AK)
             assert np.allclose(dk, g * traj.holdings[i], rtol=1e-12, atol=0.0)
-
-    def test_decompose_rejects_ak_market(self):
-        traj = shoot_saddle_path(WealthDistribution([1.0, 2.0]), AK_MARKET,
-                                 RAMSEY_MARKET_AK, ShootingConfig(dt=0.01))
-        with pytest.raises(WrongRegime):
-            market_decompose(traj, WealthDistribution([1.0, 2.0]), AK_MARKET,
-                             RAMSEY_MARKET_AK)
 
 
 AK_AUTARKY = EconomyParams(tfp=0.5, alpha=0.5, theta=0.05, gamma=2.0,
