@@ -94,10 +94,17 @@ class ShootingConfig:
                                         f"got {value!r}")
 
 
-def _steps(T: float, dt: float) -> int:
-    """The number of dt steps in horizon T; above _MAX_STEPS, OutOfRange."""
+def _steps(T: float, dt: float, given: bool = False) -> int:
+    """The number of dt steps in horizon T; above _MAX_STEPS, OutOfRange.
+
+    The fault is named ``horizon`` when T is ``given`` (the config's own
+    horizon) and alone exceeds the cap, T > _MAX_STEPS; otherwise ``dt``.
+    """
     n = T / dt
     if n > _MAX_STEPS:
+        if given and T > _MAX_STEPS:
+            raise OutOfRange("horizon", f"horizon={T!r} asks for {n:.4g} steps "
+                                        f"of dt={dt!r}, above the cap of {_MAX_STEPS}")
         raise OutOfRange("dt", f"dt={dt!r} asks for {n:.4g} steps to t={T:g}, "
                                f"above the cap of {_MAX_STEPS}")
     return round(n)
@@ -312,7 +319,8 @@ def _ride_into_band(k0: np.ndarray, params: EconomyParams,
         reach = min(hi - k_star, k_star - lo)
         dev = max(float(np.max(np.abs(k0 - k_star))), reach)
         T = 2.0 * (math.log(dev / reach) + 1.0) / -policy.lam_s
-    K = _ride(policy, k0, _steps(T, config.dt), (lo, hi))
+    K = _ride(policy, k0, _steps(T, config.dt, config.horizon is not None),
+              (lo, hi))
     if not (lo <= K[-1].min() and K[-1].max() <= hi):
         raise ShootingFailed(
             f"no arrival in the terminal band by horizon {T}; "
@@ -368,7 +376,7 @@ def _balanced_path(a0, params, regime, config):
     # for; it is kept so that the recorded rows stay the same
     T = config.horizon if config.horizon is not None else max(
         2.0, math.log(config.terminal_band / (256.0 * _EPS)) / (m - g))
-    times = np.arange(_steps(T, config.dt) + 1) * config.dt
+    times = np.arange(_steps(T, config.dt, config.horizon is not None) + 1) * config.dt
     growth = np.exp(g * times)[:, None]
     c0 = (1.0 - params.alpha) * m * float(a0.mean()) + (r - g) * a0
     return _ramsey_trajectory(times, growth * a0, growth * c0, params,
@@ -563,7 +571,8 @@ def _shoot_autarky_endog(k0, params, regime, config):
     kbar0 = float(k0.mean())
     T = math.log(max(float(np.max(np.abs(k0 / kbar0 - 1.0))), band)
                  / (0.5 * band)) / -lam_minus
-    limit = _steps(config.horizon, dt) if config.horizon is not None else math.inf
+    limit = (_steps(config.horizon, dt, given=True) if config.horizon is not None
+             else math.inf)
     S = max(1, math.ceil(min(T / seg, limit / steps)))
     _steps(S * seg, dt)  # and the steps the segments take
     field = _variational_field(params, L)

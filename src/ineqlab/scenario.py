@@ -29,12 +29,17 @@ Running a scenario writes ``<name>_trajectory.csv`` and ``<name>_metrics.csv``
 (RFC-4180, CRLF line endings) and optionally a minimal SVG chart; identical
 configs produce byte-identical files.
 
-The trajectory CSV has L household lines and one ``agg`` line per time step.
-Its writer formats blocks of about ``_BLOCK_CELLS`` household cells: one
-``tolist()`` per column of the block, ``repr`` on each float, and one
-``",".join`` per line. So the lists of cell texts it holds stay bounded,
-and the whole text is built once, from the blocks' strings.
-``atomic_write`` then encodes it a slice at a time.
+The trajectory CSV has L household lines and one ``agg`` line per time step;
+the metrics CSV has one line per time step. The six columns both write
+(``SHARED_COLUMNS``: t, r, g, gini, cv and r - g) are formatted once per
+trajectory, by :func:`shared_texts`, and both writers join those texts. The
+metrics writer formats only ``ratio_max_min``. The trajectory writer formats
+blocks of about ``_BLOCK_CELLS`` household cells: one ``tolist()`` per
+column of the block, ``repr`` on each float, and one ``",".join`` per line;
+each block also formats its rows of the three mean columns and slices the
+shared texts. So the only lists of cell texts held for the whole trajectory
+are the shared ones, and the whole text is built once, from the blocks'
+strings. ``atomic_write`` then encodes it a slice at a time.
 """
 
 from __future__ import annotations
@@ -289,7 +294,8 @@ def format_float(x: float) -> str:
 
     The CSV writers format a column, or a block of one, at a time with
     ``repr`` on the floats of ``ndarray.tolist()`` (see :func:`_texts`),
-    which gives the same text.
+    which gives the same text. A value that both CSVs write is formatted
+    once, by :func:`shared_texts`.
     """
     return repr(float(x))
 
@@ -298,7 +304,8 @@ def _texts(values):
     """format_float of every entry of a 1-D array, as a lazy iterator.
 
     One ``tolist()`` call for the whole array, so no numpy scalar is made
-    per cell; the trajectory writer passes it one column of a block.
+    per cell. :func:`shared_texts` passes it a whole column, the trajectory
+    writer one column of a block and the metrics writer ``ratio_max_min``.
     """
     return map(repr, np.asarray(values, dtype=float).tolist())
 
@@ -351,13 +358,26 @@ def atomic_write(path: Path, data: str):
 TRAJECTORY_COLUMNS = ("t", "household", "holding", "consumption", "output",
                       "r", "g", "gini", "cv", "r_minus_g")
 METRICS_COLUMNS = ("t", "gini", "cv", "ratio_max_min", "r", "g", "r_minus_g")
+#: The columns of both CSVs, which :func:`shared_texts` formats, in the
+#: order of the trajectory CSV.
+SHARED_COLUMNS = ("t", "r", "g", "gini", "cv", "r_minus_g")
 
 #: Household cells the trajectory CSV formats at a time: one block of the
 #: text covers max(1, _BLOCK_CELLS // L) time steps of L households.
 _BLOCK_CELLS = 2048
 
 
-def _trajectory_chunks(traj: Trajectory, y: np.ndarray):
+def shared_texts(traj: Trajectory) -> dict[str, list[str]]:
+    """The cell texts of each column in ``SHARED_COLUMNS``, one per time
+    step, formatted once for both CSV writers."""
+    columns = (traj.times, traj.interest, traj.growth, traj.gini, traj.cv,
+               traj.interest - traj.growth)
+    return {name: list(_texts(column))
+            for name, column in zip(SHARED_COLUMNS, columns)}
+
+
+def _trajectory_chunks(traj: Trajectory, y: np.ndarray,
+                       texts: dict[str, list[str]]):
     """The trajectory CSV lines after the header, one block of time steps at
     a time, each block one string ending in CRLF."""
     steps, population = traj.holdings.shape
@@ -365,16 +385,12 @@ def _trajectory_chunks(traj: Trajectory, y: np.ndarray):
     # a contiguous copy keeps each row's mean in the summation order of a
     # 1-D mean, whatever the layout of the solver's array
     mean_consumption = np.ascontiguousarray(traj.consumption).mean(axis=1)
-    columns = np.array([
-        traj.times, traj.mean_holding, mean_consumption, traj.mean_output,
-        traj.interest, traj.growth, traj.gini, traj.cv,
-        traj.interest - traj.growth,
-    ], dtype=float)
+    means = np.array([traj.mean_holding, mean_consumption, traj.mean_output],
+                     dtype=float)
     per_block = max(1, _BLOCK_CELLS // population)
     for start in range(0, steps, per_block):
         block = slice(start, start + per_block)
-        times, *aggregate = (map(repr, c) for c in columns[:, block].tolist())
-        times = list(times)
+        times, *shared = (texts[name][block] for name in SHARED_COLUMNS)
         if y.shape[1] == 1:  # a market's one output per time step
             outputs = _repeat_each(_texts(y[block, 0]), population)
         else:
@@ -386,27 +402,34 @@ def _trajectory_chunks(traj: Trajectory, y: np.ndarray):
             _texts(traj.holdings[block].ravel()),
             _texts(traj.consumption[block].ravel()), outputs, repeat(",,,,"),
         ))
-        agg = map(",".join, zip(times, repeat("agg"), *aggregate))
+        agg = map(",".join, zip(
+            times, repeat("agg"),
+            *(map(repr, column) for column in means[:, block].tolist()),
+            *shared,
+        ))
         # each time step: its households' lines, then its agg line
         lines = chain.from_iterable(zip(*[household] * population, agg))
         yield "\r\n".join(chain(lines, [""]))
 
 
 def trajectory_csv_text(traj: Trajectory, params: EconomyParams,
-                        regime: Regime) -> str:
+                        regime: Regime, texts: dict[str, list[str]]) -> str:
+    """The trajectory CSV of ``traj``, with the shared columns' cells taken
+    from ``texts`` (see :func:`shared_texts`)."""
     # the output of the capital each household operates: under a market
     # every household operates the mean, (T, 1), whoever owns the capital
     y = household_production(traj.holdings, traj.mean_holding[:, None],
                              params, regime.technology, regime.is_market)[0]
     return "".join(chain([",".join(TRAJECTORY_COLUMNS) + "\r\n"],
-                         _trajectory_chunks(traj, y)))
+                         _trajectory_chunks(traj, y, texts)))
 
 
-def metrics_csv_text(traj: Trajectory) -> str:
+def metrics_csv_text(traj: Trajectory, texts: dict[str, list[str]]) -> str:
+    """The metrics CSV of ``traj``, with the shared columns' cells taken
+    from ``texts`` (see :func:`shared_texts`)."""
     return csv_text(METRICS_COLUMNS, zip(
-        _texts(traj.times), _texts(traj.gini), _texts(traj.cv),
-        _texts(traj.ratio_max_min), _texts(traj.interest),
-        _texts(traj.growth), _texts(traj.interest - traj.growth),
+        texts["t"], texts["gini"], texts["cv"], _texts(traj.ratio_max_min),
+        texts["r"], texts["g"], texts["r_minus_g"],
     ))
 
 
@@ -485,11 +508,13 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path = "out",
     want_svg = "svg" in config.outputs and fmt in (None, "svg", "both")
     traj_path = metrics_path = svg_path = None
     if want_csv:
+        texts = shared_texts(traj)
         traj_path = out / f"{config.name}_trajectory.csv"
         atomic_write(traj_path, trajectory_csv_text(traj, config.params,
-                                                    config.regime))
+                                                    config.regime, texts))
         metrics_path = out / f"{config.name}_metrics.csv"
-        atomic_write(metrics_path, metrics_csv_text(traj))
+        atomic_write(metrics_path, metrics_csv_text(traj, texts))
+        del texts  # not held while the chart is drawn
     if want_svg:
         svg_path = out / f"{config.name}.svg"
         series = [

@@ -100,14 +100,14 @@ FAULTS = [
     ("ramsey_autarky_saddle", "params.theta", "1e300", "params"),
     ("ramsey_autarky_saddle", "params.gamma", "1e-300", "params"),
     ("ramsey_autarky_saddle", "params.gamma", "1e-30", "params"),
-    ("ramsey_autarky_saddle", "horizon.time", "1e30", "horizon.dt"),
-    ("ramsey_autarky_saddle", "horizon.time", "1e300", "horizon.dt"),
+    ("ramsey_autarky_saddle", "horizon.time", "1e30", "horizon.time"),
+    ("ramsey_autarky_saddle", "horizon.time", "1e300", "horizon.time"),
     ("ramsey_autarky_saddle", "horizon.dt", "1e-300", "horizon.dt"),
     ("ramsey_autarky_saddle", "horizon.dt", "1e-30", "horizon.dt"),
     ("ramsey_market_growth", "params.tfp", "1e30", "params"),
     ("ramsey_market_growth", "params.tfp", "1e300", "params"),
-    ("ramsey_market_growth", "horizon.time", "1e30", "horizon.dt"),
-    ("ramsey_market_growth", "horizon.time", "1e300", "horizon.dt"),
+    ("ramsey_market_growth", "horizon.time", "1e30", "horizon.time"),
+    ("ramsey_market_growth", "horizon.time", "1e300", "horizon.time"),
     ("ramsey_market_growth", "horizon.dt", "1e-300", "horizon.dt"),
     ("ramsey_market_growth", "horizon.dt", "1e-30", "horizon.dt"),
     ("ramsey_market_growth", "horizon.terminal_band", "1e300",

@@ -693,6 +693,16 @@ class TestStepCap:
             _steps(0.5 * (_MAX_STEPS + 1), 0.5)
         assert info.value.field == "dt"
 
+    @pytest.mark.parametrize("T, given, field", [
+        (1e30, True, "horizon"), (2.0 * _MAX_STEPS, True, "horizon"),
+        (1e30, False, "dt"), (0.5 * _MAX_STEPS, True, "dt"),
+    ])
+    def test_a_given_horizon_beyond_the_cap_is_named(self, T, given, field):
+        # only a given horizon that alone exceeds the cap is the fault
+        with pytest.raises(OutOfRange, match="above the cap of 1000000") as info:
+            _steps(T, 0.1, given)
+        assert info.value.field == field
+
     # one economy per row of the method table of shoot_saddle_path
     @pytest.mark.parametrize("regime, params, holdings", [
         (RAMSEY_MARKET_AK, AK_MARKET, [1.0, 2.0]),

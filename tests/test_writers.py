@@ -8,6 +8,7 @@ import dataclasses
 import os
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,11 +30,17 @@ from ineqlab import scenario
 from ineqlab.errors import OutOfRange
 from ineqlab.scenario import (
     METRICS_COLUMNS,
+    SHARED_COLUMNS,
     TRAJECTORY_COLUMNS,
+    ScenarioConfig,
     atomic_write,
     csv_text,
     format_float,
     metrics_csv_text,
+    parse_scenario,
+    run_scenario,
+    shared_texts,
+    summary_text,
     trajectory_csv_text,
 )
 from ineqlab.svgplot import (
@@ -152,25 +159,25 @@ class TestCsvWriters:
     def test_match_per_cell_oracle(self, case):
         params, regime, traj = CASES[case]()
         assert len(traj) > 1
-        assert (trajectory_csv_text(traj, params, regime)
+        assert (trajectory_csv_text(traj, params, regime, shared_texts(traj))
                 == oracle_trajectory_csv(traj, params, regime))
-        assert metrics_csv_text(traj) == oracle_metrics_csv(traj)
+        assert metrics_csv_text(traj, shared_texts(traj)) == oracle_metrics_csv(traj)
 
     @pytest.mark.parametrize("case", ["ramsey-market-exog-2", "olg-market-ak"])
     def test_one_row_trajectory(self, case):
         params, regime, traj = CASES[case]()
         one = _first_rows(traj, 1)
         assert len(one) == 1
-        text = trajectory_csv_text(one, params, regime)
+        text = trajectory_csv_text(one, params, regime, shared_texts(one))
         assert text == oracle_trajectory_csv(one, params, regime)
         assert text.count("\r\n") == 1 + one.population + 1
-        assert metrics_csv_text(one) == oracle_metrics_csv(one)
+        assert metrics_csv_text(one, shared_texts(one)) == oracle_metrics_csv(one)
 
     def test_any_array_layout(self):
         params, regime, traj = CASES["ramsey-market-exog-50"]()
         for other in _other_layouts(traj):
             assert np.array_equal(other.consumption, traj.consumption)
-            assert (trajectory_csv_text(other, params, regime)
+            assert (trajectory_csv_text(other, params, regime, shared_texts(other))
                     == oracle_trajectory_csv(traj, params, regime))
 
     def test_csv_text_joins_with_crlf(self):
@@ -192,21 +199,21 @@ class TestTrajectoryBlocks:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_match_per_cell_oracle(self, case):
         params, regime, traj = CASES[case]()
-        assert (trajectory_csv_text(traj, params, regime)
+        assert (trajectory_csv_text(traj, params, regime, shared_texts(traj))
                 == oracle_trajectory_csv(traj, params, regime))
 
     @pytest.mark.parametrize("case", ["ramsey-market-exog-2", "olg-market-ak"])
     def test_one_row_trajectory(self, case):
         params, regime, traj = CASES[case]()
         one = _first_rows(traj, 1)
-        assert (trajectory_csv_text(one, params, regime)
+        assert (trajectory_csv_text(one, params, regime, shared_texts(one))
                 == oracle_trajectory_csv(one, params, regime))
 
     def test_any_array_layout(self, block_cells):
         params, regime, traj = CASES["ramsey-market-exog-50"]()
         assert traj.population > block_cells
         for other in _other_layouts(traj):
-            assert (trajectory_csv_text(other, params, regime)
+            assert (trajectory_csv_text(other, params, regime, shared_texts(other))
                     == oracle_trajectory_csv(traj, params, regime))
 
 
@@ -223,7 +230,7 @@ def test_last_block_partial(case, block_cells, monkeypatch):
     assert per_block > 1
     part = _first_rows(traj, 2 * per_block + 1)
     assert len(part) % per_block != 0
-    assert (trajectory_csv_text(part, params, regime)
+    assert (trajectory_csv_text(part, params, regime, shared_texts(part))
             == oracle_trajectory_csv(part, params, regime))
 
 
@@ -237,12 +244,120 @@ def test_trajectory_text_peaks_near_its_length():
         RAMSEY_MARKET_EXOG, ShootingConfig(dt=2.0, terminal_band=1e-2))
     tracemalloc.start()
     try:
-        text = trajectory_csv_text(traj, params, RAMSEY_MARKET_EXOG)
+        text = trajectory_csv_text(traj, params, RAMSEY_MARKET_EXOG,
+                                   shared_texts(traj))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(text) > 1_000_000
     assert peak <= 2.5 * len(text)
+
+
+SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _bundled(stem):
+    return parse_scenario((SCENARIO_DIR / f"{stem}.scn").read_text(encoding="utf-8"))
+
+
+def _config(name, params, regime, holdings, shooting=ShootingConfig()):
+    return ScenarioConfig(
+        name=name, regime=regime,
+        params=dataclasses.replace(params, population=len(holdings)),
+        initial_distribution=tuple(float(h) for h in holdings),
+        max_generations=30, shooting=shooting)
+
+
+#: Every bundled scenario and three inline runs, as scenario configs.
+RUNS = {
+    **{p.stem: (lambda stem=p.stem: _bundled(stem))
+       for p in SCENARIO_DIR.glob("*.scn")},
+    "market-exog-seeded": lambda: _config(
+        "market-exog-seeded", SADDLE, RAMSEY_MARKET_EXOG,
+        np.random.default_rng(2201).uniform(5.0, 60.0, 4), SADDLE_SHOOTING),
+    "autarky-ak": lambda: _config(
+        "autarky-ak", AK, RAMSEY_AUTARKY_AK, [1.0, 2.0],
+        ShootingConfig(dt=0.1, terminal_band=5e-3)),
+    "olg-autarky-exog": lambda: _config(
+        "olg-autarky-exog", OLG_EXOG, OLG_AUTARKY_EXOG, [0.01, 0.3, 1.0, 2.0]),
+}
+
+
+def _csv_rows(path):
+    text = path.read_bytes().decode("utf-8")
+    assert text.endswith("\r\n")
+    return [line.split(",") for line in text[:-2].split("\r\n")]
+
+
+class TestSharedTexts:
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_metrics_rows_repeat_the_agg_cells(self, run, tmp_path):
+        config = RUNS[run]()
+        art = run_scenario(config, tmp_path, "csv")
+        traj = art.trajectory
+        assert (art.trajectory_csv.read_bytes().decode("utf-8")
+                == oracle_trajectory_csv(traj, config.params, config.regime))
+        assert (art.metrics_csv.read_bytes().decode("utf-8")
+                == oracle_metrics_csv(traj))
+        agg = [row for row in _csv_rows(art.trajectory_csv)[1:]
+               if row[1] == "agg"]
+        metrics = _csv_rows(art.metrics_csv)[1:]
+        assert len(agg) == len(metrics) == len(traj) > 1
+        for column in SHARED_COLUMNS:
+            at_agg = TRAJECTORY_COLUMNS.index(column)
+            at_metrics = METRICS_COLUMNS.index(column)
+            assert ([row[at_agg] for row in agg]
+                    == [row[at_metrics] for row in metrics])
+
+    @pytest.mark.parametrize("config, population, per_step", [
+        # autarky: holding, consumption and output per household, then the
+        # six shared columns, the three means and ratio_max_min
+        (lambda: _bundled("ramsey_autarky_saddle"), 2, lambda L: 3 * L + 10),
+        # a market: one output per step, which the agg line formats again
+        (lambda: _config("market", SADDLE, RAMSEY_MARKET_EXOG,
+                         [5.0, 12.0, 30.0, 60.0], SADDLE_SHOOTING),
+         4, lambda L: 2 * L + 11),
+    ], ids=["autarky", "market"])
+    def test_each_value_is_formatted_once(self, config, population, per_step,
+                                          tmp_path, monkeypatch):
+        config = config()
+        floats = []
+
+        def counting_repr(x):
+            if isinstance(x, float):
+                floats.append(x)
+            return repr(x)
+
+        monkeypatch.setattr(scenario, "repr", counting_repr, raising=False)
+        art = run_scenario(config, tmp_path, "csv")
+        made = len(floats)
+        floats.clear()
+        summary_text(config, art.steady, art.trajectory)
+        traj = art.trajectory
+        assert traj.population == population
+        assert made - len(floats) == len(traj) * per_step(population)
+
+    def test_csv_phase_holds_only_the_shared_texts(self):
+        # the 3025-row saddle, 0.97 M characters of trajectory text: the
+        # six shared lists of 3025 texts (1.4 MB) and the trajectory text
+        # with its blocks peak near 3.5 times its length; the texts of all
+        # ten aggregate columns held through it would peak near 4.4 times
+        config = _bundled("ramsey_autarky_saddle")
+        traj = shoot_saddle_path(
+            WealthDistribution(np.asarray(config.initial_distribution)),
+            config.params, config.regime, config.shooting)
+        assert len(traj) == 3025
+        tracemalloc.start()
+        try:
+            texts = shared_texts(traj)
+            length = len(trajectory_csv_text(traj, config.params,
+                                             config.regime, texts))
+            metrics_csv_text(traj, texts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert length > 900_000
+        assert peak <= 3.75 * length
 
 
 def test_atomic_write_in_slices(tmp_path, monkeypatch):
