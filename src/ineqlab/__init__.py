@@ -70,14 +70,10 @@ from .scenario import (
 )
 from .figures import FIGURE_NAMES, figure
 from .value_theory import (
-    FmtReport,
     GcetReport,
     LeontiefEconomy,
     SweepReport,
     TrialBlock,
-    augmented_matrix,
-    embodied_labor_values,
-    fmt_check,
     fmt_sweep,
     gcet_values,
     numeraire_values,

@@ -1,11 +1,12 @@
-"""Leontief value theory: embodied values, surplus, and profit-sign theorems.
+"""Leontief value theory: the surplus and profit-sign theorems, judged once.
 
 The economy is a single-technique input-output system: ``input_matrix[i, j]``
 units of commodity i plus ``labor[j]`` units of direct labor produce one unit
 of commodity j, and workers consume ``wage_bundle`` per unit of labor. Two
 classical results are checkable exactly here: positive surplus value is
-equivalent to economy-wide profitability, and the same equivalence holds with
-any commodity (not just labor) as the value numeraire.
+equivalent to economy-wide profitability (the Fundamental Marxian Theorem),
+and the same equivalence holds with any commodity (not just labor) as the
+value numeraire.
 
 Commodity values come in closed form. Take the wage-augmented matrix
 M = A + b l^T, a numeraire commodity j and the rest R of the commodities.
@@ -19,31 +20,40 @@ the zero-profit knife edge. When the rest cannot reproduce itself, that is
 when rho(M[R, R]) >= 1 - 1e-10, every value of numeraire j is ``inf``.
 With n = 1 the rest is empty and w_0 = M[0, 0].
 
-Every question the sweep asks of a spectrum is a threshold, rho(B) < s, and
-the Hawkins-Simon condition answers it without eigenvalues: for nonnegative
-B, s I - B is a nonsingular M-matrix, which is rho(B) < s, exactly when every
-pivot of Gaussian elimination without row exchanges is positive.
-
-``fmt_sweep`` runs its trials as array programs over blocks of at most 32
-economies. Each block takes one generator call for all of its draws, one
-stacked labor-value solve, one Hawkins-Simon elimination over the stack
-[A, M, M] against the bounds 1, 1 - 1e-10 and 1 + 1e-10, and over every
-principal rest block one stacked elimination against 1 - 1e-10 and one
-linear solve. Blocks are bounded because the working arrays grow with the
-block: sweeping 400 trials at each of n = 3, 5, 8 and 10 as single blocks
-raised a process's peak RSS by 6.6 MB, and in blocks of 32 by 0.25 MB, as
-much as one economy at a time, at the same speed.
+One judge, ``_judge``, decides for a stack of economies: the surplus value
+rate, the profit sign and productivity, and the values of every numeraire.
+It takes no eigenvalues: each question asked of a spectrum is a threshold,
+rho(B) < s, which the Hawkins-Simon test of ``_radius_below`` answers, in
+one elimination over the stack [A, M, M] and one over the rest blocks.
+``fmt_sweep`` runs the judge on blocks of at most 32 drawn economies; the
+one-economy names run it on a stack of one. Blocks are bounded because the
+working arrays grow with the block: sweeping 400 trials at each of n = 3, 5,
+8 and 10 as single blocks raised a process's peak RSS by 6.6 MB, and in
+blocks of 32 by 0.25 MB, as much as one economy at a time, at the same speed.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NotProductive, OutOfRange
+
+_SIGN_TOL = 1e-10
+
+
+@contextmanager
+def _within_float64(field: str, what: str):
+    """Raise OutOfRange(field) for an overflow or invalid operation of ``what``."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise OutOfRange(field, f"{what} leaves float64") from exc
 
 
 def _radius_below(stack: np.ndarray, bound) -> np.ndarray:
@@ -52,17 +62,16 @@ def _radius_below(stack: np.ndarray, bound) -> np.ndarray:
     ``bound`` is one number for every matrix, or an array of bounds that
     broadcasts over the stack's leading axes, one for each matrix.
 
-    The Hawkins-Simon test: eliminate ``bound * I - B`` without row
-    exchanges, and B is below exactly when every pivot is positive. The
-    first pivot that is not positive decides its matrix; its later pivots
+    The Hawkins-Simon test: for nonnegative B, ``bound * I - B`` is a
+    nonsingular M-matrix, that is B is below, exactly when every pivot of
+    its elimination without row exchanges is positive. The first pivot that is not positive decides its matrix; its later pivots
     are taken as inf, so the elimination leaves it alone. Every operation
     is element-wise within one matrix, so a matrix gets the same pivots
     alone as in any stack. True when m = 0.
 
     While the pivots stay positive the eliminated entries can grow like
-    (max B / bound)^(m - 1), as along a chain of large entries, so a bound
-    far below the entries of B can overflow. The sweep's bounds are near 1
-    and its entries below 20.
+    (max B / bound)^(m - 1), so a bound far below the entries of B can
+    overflow; the sweep's bounds are near 1 and its entries below 20.
     """
     m = stack.shape[-1]
     z = np.asarray(bound, dtype=float)[..., None, None] * np.eye(m) - stack
@@ -78,13 +87,9 @@ def _radius_below(stack: np.ndarray, bound) -> np.ndarray:
 def spectral_radius(matrix: np.ndarray) -> float:
     """Perron root of a nonnegative matrix: the largest eigenvalue modulus.
 
-    Computed from the full spectrum by a dense eigenvalue solve (LAPACK
-    ``geev`` through ``np.linalg.eigvals``). The solve is backward stable:
-    its eigenvalues are exact for a matrix within a few ulps of the input,
-    with no convergence tolerance or early exit, and periodic or defective
-    patterns need no special handling. The economies here are desk-scale
-    (n <= 10), where a dense solve is cheap. The sweep, which only asks
-    whether the radius is below a bound, uses the Hawkins-Simon test instead.
+    The eigenvalue oracle of the tests; no program path decides with it.
+    A dense eigenvalue solve (LAPACK ``geev`` through ``np.linalg.eigvals``),
+    backward stable, with no special case for periodic or defective patterns.
     """
     eigenvalues = np.linalg.eigvals(np.asarray(matrix, dtype=float))
     return float(np.max(np.abs(eigenvalues), initial=0.0))
@@ -115,8 +120,9 @@ class LeontiefEconomy:
             raise OutOfRange("labor", "labor requirements must be > 0")
         if np.any(b < 0.0) or not np.all(np.isfinite(b)):
             raise OutOfRange("wage_bundle", "wage bundle must be >= 0")
-        if spectral_radius(A) >= 1.0:
-            raise NotProductive("input matrix spectral radius must be < 1")
+        with _within_float64("input_matrix", "the Hawkins-Simon elimination"):
+            if not _radius_below(A, 1.0):
+                raise NotProductive("input matrix spectral radius must be < 1")
         for arr in (A, l, b):
             arr.flags.writeable = False
         object.__setattr__(self, "input_matrix", A)
@@ -140,55 +146,12 @@ def _labor_values(A: np.ndarray, l: np.ndarray) -> np.ndarray:
     return v
 
 
-def embodied_labor_values(econ: LeontiefEconomy) -> np.ndarray:
-    """Direct plus indirect labor per unit of each commodity: v = v A + l."""
-    return _labor_values(econ.input_matrix, econ.labor)
-
-
-def surplus_value_rate(econ: LeontiefEconomy) -> float:
-    """Surplus labor per unit of labor: 1 - (labor value of the wage bundle)."""
-    v = embodied_labor_values(econ)
-    return float(1.0 - v @ econ.wage_bundle)
-
-
-def augmented_matrix(econ: LeontiefEconomy) -> np.ndarray:
-    """Input matrix with wage consumption charged per unit of direct labor."""
-    return econ.input_matrix + np.outer(econ.wage_bundle, econ.labor)
-
-
-_SIGN_TOL = 1e-10
-
-
-def profit_sign(econ: LeontiefEconomy) -> str:
-    """'positive', 'zero', or 'negative': can the economy reproduce a surplus?
-
-    The wage-augmented matrix describes everything consumed per unit of gross
-    output; profitability economy-wide is exactly its spectral radius being
-    below one.
-    """
-    rho = spectral_radius(augmented_matrix(econ))
-    if abs(rho - 1.0) <= _SIGN_TOL:
-        return "zero"
-    return "positive" if rho < 1.0 else "negative"
-
-
-@dataclass(frozen=True)
-class FmtReport:
-    surplus_positive: bool
-    profit_positive: bool
-    equivalent: bool
-
-
-def fmt_check(econ: LeontiefEconomy) -> FmtReport:
-    """Positive surplus value if and only if positive profit."""
-    e = surplus_value_rate(econ)
-    surplus_positive = e > _SIGN_TOL
-    profit_positive = profit_sign(econ) == "positive"
-    return FmtReport(
-        surplus_positive=surplus_positive,
-        profit_positive=profit_positive,
-        equivalent=surplus_positive == profit_positive,
-    )
+def _wage_bundle(wage_scale: np.ndarray, direction: np.ndarray,
+                 v: np.ndarray) -> np.ndarray:
+    """For each economy of a stack with labor values ``v``, the bundle along
+    ``direction`` whose labor value is ``wage_scale``."""
+    return (wage_scale[:, None] * direction
+            / np.einsum("ki,ki->k", v, direction)[:, None])
 
 
 @dataclass(frozen=True)
@@ -203,19 +166,15 @@ class GcetReport:
 def numeraire_values(M: np.ndarray, numeraires):
     """Content of each numeraire j in every commodity, for a stack of M.
 
-    The array form of ``gcet_values``, which ``fmt_sweep`` runs on a block
-    of economies. ``M`` is a stack (..., n, n) of wage-augmented matrices
-    and ``numeraires`` holds J commodity indices. Returns
-    ``(rest, own)`` of shapes (..., J, n - 1) and (..., J): the content
-    w_R = M[j, R] (I - M[R, R])^-1 over the other commodities in index
-    order, and the Schur complement w_j = M[j, j] + w_R M[R, j]. Both are
-    ``inf`` where rho(M[R, R]) >= 1 - 1e-10, which the Hawkins-Simon test
-    decides: some pivot of (1 - 1e-10) I - M[R, R], eliminated without row
-    exchanges, is not positive.
+    The array form of ``gcet_values``. ``M`` is a stack (..., n, n) of
+    wage-augmented matrices and ``numeraires`` holds J commodity indices.
+    Returns ``(rest, own)`` of shapes (..., J, n - 1) and (..., J): the
+    closed form of the module docstring, w_R over the other commodities in
+    index order and w_j, both ``inf`` where rho(M[R, R]) >= 1 - 1e-10.
 
     Raises OutOfRange for a numeraire outside [0, n), for an ``M`` with an
-    entry that is negative or not finite, where that test does not apply,
-    and for an ``M`` whose elimination or content leaves float64.
+    entry that is negative or not finite, where the Hawkins-Simon test does
+    not apply, and for an ``M`` whose elimination or content leaves float64.
     """
     n = M.shape[-1]
     if not np.all((M >= 0.0) & (M < np.inf)):
@@ -226,12 +185,9 @@ def numeraire_values(M: np.ndarray, numeraires):
     j = numeraires[:, None]
     rest = np.arange(n - 1) + (np.arange(n - 1) >= j)
     block = M[..., rest[:, :, None], rest[:, None, :]]
-    try:
-        # an elimination without overflow raises no floating-point flag
-        with np.errstate(over="raise", invalid="raise"):
-            infinite = ~_radius_below(block, 1.0 - _SIGN_TOL)
-    except FloatingPointError as exc:
-        raise OutOfRange("M", "the Hawkins-Simon elimination leaves float64") from exc
+    # an elimination without overflow raises no floating-point flag
+    with _within_float64("M", "the Hawkins-Simon elimination"):
+        infinite = ~_radius_below(block, 1.0 - _SIGN_TOL)
     lhs = np.eye(n - 1) - np.swapaxes(block, -1, -2)
     lhs[infinite] = np.eye(n - 1)  # keeps the stacked solve nonsingular
     with np.errstate(over="ignore", invalid="ignore"):
@@ -245,23 +201,64 @@ def numeraire_values(M: np.ndarray, numeraires):
     return w_rest, own
 
 
+def _judge(A: np.ndarray, l: np.ndarray, b: np.ndarray, v: np.ndarray):
+    """Surplus, profit and commodity values of a stack of economies.
+
+    ``A``, ``l``, ``b`` and their labor values ``v`` are stacks (k, n, n) and
+    (k, n); a drawn economy scales its wage bundle with ``v``. Returns the
+    surplus value rate 1 - v b, the profit sign (1, 0 or -1, zero within
+    1e-10 of the knife edge) and ``numeraire_values`` of M = A + b l^T for
+    every numeraire. Raises NotProductive where rho(A) >= 1.
+    """
+    surplus = 1.0 - np.sum(v * b, axis=-1)
+    M = A + b[:, :, None] * l[:, None, :]
+    productive, profitable, not_losing = _radius_below(
+        np.stack([A, M, M]), [[1.0], [1.0 - _SIGN_TOL], [1.0 + _SIGN_TOL]])
+    if not np.all(productive):
+        raise NotProductive("input matrix spectral radius must be < 1")
+    rest, own = numeraire_values(M, np.arange(l.shape[-1]))
+    profit = np.where(profitable, 1, np.where(not_losing, 0, -1))
+    return surplus, profit, rest, own
+
+
+def _judge_economy(econ: LeontiefEconomy):
+    """``_judge`` on ``econ`` alone, raising OutOfRange beyond float64."""
+    A, l, b = econ.input_matrix[None], econ.labor[None], econ.wage_bundle[None]
+    with _within_float64("economy", "a value of the economy"):
+        surplus, profit, rest, own = _judge(A, l, b, _labor_values(A, l))
+    return surplus[0], profit[0], rest[0], own[0]
+
+
+def surplus_value_rate(econ: LeontiefEconomy) -> float:
+    """Surplus labor per unit of labor: 1 - (labor value of the wage bundle)."""
+    surplus, _, _, _ = _judge_economy(econ)
+    return float(surplus)
+
+
+def profit_sign(econ: LeontiefEconomy) -> str:
+    """'positive', 'zero', or 'negative': can the economy reproduce a surplus?
+
+    Profitability economy-wide is exactly rho(A + b l^T) < 1, the matrix of
+    everything consumed per unit of gross output; 'zero' is within 1e-10.
+    """
+    _, profit, _, _ = _judge_economy(econ)
+    return {1: "positive", 0: "zero", -1: "negative"}[profit]
+
+
 def gcet_values(econ: LeontiefEconomy, numeraire: int) -> GcetReport:
     """Embodied content of commodity ``numeraire`` over the augmented system.
 
-    The chosen commodity is the primitive substance: its own inputs are not
-    unwound further, exactly as labor is primitive for labor values. Its
-    content in commodity k solves w_k = M[j, k] + sum_{i != j} w_i M[i, k]
-    over the wage-augmented matrix M. With R the other commodities, that is
-    w_R = M[j, R] (I - M[R, R])^-1 and the own value is the Schur complement
-    w_j = M[j, j] + M[j, R] (I - M[R, R])^-1 M[R, j]; with n = 1, w_0 = M[0, 0].
-    The theorem: the own value w_j is below one precisely when the economy
-    is profitable, whichever j is chosen. Every value is ``inf`` when the
-    rest of the system cannot reproduce itself, rho(M[R, R]) >= 1 - 1e-10.
+    The chosen commodity is the primitive substance, as labor is for labor
+    values: its content solves w_k = M[j, k] + sum_{i != j} w_i M[i, k] (the
+    closed form is in the module docstring). The theorem: the own value w_j
+    is below one precisely when the economy is profitable, whichever j.
     """
     j = numeraire
-    w_rest, own = numeraire_values(augmented_matrix(econ), [j])
-    return GcetReport(numeraire=j, values=np.insert(w_rest[0], j, own[0]),
-                      own_value=float(own[0]))
+    if not 0 <= j < econ.n:
+        raise OutOfRange("numeraire", f"commodity index must be in [0, {econ.n})")
+    _, _, rest, own = _judge_economy(econ)
+    return GcetReport(numeraire=j, values=np.insert(rest[j], j, own[j]),
+                      own_value=float(own[j]))
 
 
 def _uniform(u: np.ndarray, low: float, high: float) -> np.ndarray:
@@ -302,10 +299,9 @@ def random_economy(rng: np.random.Generator, n: int,
     matrix safely productive); labor is uniform on [0.1, 1]; the wage bundle
     is a random direction scaled so that its labor value equals wage_scale.
     """
-    _, (A,), (l,), (direction,) = _draw(rng, n, np.zeros(1, dtype=bool))
-    v = np.linalg.solve(np.eye(n) - A.T, l)
-    b = wage_scale * direction / float(v @ direction)
-    return LeontiefEconomy(A, l, b)
+    _, A, l, direction = _draw(rng, n, np.zeros(1, dtype=bool))
+    b = _wage_bundle(np.full(1, wage_scale), direction, _labor_values(A, l))
+    return LeontiefEconomy(A[0], l[0], b[0])
 
 
 @dataclass(frozen=True)
@@ -349,31 +345,14 @@ class TrialBlock(NamedTuple):
     own_values: np.ndarray
 
 
-def _sign(x: np.ndarray) -> np.ndarray:
-    return np.where(np.abs(x) <= _SIGN_TOL, 0, np.sign(x)).astype(int)
-
-
-#: Bounds of a block's whole-matrix tests, one for each of [A, M, M]: A is
-#: productive, and M lies below or above the zero-profit knife edge.
-_BLOCK_BOUNDS = np.array([[1.0], [1.0 - _SIGN_TOL], [1.0 + _SIGN_TOL]])
-
-
 def _trial_block(rng: np.random.Generator, trials: range, n: int) -> TrialBlock:
-    """Draw the economies of ``trials`` in sweep order and test them at once."""
+    """Draw the economies of ``trials`` in sweep order and judge them at once."""
     wage_scale, A, l, direction = _draw(
         rng, n, np.arange(trials.start, trials.stop) % 3 != 2)
     v = _labor_values(A, l)
-    b = (wage_scale[:, None] * direction
-         / np.einsum("ki,ki->k", v, direction)[:, None])
-    surplus = 1.0 - np.einsum("ki,ki->k", v, b)
-    M = A + b[:, :, None] * l[:, None, :]
-    productive, profitable, not_losing = _radius_below(np.stack([A, M, M]),
-                                                       _BLOCK_BOUNDS)
-    if not np.all(productive):
-        raise NotProductive("input matrix spectral radius must be < 1")
-    _, own = numeraire_values(M, np.arange(n))
-    profit = np.where(profitable, 1, np.where(not_losing, 0, -1))
-    return TrialBlock(surplus_sign=_sign(surplus), profit_sign=profit,
+    surplus, profit, _, own = _judge(A, l, _wage_bundle(wage_scale, direction, v), v)
+    surplus_sign = np.where(np.abs(surplus) <= _SIGN_TOL, 0, np.sign(surplus))
+    return TrialBlock(surplus_sign=surplus_sign.astype(int), profit_sign=profit,
                       own_values=own)
 
 

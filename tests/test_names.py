@@ -106,11 +106,11 @@ def test_only_the_naming_helpers_catch_out_of_range():
 
 def test_only_the_float_guard_catches_float_faults():
     # and the two readers whose faults are not a solver's: an integer beyond
-    # float64, and a Hawkins-Simon elimination that leaves it
+    # float64, and a Leontief economy or elimination that leaves it
     assert _catchers({"ArithmeticError", "FloatingPointError", "OverflowError",
                       "ZeroDivisionError"}) == [("core", "float_guard"),
                                                 ("scenario", "_number"),
-                                                ("value_theory", "numeraire_values")]
+                                                ("value_theory", "_within_float64")]
 
 
 def test_every_solver_field_has_a_scenario_key():

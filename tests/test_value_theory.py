@@ -10,9 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from ineqlab import (
     LeontiefEconomy,
-    augmented_matrix,
-    embodied_labor_values,
-    fmt_check,
     fmt_sweep,
     gcet_values,
     numeraire_values,
@@ -24,12 +21,21 @@ from ineqlab import (
 )
 from ineqlab import value_theory
 from ineqlab.cli import EXIT_CONFIG, EXIT_OK, main
-from ineqlab.errors import NotProductive, OutOfRange
-from ineqlab.value_theory import _draw, _radius_below, _trial_block
+from ineqlab.errors import IneqLabError, NotProductive, OutOfRange
+from ineqlab.value_theory import _draw, _labor_values, _radius_below, _trial_block
 
 
 def corn(a=0.5, l=1.0, wage=0.3):
     return LeontiefEconomy(np.array([[a]]), np.array([l]), np.array([wage]))
+
+
+def augmented(econ):
+    """The wage-augmented matrix M = A + b l^T."""
+    return econ.input_matrix + np.outer(econ.wage_bundle, econ.labor)
+
+
+def labor_values(econ):
+    return _labor_values(econ.input_matrix, econ.labor)
 
 
 def series_values(econ, terms=50):
@@ -45,7 +51,7 @@ def series_values(econ, terms=50):
 
 def gcet_oracle(econ, j):
     """Content of commodity j from the whole system with row j zeroed."""
-    M = augmented_matrix(econ)
+    M = augmented(econ)
     M_rest = M.copy()
     M_rest[j, :] = 0.0
     if spectral_radius(M_rest) >= 1.0 - 1e-10:
@@ -57,14 +63,19 @@ def sign(x):
     return 0 if abs(x) <= 1e-10 else (1 if x > 0.0 else -1)
 
 
+PROFIT_SIGNS = {1: "positive", 0: "zero", -1: "negative"}
+
+
 def one_economy_trials(trials, n, seed):
-    """Per trial (surplus sign, profit sign, own values), one economy at a time."""
+    """Per trial (surplus sign, profit sign, own values), one economy at a
+    time, with ``profit_sign`` checked against the eigenvalue oracle."""
     rng = np.random.default_rng(seed)
     for trial in range(trials):
         wage_scale = 1.0 if trial % 3 == 2 else float(rng.uniform(0.3, 1.7))
         econ = random_economy(rng, n, wage_scale)
-        rho = spectral_radius(augmented_matrix(econ))
-        yield (sign(surplus_value_rate(econ)), sign(1.0 - rho),
+        profit = sign(1.0 - spectral_radius(augmented(econ)))
+        assert profit_sign(econ) == PROFIT_SIGNS[profit]
+        yield (sign(surplus_value_rate(econ)), profit,
                [gcet_values(econ, j).own_value for j in range(n)])
 
 
@@ -200,19 +211,19 @@ class TestRadiusBelow:
 class TestEmbodiedValues:
     def test_corn_geometric_series(self):
         econ = corn()
-        v = embodied_labor_values(econ)
+        v = labor_values(econ)
         assert v[0] == pytest.approx(2.0, rel=1e-12)
         assert v[0] == pytest.approx(series_values(econ)[0], rel=1e-12)
 
     def test_no_intermediates(self):
         econ = LeontiefEconomy(np.zeros((2, 2)), np.array([0.7, 1.3]),
                                np.array([0.1, 0.1]))
-        assert np.allclose(embodied_labor_values(econ), [0.7, 1.3])
+        assert np.allclose(labor_values(econ), [0.7, 1.3])
 
     def test_two_sector_system(self):
         A = np.array([[0.2, 0.1], [0.3, 0.4]])
         econ = LeontiefEconomy(A, np.array([1.0, 1.0]), np.array([0.1, 0.1]))
-        v = embodied_labor_values(econ)
+        v = labor_values(econ)
         # defining equation holds to tight residual
         assert np.max(np.abs(v @ A + econ.labor - v)) < 1e-10
         assert np.allclose(v, series_values(econ, 60), rtol=1e-9)
@@ -220,7 +231,7 @@ class TestEmbodiedValues:
     def test_series_truncation_bound(self):
         econ = LeontiefEconomy(np.array([[0.3, 0.2], [0.1, 0.25]]),
                                np.array([0.5, 0.8]), np.array([0.2, 0.1]))
-        v = embodied_labor_values(econ)
+        v = labor_values(econ)
         rho = spectral_radius(econ.input_matrix)
         for K in (5, 10, 20):
             approx = series_values(econ, K)
@@ -233,6 +244,16 @@ class TestEmbodiedValues:
         with pytest.raises(NotProductive):
             LeontiefEconomy(np.array([[0.6, 0.6], [0.6, 0.6]]),
                             np.array([1.0, 1.0]), np.array([0.0, 0.0]))
+        # periodic: rho = 1 exactly, with -1 just as large
+        with pytest.raises(NotProductive):
+            LeontiefEconomy(np.array([[0.0, 1.0], [1.0, 0.0]]),
+                            np.array([1.0, 1.0]), np.array([0.0, 0.0]))
+
+    def test_defective_matrix_below_one_is_productive(self):
+        # a Jordan block at rho = 0.5: one eigenvector, no special case
+        econ = LeontiefEconomy(np.array([[0.5, 1.0], [0.0, 0.5]]),
+                               np.array([1.0, 1.0]), np.array([0.1, 0.1]))
+        np.testing.assert_allclose(labor_values(econ), [2.0, 6.0], rtol=1e-14)
 
     def test_input_validation(self):
         with pytest.raises(OutOfRange) as info:
@@ -245,6 +266,7 @@ class TestEmbodiedValues:
 class TestSurplusAndProfit:
     def test_corn_surplus(self):
         assert surplus_value_rate(corn(wage=0.3)) == pytest.approx(0.4, rel=1e-12)
+        assert surplus_value_rate(corn(wage=0.7)) == pytest.approx(-0.4, rel=1e-12)
         assert surplus_value_rate(corn(wage=0.5)) == pytest.approx(0.0, abs=1e-14)
         assert surplus_value_rate(corn(wage=0.0)) == pytest.approx(1.0, rel=1e-14)
 
@@ -253,12 +275,29 @@ class TestSurplusAndProfit:
         assert profit_sign(corn(wage=0.5)) == "zero"        # M = 1.0
         assert profit_sign(corn(wage=0.7)) == "negative"    # M = 1.2
 
-    def test_fmt_corn(self):
-        rep = fmt_check(corn(wage=0.3))
-        assert rep.surplus_positive and rep.profit_positive and rep.equivalent
-        rep = fmt_check(corn(wage=0.7))
-        assert (not rep.surplus_positive and not rep.profit_positive
-                and rep.equivalent)
+    @pytest.mark.parametrize("A, l, b", [
+        ([[0.5]], [10.0], [1e308]),                     # M overflows
+        (np.full((2, 2), 0.1), [1e200, 1e200], [1e200, 1e200]),
+        ([[0.5]], [1e308], [0.0]),                      # labor values overflow
+        ([[0.999]], [1.0], [1e306]),                    # only v b overflows
+    ], ids=["M", "l-and-b", "v", "surplus"])
+    def test_one_economy_values_beyond_float64_are_typed(self, A, l, b):
+        econ = LeontiefEconomy(np.array(A), np.array(l), np.array(b))
+        for ask in (surplus_value_rate, profit_sign, lambda e: gcet_values(e, 0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(IneqLabError) as exc:
+                    ask(econ)
+            assert exc.value.field == "economy"
+
+    def test_productivity_beyond_float64_is_typed(self):
+        # the elimination of I - A overflows before any pivot fails
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRange) as exc:
+                LeontiefEconomy(np.array([[0.0, 1e200], [1e200, 0.0]]),
+                                np.array([1.0, 1.0]), np.array([0.0, 0.0]))
+        assert exc.value.field == "input_matrix"
 
 
 class TestGcet:
@@ -271,7 +310,7 @@ class TestGcet:
         for _ in range(300):
             scale = float(rng.uniform(0.3, 1.7))
             econ = random_economy(rng, 2, scale)
-            rho = spectral_radius(augmented_matrix(econ))
+            rho = spectral_radius(augmented(econ))
             own = [gcet_values(econ, j).own_value for j in range(2)]
             if rho < 1.0 - 1e-10:
                 assert all(o < 1.0 - 1e-10 for o in own)
@@ -284,11 +323,11 @@ class TestGcet:
         with pytest.raises(OutOfRange):
             gcet_values(corn(), -1)
         with pytest.raises(OutOfRange):
-            numeraire_values(augmented_matrix(corn())[None], [0, 1])
+            numeraire_values(augmented(corn())[None], [0, 1])
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -1e-3])
     def test_rejects_matrices_it_cannot_judge(self, entry):
-        M = augmented_matrix(random_economy(np.random.default_rng(2), 3, 0.5))
+        M = augmented(random_economy(np.random.default_rng(2), 3, 0.5))
         M[1, 2] = entry
         with pytest.raises(OutOfRange) as exc:
             numeraire_values(M[None], np.arange(3))
@@ -332,7 +371,7 @@ class TestGcet:
         # commodity 1 alone, with rho = 1.1; without commodity 1, rho = 0.2
         econ = LeontiefEconomy(np.diag([0.1, 0.5]), np.array([1.0, 1.0]),
                                np.array([0.1, 0.6]))
-        M = augmented_matrix(econ)
+        M = augmented(econ)
         np.testing.assert_allclose(M, [[0.2, 0.1], [0.6, 1.1]], rtol=1e-15)
         first = gcet_values(econ, 0)
         assert first.own_value == np.inf and np.all(np.isinf(first.values))
@@ -340,7 +379,7 @@ class TestGcet:
         # w_0 = 0.6 / (1 - 0.2) and w_1 = 1.1 + w_0 * 0.1
         np.testing.assert_allclose(second.values, [0.75, 1.175], rtol=1e-14)
         # the array form, with a productive economy in the same stack
-        stack = np.stack([M, augmented_matrix(random_economy(
+        stack = np.stack([M, augmented(random_economy(
             np.random.default_rng(1), 2, 0.5))])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -353,7 +392,7 @@ class TestGcet:
         # n = 1: the rest is empty, so w_0 = M[0, 0] even when it is above one
         for wage in (0.3, 0.5, 0.7):
             econ = corn(wage=wage)
-            M = augmented_matrix(econ)
+            M = augmented(econ)
             assert gcet_values(econ, 0).own_value == M[0, 0]
             rest, own = numeraire_values(M[None], np.array([0]))
             assert rest.shape == (1, 1, 0) and own[0, 0] == M[0, 0]
@@ -432,13 +471,20 @@ class TestSweep:
 
     def test_makes_no_eigenvalue_solve(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("the sweep called np.linalg.eigvals")
+            raise AssertionError("np.linalg.eigvals was called")
 
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
         for n in (1, 2, 5, 10):
             blocks = list(sweep_trials(100, n, 0))
             assert sum(len(b.profit_sign) for b in blocks) == 100
         assert fmt_sweep(trials=100, n=5, seed=0).clean
+        # nor do the one-economy names
+        econ = LeontiefEconomy(np.array([[0.2, 0.1], [0.3, 0.4]]),
+                               np.array([1.0, 1.0]), np.array([0.1, 0.1]))
+        assert profit_sign(econ) == "positive"
+        assert surplus_value_rate(econ) > 0.0
+        assert gcet_values(econ, 1).own_value < 1.0
+        assert random_economy(np.random.default_rng(0), 4, 0.5).n == 4
 
     def test_deterministic_report(self):
         a = fmt_sweep(trials=50, n=2, seed=123).text()
