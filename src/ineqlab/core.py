@@ -23,6 +23,9 @@ from .errors import GrowthConditionViolated, OutOfRange
 #: so every distribution entry must stay at or above this floor.
 POSITIVITY_FLOOR = 1e-12
 
+#: Most Ramsey dt steps, OLG generations or cobweb points one run may ask for.
+MAX_STEPS = 10**6
+
 
 class Family(Enum):
     OLG = "olg"

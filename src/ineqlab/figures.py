@@ -2,8 +2,8 @@
 
 The source figures are qualitative; parameter values here are artifact
 defaults chosen for visual clarity (spillover productivity 3, capital share
-0.5, discount 0.1, three households starting at 1, 2, 3) and are documented
-in the README rather than taken from the text. Surfaces (figA1, figA4) are
+0.5, discount 0.1, three households starting at 1, 2, 3), set in the module
+constants below rather than taken from the text. Surfaces (figA1, figA4) are
 emitted as grid CSVs for external 3-D rendering; the rest are drawn as
 minimal SVG line charts alongside their data CSVs.
 """

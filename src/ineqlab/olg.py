@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    MAX_STEPS,
     OLG_AUTARKY_EXOG,
     POSITIVITY_FLOOR,
     EconomyParams,
@@ -100,11 +101,11 @@ def olg_steady_state(params: EconomyParams, regime: Regime) -> SteadyState:
 
 
 def check_horizon(max_generations: int, stop_tol: float):
-    """The bounds of an OLG run: ``max_generations`` >= 1 and ``stop_tol``
-    finite and >= 0, or OutOfRange names the field."""
-    if max_generations < 1:
-        raise OutOfRange("max_generations",
-                         f"max_generations must be >= 1, got {max_generations!r}")
+    """The bounds of an OLG run: ``max_generations`` in [1, MAX_STEPS] and
+    ``stop_tol`` finite and >= 0, or OutOfRange names the field."""
+    if not 1 <= max_generations <= MAX_STEPS:
+        raise OutOfRange("max_generations", f"max_generations must lie in "
+                                            f"[1, {MAX_STEPS}], got {max_generations!r}")
     if not 0.0 <= stop_tol < math.inf:
         raise OutOfRange("stop_tol", f"stop_tol must be finite and >= 0, got {stop_tol!r}")
 
@@ -225,8 +226,9 @@ def cobweb_data(params: EconomyParams, b_min: float, b_max: float,
             raise OutOfRange(field, f"{field} must be finite and > 0, got {value!r}")
     if not b_min < b_max:
         raise OutOfRange("b_min", f"b_min {b_min!r} must lie below b_max {b_max!r}")
-    if n_points < 2:
-        raise OutOfRange("n_points", f"n_points must be >= 2, got {n_points!r}")
+    if not 2 <= n_points <= MAX_STEPS:
+        raise OutOfRange("n_points", f"n_points must lie in [2, {MAX_STEPS}], "
+                                     f"got {n_points!r}")
     b_star = olg_steady_state(params, OLG_AUTARKY_EXOG).holding_star
     levels = np.linspace(b_min, b_max, n_points)
     return CobwebData(levels=levels, mapped=olg_mean_map(levels, params),

@@ -24,21 +24,24 @@ multidimensional search: multiple shooting, one Newton solve over every
 segment of [0, T] at once, with the Jacobian from the variational equations
 integrated alongside the state. Equal autarky households are on the
 balanced ray from t = 0 and take the market's closed form. Every
-integration is the one RK4 step ``rk4_step``.
+integration is the one RK4 step ``rk4_step``. Each method returns only its
+rows (K, C), and shoot_saddle_path records the rows its stride keeps, once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
+    MAX_STEPS,
     RAMSEY_AUTARKY_EXOG,
     EconomyParams,
     Regime,
     SteadyState,
+    Technology,
     Trajectory,
     WealthDistribution,
     check_population,
@@ -56,7 +59,6 @@ from .metrics import coefficient_of_variation, gini, ratio_max_min
 from .production import household_production
 
 _EPS = float(np.finfo(float).eps)
-_MAX_STEPS = 10**6  # dt steps that one path may ask for
 
 
 @dataclass(frozen=True)
@@ -70,11 +72,11 @@ class ShootingConfig:
     the whole horizon. ``terminal_band`` is the relative distance from the
     steady state (or balanced ray) that counts as arrival.
     ``max_iterations`` caps the Newton iterations of the autarky spillover
-    solve. ``record_stride`` keeps every n-th step of the recorded path,
-    plus its last. ``dt`` is finite and > 0, ``terminal_band`` inside
-    (0, 1) (a band of 1 or more counts a zero holding as arrival),
-    ``horizon`` finite and above ``dt``, and the two counts >= 1, or
-    OutOfRange names the field.
+    solve. ``record_stride`` keeps every n-th step of the solved path, plus
+    its last; the kept rows are chosen before the statistics are taken.
+    ``dt`` is finite and > 0, ``terminal_band`` inside (0, 1) (a band of 1
+    or more counts a zero holding as arrival), ``horizon`` finite and above
+    ``dt``, and the two counts >= 1, or OutOfRange names the field.
     """
 
     horizon: float | None = None
@@ -95,18 +97,18 @@ class ShootingConfig:
 
 
 def _steps(T: float, dt: float, given: bool = False) -> int:
-    """The number of dt steps in horizon T; above _MAX_STEPS, OutOfRange.
+    """The number of dt steps in horizon T; above MAX_STEPS, OutOfRange.
 
     The fault is named ``horizon`` when T is ``given`` (the config's own
-    horizon) and alone exceeds the cap, T > _MAX_STEPS; otherwise ``dt``.
+    horizon) and alone exceeds the cap, T > MAX_STEPS; otherwise ``dt``.
     """
     n = T / dt
-    if n > _MAX_STEPS:
-        if given and T > _MAX_STEPS:
+    if n > MAX_STEPS:
+        if given and T > MAX_STEPS:
             raise OutOfRange("horizon", f"horizon={T!r} asks for {n:.4g} steps "
-                                        f"of dt={dt!r}, above the cap of {_MAX_STEPS}")
+                                        f"of dt={dt!r}, above the cap of {MAX_STEPS}")
         raise OutOfRange("dt", f"dt={dt!r} asks for {n:.4g} steps to t={T:g}, "
-                               f"above the cap of {_MAX_STEPS}")
+                               f"above the cap of {MAX_STEPS}")
     return round(n)
 
 
@@ -362,7 +364,7 @@ def _ramsey_trajectory(times, K, C, params, regime, note=""):
 
 
 def _balanced_path(a0, params, regime, config):
-    """The closed-form path of a spillover economy that is on its ray at t = 0.
+    """Rows (K, C) of a spillover economy that is on its ray at t = 0.
 
     Under a capital market r = alpha m is constant, so every household is
     on its balanced path from t = 0: a_i = a_i0 e^(gt), c_i = c_i0 e^(gt),
@@ -379,19 +381,18 @@ def _balanced_path(a0, params, regime, config):
     times = np.arange(_steps(T, config.dt, config.horizon is not None) + 1) * config.dt
     growth = np.exp(g * times)[:, None]
     c0 = (1.0 - params.alpha) * m * float(a0.mean()) + (r - g) * a0
-    return _ramsey_trajectory(times, growth * a0, growth * c0, params,
-                              regime, note="closed-form balanced path")
+    return growth * a0, growth * c0
 
 
-def market_decompose(policy: _Policy, k_path: np.ndarray, dt: float,
-                     a: np.ndarray, params: EconomyParams,
-                     regime: Regime) -> Trajectory:
-    """Split a fixed-technology market's mean ride into household paths.
+def market_decompose(policy: _Policy, k_path: np.ndarray, c_path: np.ndarray,
+                     dt: float, a: np.ndarray, params: EconomyParams):
+    """Split a fixed-technology market's mean ride into household rows.
 
-    ``k_path`` is the mean capital ridden along ``policy`` at step ``dt``
-    from the mean of the holdings ``a``. Each household consumes its own
-    initial level grown by the common factor; its assets obey the linear
-    equation da = wage + r a - c. Working in deviations from the mean,
+    ``k_path`` and ``c_path`` are the mean capital and consumption ridden
+    along ``policy`` at step ``dt`` from the mean of the holdings ``a``;
+    the rows (assets, consumption) have one column per household. Each
+    consumes its own initial level grown by the common factor, and its
+    assets obey da = wage + r a - c. In deviations from the mean,
     a_i = kbar + phi * (a_i0 - kbar0) - (c_i0 - cbar0) * pg, the initial
     consumption gap of each household is the root of a linear equation: it
     makes the deviation's drift vanish at the end of the path, which kills
@@ -401,38 +402,29 @@ def market_decompose(policy: _Policy, k_path: np.ndarray, dt: float,
     to the mean path; failure raises DecompositionInconsistent.
     """
     kbar0 = float(k_path[0])
-    c_path = np.interp(k_path, policy.grid, policy.consumption)
     cbar0 = float(c_path[0])
     growth_factor = c_path / cbar0
     phi, pg = _aggregate_bases(policy, params, k_path, cbar0, dt)
 
     # terminal drift of the deviation, dc G_T - r_T (phi_T da - dc pg_T),
     # is zero at this consumption gap
-    r_T = household_production(None, k_path[-1], params, regime.technology, True)[1]
+    r_T = household_production(None, k_path[-1], params, Technology.EXOGENOUS, True)[1]
     G_T, phi_T, pg_T = growth_factor[-1], phi[-1], pg[-1]
     dc = r_T * phi_T * (a - kbar0) / (G_T + r_T * pg_T)
 
     c0 = cbar0 + dc
     if np.any(c0 <= 0.0):
-        raise StateLeftDomain(
-            "a household initial consumption left the positive domain"
-        )
+        raise StateLeftDomain("a household initial consumption left the positive domain")
     assets = k_path[:, None] + np.outer(phi, a - kbar0) - np.outer(pg, dc)
     consumption = np.outer(growth_factor, c0)
     if np.any(assets <= 0.0):
-        raise StateLeftDomain(
-            "a household asset path left the positive domain during decomposition"
-        )
+        raise StateLeftDomain("a household asset path left the positive domain "
+                              "during decomposition")
     agg_err = np.max(np.abs(assets.mean(axis=1) - k_path) / np.abs(k_path))
     if agg_err > 1e-8:
-        raise DecompositionInconsistent(
-            f"household paths do not aggregate to the mean path "
-            f"(max relative error {agg_err:.3e})"
-        )
-    return _ramsey_trajectory(
-        dt * np.arange(k_path.size), assets, consumption, params, regime,
-        note="household decomposition of the aggregate path",
-    )
+        raise DecompositionInconsistent(f"household paths do not aggregate to the mean "
+                                        f"path (max relative error {agg_err:.3e})")
+    return assets, consumption
 
 
 def _aggregate_bases(policy, params, k_path, cbar0, dt):
@@ -557,7 +549,7 @@ def _shoot_autarky_endog(k0, params, regime, config):
     their variational equations run as one RK4 batch; a Newton step that
     takes a segment out of the positive domain is halved. T is the time the
     linearised dispersion needs to fall to half the band, capped by the
-    horizon. The path is recorded from the converged segments and stops at
+    horizon. The rows (K, C) come from the converged segments and stop at
     arrival.
     """
     L = k0.size
@@ -642,8 +634,7 @@ def _shoot_autarky_endog(k0, params, regime, config):
             f"autarky spillover path did not arrive in the band {band} by "
             f"t={min(S * seg, limit * dt):g}{cap}; widen the horizon or the band")
     end = arrived[0] + 1
-    return _ramsey_trajectory(dt * np.arange(end), K[:end], C[:end], params,
-                              regime)
+    return K[:end], C[:end]
 
 
 @float_guard
@@ -657,7 +648,8 @@ def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,
     horizon, and the recorded trajectory stops at arrival. A horizon (given
     or default) of more than 10**6 dt steps, or shooting segments that take
     more, is OutOfRange("dt") before any step, and a float fault on the way
-    is OutOfRange("params"). One method per economy:
+    is OutOfRange("params"). One method per economy returns the rows (K, C),
+    and the rows ``config.record_stride`` keeps are recorded once:
 
     * spillover with a market, or equal holdings: on the ray from t = 0,
       so the closed-form balanced path over the whole horizon;
@@ -673,22 +665,21 @@ def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,
     if config is None:
         config = ShootingConfig()
     k0 = dist0.as_array()
+    note = ""
     if regime.is_endogenous and (regime.is_market or np.all(k0 == k0[0])):
-        traj = _balanced_path(k0, params, regime, config)
+        K, C = _balanced_path(k0, params, regime, config)
+        note = "closed-form balanced path"
     elif regime.is_endogenous:
-        traj = _shoot_autarky_endog(k0, params, regime, config)
+        K, C = _shoot_autarky_endog(k0, params, regime, config)
     elif regime.is_market and k0.size > 1:
-        policy, K, _ = _ride_into_band(k0.mean(keepdims=True), params, config)
-        traj = market_decompose(policy, K[:, 0], config.dt, k0, params, regime)
+        policy, k, c = _ride_into_band(k0.mean(keepdims=True), params, config)
+        K, C = market_decompose(policy, k[:, 0], c[:, 0], config.dt, k0, params)
+        note = "household decomposition of the aggregate path"
     else:
         _, K, C = _ride_into_band(k0, params, config)
-        traj = _ramsey_trajectory(config.dt * np.arange(K.shape[0]), K, C,
-                                  params, regime)
-    if config.record_stride == 1:
-        return traj
-    n = len(traj)
-    keep = np.unique(np.r_[0:n:config.record_stride, n - 1])
-    return replace(traj, **{
-        f.name: getattr(traj, f.name)[keep] for f in fields(traj)
-        if isinstance(getattr(traj, f.name), np.ndarray)
-    })
+    rows = np.arange(K.shape[0])
+    if config.record_stride > 1:
+        # at stride 1 the rows stay uncopied
+        rows = np.unique(np.r_[rows[::config.record_stride], rows[-1]])
+        K, C = K[rows], C[rows]
+    return _ramsey_trajectory(config.dt * rows, K, C, params, regime, note)

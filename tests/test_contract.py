@@ -91,6 +91,8 @@ FAULTS = [
     ("olg_autarky_converge", "params.theta", "1e300", "params"),
     ("olg_market_growth", "params.tfp", "1e30", "params"),
     ("olg_market_growth", "params.tfp", "1e300", "params"),
+    ("olg_autarky_converge", "horizon.max_generations", "1000000000000",
+     "horizon.max_generations"),
     ("ramsey_autarky_saddle", "params.tfp", "1e-300", "params"),
     ("ramsey_autarky_saddle", "params.tfp", "1e300", "params"),
     ("ramsey_autarky_saddle", "params.alpha", "1e-300", "params"),

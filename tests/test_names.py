@@ -120,3 +120,11 @@ def test_every_solver_field_has_a_scenario_key():
               and isinstance(node, ast.Call) and getattr(node.func, "id", "") == "OutOfRange"
               and isinstance(node.args[0], ast.Constant)}
     assert "params" in fields and fields <= set(_KEY_OF)
+
+
+def test_a_ramsey_solve_is_recorded_at_one_site():
+    # every method of shoot_saddle_path returns its rows; one call records them
+    calls = [node for module, _, node in _top_level_nodes() if module == "ramsey"
+             and isinstance(node, ast.Call)
+             and getattr(node.func, "id", "") == "_ramsey_trajectory"]
+    assert len(calls) == 1

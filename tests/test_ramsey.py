@@ -30,7 +30,8 @@ from ineqlab.errors import (
     ShootingFailed,
     WrongRegime,
 )
-from ineqlab.ramsey import _MAX_STEPS, _ride, _saddle_policy, _steps
+from ineqlab.core import MAX_STEPS
+from ineqlab.ramsey import _ride, _saddle_policy, _steps
 
 CLASSIC = EconomyParams(tfp=1.0, alpha=0.5, theta=0.05, gamma=1.0, population=1)
 
@@ -660,7 +661,8 @@ class TestShootAutarkyAk:
 
 
 class TestRecordStride:
-    @pytest.mark.parametrize("regime, params, holdings, controls", [
+    # one economy per row of the method table of shoot_saddle_path
+    methods = pytest.mark.parametrize("regime, params, holdings, controls", [
         (RAMSEY_AUTARKY_EXOG, FAST_EXOG, [20.0],
          {"dt": 0.1, "terminal_band": 1e-3}),
         (RAMSEY_MARKET_EXOG,
@@ -670,6 +672,8 @@ class TestRecordStride:
         (RAMSEY_AUTARKY_AK, AK_AUTARKY, [1.0, 1.5],
          {"dt": 0.1, "terminal_band": 1e-2}),
     ], ids=["autarky-exog", "market-exog", "market-ak", "autarky-ak"])
+
+    @methods
     def test_every_tenth_row_plus_last(self, regime, params, holdings, controls):
         dist = WealthDistribution(holdings)
         full = shoot_saddle_path(dist, params, regime, ShootingConfig(**controls))
@@ -684,18 +688,36 @@ class TestRecordStride:
                      "ratio_max_min"):
             assert np.array_equal(getattr(thin, name), getattr(full, name)[keep])
 
+    @methods
+    def test_records_once_from_the_kept_rows(self, regime, params, holdings,
+                                             controls, monkeypatch):
+        # the rows of each call through the ramsey module's names
+        rows = {}
+        for name in ("Trajectory", "gini", "coefficient_of_variation",
+                     "ratio_max_min"):
+            def counted(*args, _name=name, _real=getattr(ramsey, name), **kwargs):
+                first = args[0] if args else kwargs["times"]
+                rows.setdefault(_name, []).append(first.shape[0])
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(ramsey, name, counted)
+        thin = shoot_saddle_path(WealthDistribution(holdings), params, regime,
+                                 ShootingConfig(record_stride=10, **controls))
+        assert len(thin) > 10
+        assert rows == dict.fromkeys(("Trajectory", "gini", "coefficient_of_variation",
+                                      "ratio_max_min"), [len(thin)])
+
 
 class TestStepCap:
     def test_cap_is_inclusive(self):
-        assert _MAX_STEPS == 10**6
-        assert _steps(0.5 * _MAX_STEPS, 0.5) == _MAX_STEPS
+        assert MAX_STEPS == 10**6
+        assert _steps(0.5 * MAX_STEPS, 0.5) == MAX_STEPS
         with pytest.raises(OutOfRange, match="above the cap of 1000000") as info:
-            _steps(0.5 * (_MAX_STEPS + 1), 0.5)
+            _steps(0.5 * (MAX_STEPS + 1), 0.5)
         assert info.value.field == "dt"
 
     @pytest.mark.parametrize("T, given, field", [
-        (1e30, True, "horizon"), (2.0 * _MAX_STEPS, True, "horizon"),
-        (1e30, False, "dt"), (0.5 * _MAX_STEPS, True, "dt"),
+        (1e30, True, "horizon"), (2.0 * MAX_STEPS, True, "horizon"),
+        (1e30, False, "dt"), (0.5 * MAX_STEPS, True, "dt"),
     ])
     def test_a_given_horizon_beyond_the_cap_is_named(self, T, given, field):
         # only a given horizon that alone exceeds the cap is the fault

@@ -24,6 +24,7 @@ from ineqlab import (
     run_scenario,
 )
 from ineqlab.cli import EXIT_CONFIG, EXIT_SOLVER, _apply_overrides, main
+from ineqlab.core import MAX_STEPS
 from ineqlab.errors import ParseError, ValidationError
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
@@ -224,6 +225,7 @@ class TestHorizonBounds:
         ("ramsey", "horizon.max_iterations", "0"),
         ("ramsey", "horizon.record_stride", "0"),
         ("olg", "horizon.max_generations", "0"),
+        ("olg", "horizon.max_generations", "1000001"),
         ("olg", "horizon.stop_tol", "NaN"),
         ("olg", "horizon.stop_tol", "-1e-9"),
         ("olg", "horizon.stop_tol", "Infinity"),
@@ -248,6 +250,11 @@ class TestHorizonBounds:
 
     def test_zero_stop_tol_is_valid(self):
         assert parse_scenario(MINIMAL + "horizon.stop_tol = 0\n").stop_tol == 0.0
+
+    def test_generation_cap_is_inclusive(self):
+        # parsed only: a run as long as the cap takes tens of seconds
+        text = MINIMAL + f"horizon.max_generations = {MAX_STEPS}\n"
+        assert parse_scenario(text).max_generations == MAX_STEPS == 10**6
 
     @pytest.mark.parametrize("key, value", [
         ("params.tfp", "1" + "0" * 400),
@@ -301,6 +308,8 @@ horizon.dt = 1e-9
         ("olg_autarky_converge", ["--tol", "nan"], "horizon.stop_tol"),
         ("olg_autarky_converge", ["--tol", "inf"], "horizon.stop_tol"),
         ("olg_autarky_converge", ["--max-steps", "0"], "horizon.max_generations"),
+        ("olg_autarky_converge", ["--max-steps", "1000001", "--tol", "0"],
+         "horizon.max_generations"),
     ])
     def test_cli_overrides_meet_the_same_bounds(self, stem, args, key, tmp_path,
                                                 capsys):
@@ -313,6 +322,7 @@ horizon.dt = 1e-9
 
     @pytest.mark.parametrize("args, option", [
         (["--points", "1"], "--points"),
+        (["--points", "1000000000000000"], "--points"),
         (["--min", "2", "--max", "1"], "--min"),
         (["--min", "0"], "--min"),
         (["--min", "nan"], "--min"),
