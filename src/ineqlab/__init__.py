@@ -12,7 +12,8 @@ Each model law has one public function, an array kernel:
 bound is checked once, by the type or function that owns it, which raises
 ``errors.OutOfRange`` naming its field, and a float fault in a solver entry
 point is ``OutOfRange("params")``. The scenario module names the scenario
-key of that field, and the CLI the option.
+key of that field, and the CLI the option, both through
+``errors.named_by``.
 """
 
 from .core import (

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 a property
 sweep found a counterexample. An input outside a bound is a configuration
 error, named once at each boundary: its owner raises OutOfRange naming its
-field, a float fault in a solver is OutOfRange("params"), the scenario
-module names the key, and ``_named_by_option`` the option. The output
+field, a growth condition or a float fault in a solver is
+OutOfRange("params"), and ``errors.named_by`` renames the field, to the
+scenario key in the scenario module and to the option here. The output
 directory defaults to ./out and can be overridden by --out or the
 INEQ_LAB_OUT environment variable.
 """
@@ -15,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import (
@@ -24,6 +24,7 @@ from .errors import (
     ParseError,
     ValidationError,
     WrongRegime,
+    named_by,
 )
 from .figures import FIGURE_NAMES, figure
 from .olg import cobweb_data
@@ -59,19 +60,6 @@ def _load_config(path: str) -> ScenarioConfig:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
-@contextmanager
-def _named_by_option(options: dict[str, str]):
-    """Re-raise an OutOfRange or ValidationError of a field in ``options`` as
-    a ValidationError naming its option, ``"--opt: message"``."""
-    try:
-        yield
-    except (OutOfRange, ValidationError) as exc:
-        if exc.field not in options:
-            raise
-        raise ValidationError(options[exc.field],
-                              f"{options[exc.field]}: {exc}") from exc
-
-
 def _apply_overrides(config: ScenarioConfig, tol: float | None,
                      max_steps: int | None) -> ScenarioConfig:
     """``config`` with --tol and --max-steps in place of its horizon keys.
@@ -92,7 +80,7 @@ def _apply_overrides(config: ScenarioConfig, tol: float | None,
         key = line.partition(" = ")[0]
         if key in options:
             lines[i] = f"{key} = {json.dumps(options[key][1])}"
-    with _named_by_option({key: option for key, (option, _) in options.items()}):
+    with named_by({key: option for key, (option, _) in options.items()}):
         return parse_scenario("\n".join(lines))
 
 
@@ -132,7 +120,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_fmt_sweep(args) -> int:
-    with _named_by_option({"trials": "--trials", "n": "--size", "seed": "--seed"}):
+    with named_by({"trials": "--trials", "n": "--size", "seed": "--seed"}):
         report = fmt_sweep(args.trials, args.size, args.seed)
     print(report.text())
     return EXIT_OK if report.clean else EXIT_COUNTEREXAMPLE
@@ -149,8 +137,8 @@ def _cmd_cobweb(args) -> int:
                                                             *config.initial_distribution)
     # the default b_min is finite and positive, so it is named only by a
     # range out of order, and that is the given --max's fault
-    with _named_by_option({"b_min": "--min" if args.min is not None else "--max",
-                           "b_max": "--max", "n_points": "--points"}):
+    with named_by({"b_min": "--min" if args.min is not None else "--max",
+                   "b_max": "--max", "n_points": "--points"}):
         data = cobweb_data(config.params, b_min, b_max, args.points)
     out = _default_out(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -183,14 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, bare_format):
         p.add_argument("--out", default=None, help="output directory "
                        "(default: $INEQ_LAB_OUT or ./out)")
-        p.add_argument("--format", choices=("csv", "svg", "both"), default=None)
+        p.add_argument("--format", choices=("csv", "svg", "both"), default=None,
+                       help=f"file formats to write (default: {bare_format})")
 
     p_sim = sub.add_parser("simulate", help="run a scenario config file")
     p_sim.add_argument("config")
-    add_common(p_sim)
+    add_common(p_sim, "both, of the outputs the scenario lists")
     p_sim.add_argument("--tol", type=float, default=None,
                        help="override stop tolerance / terminal band")
     p_sim.add_argument("--max-steps", type=int, default=None,
@@ -203,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figure", help="reproduce a named figure")
     p_fig.add_argument("name", choices=FIGURE_NAMES)
-    add_common(p_fig)
+    add_common(p_fig, "both")
     p_fig.set_defaults(func=_cmd_figure)
 
     p_sweep = sub.add_parser("fmt-sweep",
@@ -215,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cob = sub.add_parser("cobweb", help="emit the bequest-map cobweb data")
     p_cob.add_argument("config")
-    add_common(p_cob)
+    add_common(p_cob, "csv only")
     p_cob.add_argument("--min", type=float, default=None)
     p_cob.add_argument("--max", type=float, default=None)
     p_cob.add_argument("--points", type=int, default=200)

@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GrowthConditionViolated, OutOfRange
+from .errors import OutOfRange
 
 #: Smallest admissible holding. Log/CRRA utility is undefined at zero wealth,
 #: so every distribution entry must stay at or above this floor.
@@ -128,7 +128,8 @@ def validate_params(params: EconomyParams, regime: Regime) -> EconomyParams:
     theta. The dynasty models need, with r = alpha * tfp * L**(1 - alpha)
     the interest rate and g = (r - theta) / gamma the balanced growth rate,
     both g > 0 (positive balanced growth) and r > g (transversality, i.e.
-    theta + (gamma - 1) * g > 0), or GrowthConditionViolated is raised.
+    theta + (gamma - 1) * g > 0). A violated bound raises OutOfRange naming
+    its field, and a violated growth condition OutOfRange("params").
     ``parse_scenario`` calls this function, so a scenario that breaks any
     of these conditions is rejected when it is parsed, not when it is
     solved.
@@ -150,25 +151,21 @@ def validate_params(params: EconomyParams, regime: Regime) -> EconomyParams:
         raise OutOfRange("theta", "a fixed-technology dynasty needs theta > 0")
     if regime.is_endogenous:
         if regime.is_olg and not (params.tfp > 2.0 + params.theta):
-            raise GrowthConditionViolated(
-                f"sustained growth needs tfp > 2 + theta; "
-                f"got tfp={params.tfp}, theta={params.theta}"
-            )
+            raise OutOfRange("params", f"sustained growth needs tfp > 2 + theta; "
+                             f"got tfp={params.tfp}, theta={params.theta}")
         if not regime.is_olg:
             # Dynasty counterpart: positive balanced growth and an interest
             # rate exceeding it, otherwise no admissible balanced path exists.
             m = params.ak_scale()
             growth = (params.alpha * m - params.theta) / params.gamma
             if not (growth > 0.0):
-                raise GrowthConditionViolated(
-                    f"balanced growth needs alpha*tfp*L**(1-alpha) > theta; "
-                    f"got {params.alpha * m} <= {params.theta}"
-                )
+                raise OutOfRange(
+                    "params", "balanced growth needs alpha*tfp*L**(1-alpha) > theta; "
+                    f"got {params.alpha * m} <= {params.theta}")
             if not (params.alpha * m > growth):
-                raise GrowthConditionViolated(
-                    "interest must exceed balanced growth "
-                    f"(theta + (gamma-1)*g = {params.theta + (params.gamma - 1.0) * growth} <= 0)"
-                )
+                raise OutOfRange(
+                    "params", "interest must exceed balanced growth "
+                    f"(theta + (gamma-1)*g = {params.theta + (params.gamma - 1.0) * growth} <= 0)")
     return params
 
 

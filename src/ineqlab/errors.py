@@ -3,11 +3,16 @@
 Every error raised on purpose derives from :class:`IneqLabError`, so callers
 (and the CLI) can distinguish model/config problems from genuine bugs.
 
-Each input fault is named once: the type or function that owns a bound
-raises :class:`OutOfRange` naming its field (``"dt"``, ``"alpha"``), and
-``core.float_guard`` names a solver's float fault ``"params"``. The
-scenario module names the scenario key of that field, the CLI the option.
+Each input fault is one :class:`OutOfRange` naming its field, raised by the
+type or function that owns the bound: a parameter (``"dt"``, ``"alpha"``), a
+growth condition or a solver's float fault (``"params"``), an all-zero
+distribution (``"values"``) or an unproductive input matrix
+(``"input_matrix"``). A boundary renames the field through
+:func:`named_by`: the scenario module to the scenario key, the CLI to the
+option.
 """
+
+from contextlib import contextmanager
 
 
 class IneqLabError(Exception):
@@ -22,16 +27,8 @@ class OutOfRange(IneqLabError):
         super().__init__(message or f"out of range: {field}")
 
 
-class GrowthConditionViolated(IneqLabError):
-    """Sustained-growth requirement on productivity vs. discounting fails."""
-
-
 class WrongRegime(IneqLabError):
     """Operation called for a regime it is not defined in."""
-
-
-class NegativeBequest(IneqLabError):
-    """The capital-market bequest formula produced a non-positive bequest."""
 
 
 class StateLeftDomain(IneqLabError):
@@ -52,14 +49,6 @@ class DecompositionInconsistent(IneqLabError):
     mean's saddle ride that they were split from."""
 
 
-class NotProductive(IneqLabError):
-    """Input-coefficient matrix has spectral radius >= 1."""
-
-
-class AllZero(IneqLabError):
-    """Distribution statistics are undefined for an all-zero vector."""
-
-
 class ParseError(IneqLabError):
     """Scenario document is not well-formed."""
 
@@ -74,3 +63,16 @@ class ValidationError(IneqLabError):
     def __init__(self, field: str, message: str = ""):
         self.field = field
         super().__init__(message or f"invalid value for {field}")
+
+
+@contextmanager
+def named_by(names: dict[str, str]):
+    """Re-raise an OutOfRange or ValidationError of a field in ``names`` as
+    a ValidationError naming ``names[field]``: ``"name: message"``. A fault
+    of any other field passes through unchanged."""
+    try:
+        yield
+    except (OutOfRange, ValidationError) as exc:
+        if exc.field not in names:
+            raise
+        raise ValidationError(names[exc.field], f"{names[exc.field]}: {exc}") from exc

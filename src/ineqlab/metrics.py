@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import WealthDistribution
-from .errors import AllZero, OutOfRange
+from .errors import OutOfRange
 
 
 def _rows(dist, name: str) -> tuple[np.ndarray, bool]:
@@ -39,8 +39,8 @@ def gini(dist) -> float | np.ndarray:
     Population-weighted, no small-sample correction; ranges over [0, 1 - 1/n].
     Accepts a WealthDistribution or any nonnegative vector (zeros allowed),
     returning a float, or a (T, L) matrix, returning the T row values. A
-    negative value raises OutOfRange("values") and an all-zero row AllZero,
-    as the first such row of the matrix would alone.
+    negative value or an all-zero row raises OutOfRange("values"), as the
+    first such row of the matrix would alone.
     """
     x, single = _rows(dist, "gini")
     n = x.shape[1]
@@ -52,7 +52,7 @@ def gini(dist) -> float | np.ndarray:
         row = int(np.argmax(bad))
         if xs[row, 0] < 0.0:
             raise OutOfRange("values", "gini needs a nonempty nonnegative vector")
-        raise AllZero("gini undefined for an all-zero vector")
+        raise OutOfRange("values", "gini undefined for an all-zero vector")
     # sum_i sum_j |x_i - x_j| = 2 * sum_k (2k + 1 - n) * x_(k) for sorted x;
     # the weights are exact integers. One dot per row keeps the 1-D bits,
     # which a matrix product does not.
@@ -69,9 +69,9 @@ def coefficient_of_variation(dist) -> float | np.ndarray:
     """Population standard deviation over the mean.
 
     Takes one distribution, returning a float, or a (T, L) matrix, returning
-    the T row values; a row whose mean is zero raises AllZero. Squared
-    deviations overflow float64 once the values pass about 1e154, though the
-    ratio is finite. A row whose mean is that large is first scaled by a
+    the T row values; a row whose mean is zero raises OutOfRange("values").
+    Squared deviations overflow float64 once the values pass about 1e154,
+    though the ratio is finite. A row whose mean is that large is first scaled by a
     power of two, which is exact, so the result has the same bits as the
     unscaled ratio wherever that one is finite. The ufunc calls are those
     numpy's ``mean`` and ``std`` make on a vector, so the bits are theirs too.
@@ -80,7 +80,7 @@ def coefficient_of_variation(dist) -> float | np.ndarray:
     n = x.shape[1]
     mu = center = np.add.reduce(x, axis=1) / n
     if (mu == 0.0).any():
-        raise AllZero("cv undefined for an all-zero vector")
+        raise OutOfRange("values", "cv undefined for an all-zero vector")
     big = np.abs(mu) > _CV_RESCALE_ABOVE
     if big.any():
         shift = np.where(big, -np.frexp(mu)[1], 0)

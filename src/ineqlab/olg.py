@@ -32,7 +32,7 @@ from .core import (
     float_guard,
     validate_params,
 )
-from .errors import NegativeBequest, OutOfRange, WrongRegime
+from .errors import OutOfRange, WrongRegime
 from .metrics import coefficient_of_variation, gini, ratio_max_min
 from .production import household_production
 
@@ -53,13 +53,7 @@ def olg_step(b: np.ndarray, params: EconomyParams, regime: Regime):
         income, interest = y - mpk * (bbar - b), mpk
     else:
         income, interest = y, float(np.mean(mpk))
-    nxt = income / (2.0 + params.theta)
-    if np.any(nxt <= 0.0):
-        raise NegativeBequest(
-            "market bequest formula produced a non-positive bequest; "
-            "choose a less extreme initial distribution"
-        )
-    return nxt, interest
+    return income / (2.0 + params.theta), interest
 
 
 @float_guard

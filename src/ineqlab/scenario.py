@@ -19,11 +19,11 @@ for convenience). Example::
 sets (the config itself, its regime, params or shooting), the field there,
 and the reader that checks its value's type. Both ``parse_scenario`` and
 ``render_scenario`` go through it. The model bounds belong to the types and
-functions that own them, which raise OutOfRange naming their field, and a
-float fault in a solver is OutOfRange("params"). ``parse_scenario``,
-``steady_state_for`` and ``run_scenario`` run the model code inside one
-helper, ``_named_by_key``, which names the scenario key of that field
-instead.
+functions that own them, which raise OutOfRange naming their field; a
+growth condition or a float fault in a solver is OutOfRange("params").
+``parse_scenario``, ``steady_state_for`` and ``run_scenario`` run the model
+code inside ``errors.named_by(_KEY_OF)``, which names the scenario key of
+that field instead.
 
 Running a scenario writes ``<name>_trajectory.csv`` and ``<name>_metrics.csv``
 (RFC-4180, CRLF line endings) and optionally a minimal SVG chart; identical
@@ -47,7 +47,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from itertools import chain, cycle, repeat
@@ -67,13 +66,7 @@ from .core import (
     check_population,
     validate_params,
 )
-from .errors import (
-    GrowthConditionViolated,
-    IneqLabError,
-    OutOfRange,
-    ParseError,
-    ValidationError,
-)
+from .errors import ParseError, ValidationError, named_by
 from .olg import check_horizon, olg_simulate, olg_steady_state
 from .production import household_production
 from .ramsey import ShootingConfig, ramsey_steady_state, shoot_saddle_path
@@ -199,25 +192,13 @@ _REQUIRED = [key for key, (part, field, _) in _KEYS.items()
              if all(f.default is MISSING and f.default_factory is MISSING
                     for f in fields(part) if f.name == field)]
 
-#: The key of each field that the model code's OutOfRange can name; a float
-#: fault, or a steady state or path out of its domain, is named ``params``.
+#: The key of each field that the model code's OutOfRange can name; a growth
+#: condition, a float fault, or a steady state or path out of its domain, is
+#: named ``params``.
 _KEY_OF = {**dict.fromkeys(("params", "holding_star", "growth_star",
                             "trajectory"), "params"),
            "holdings": "initial_distribution",
            **{field: key for key, (_, field, _) in _KEYS.items()}}
-
-
-@contextmanager
-def _named_by_key():
-    """Re-raise the model code's OutOfRange and GrowthConditionViolated as
-    ValidationError naming the scenario key: ``"key: message"``."""
-    try:
-        yield
-    except OutOfRange as exc:
-        key = _KEY_OF[exc.field]
-        raise ValidationError(key, f"{key}: {exc}") from exc
-    except GrowthConditionViolated as exc:
-        raise ValidationError("params", f"params: {exc}") from exc
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -227,7 +208,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     offending key) for unknown keys, bad types, or violated model bounds.
     Each value's type is checked by its key's reader as its line is read.
     After the last line come the missing keys, then the bounds, checked by
-    the types and functions that own them inside ``_named_by_key``. A
+    the types and functions that own them inside ``named_by(_KEY_OF)``. A
     field whose key is absent takes its dataclass default, except
     ``params.population``, which defaults to the number of holdings.
     """
@@ -254,7 +235,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     holdings = given[ScenarioConfig]["initial_distribution"]
     regime = Regime(**given[Regime])
     params = EconomyParams(**{"population": len(holdings), **given[EconomyParams]})
-    with _named_by_key():
+    with named_by(_KEY_OF):
         shooting = ShootingConfig(**given[ShootingConfig])
         dist = WealthDistribution(np.asarray(holdings))
         validate_params(params, regime)
@@ -436,7 +417,7 @@ def metrics_csv_text(traj: Trajectory, texts: dict[str, list[str]]) -> str:
 def steady_state_for(config: ScenarioConfig) -> SteadyState:
     """The steady state (or balanced ray) of the configured economy."""
     steady_state = olg_steady_state if config.regime.is_olg else ramsey_steady_state
-    with _named_by_key():
+    with named_by(_KEY_OF):
         return steady_state(config.params, config.regime)
 
 
@@ -490,7 +471,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path = "out",
     of the solve is a ValidationError naming its scenario key.
     """
     steady = steady_state_for(config)
-    with _named_by_key():
+    with named_by(_KEY_OF):
         dist0 = WealthDistribution(np.asarray(config.initial_distribution))
         if config.regime.is_olg:
             traj = olg_simulate(

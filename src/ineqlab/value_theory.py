@@ -20,11 +20,14 @@ the zero-profit knife edge. When the rest cannot reproduce itself, that is
 when rho(M[R, R]) >= 1 - 1e-10, every value of numeraire j is ``inf``.
 With n = 1 the rest is empty and w_0 = M[0, 0].
 
-One judge, ``_judge``, decides for a stack of economies: the surplus value
-rate, the profit sign and productivity, and the values of every numeraire.
+One judge, ``_judge``, decides for a stack of productive economies: the
+surplus value rate, the profit sign, and the values of every numeraire.
 It takes no eigenvalues: each question asked of a spectrum is a threshold,
 rho(B) < s, which the Hawkins-Simon test of ``_radius_below`` answers, in
-one elimination over the stack [A, M, M] and one over the rest blocks.
+one elimination over the stack [M, M] and one over the rest blocks. The
+productivity of A is decided before the judge: by the ``LeontiefEconomy``
+constructor, which raises OutOfRange("input_matrix") where rho(A) >= 1,
+and by the bounds of a sweep's draws.
 ``fmt_sweep`` runs the judge on blocks of at most 32 drawn economies; the
 one-economy names run it on a stack of one. Blocks are bounded because the
 working arrays grow with the block: sweeping 400 trials at each of n = 3, 5,
@@ -41,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotProductive, OutOfRange
+from .errors import OutOfRange
 
 _SIGN_TOL = 1e-10
 
@@ -122,7 +125,7 @@ class LeontiefEconomy:
             raise OutOfRange("wage_bundle", "wage bundle must be >= 0")
         with _within_float64("input_matrix", "the Hawkins-Simon elimination"):
             if not _radius_below(A, 1.0):
-                raise NotProductive("input matrix spectral radius must be < 1")
+                raise OutOfRange("input_matrix", "input matrix spectral radius must be < 1")
         for arr in (A, l, b):
             arr.flags.writeable = False
         object.__setattr__(self, "input_matrix", A)
@@ -141,8 +144,8 @@ def _labor_values(A: np.ndarray, l: np.ndarray) -> np.ndarray:
     residual = np.max(np.abs((v[..., None, :] @ A)[..., 0, :] + l - v), axis=-1)
     scale = np.maximum(1.0, np.max(np.abs(v), axis=-1))
     if np.any(residual > 1e-10 * scale):
-        raise NotProductive(
-            f"value system residual too large: {np.max(residual):.3e}")
+        raise OutOfRange("economy",
+                         f"value system residual too large: {np.max(residual):.3e}")
     return v
 
 
@@ -208,14 +211,17 @@ def _judge(A: np.ndarray, l: np.ndarray, b: np.ndarray, v: np.ndarray):
     (k, n); a drawn economy scales its wage bundle with ``v``. Returns the
     surplus value rate 1 - v b, the profit sign (1, 0 or -1, zero within
     1e-10 of the knife edge) and ``numeraire_values`` of M = A + b l^T for
-    every numeraire. Raises NotProductive where rho(A) >= 1.
+    every numeraire.
+
+    Every A is productive: a ``LeontiefEconomy`` checks it when it is made,
+    and a drawn A has row sums below 0.4, so rho(A) < 0.4. The profit sign
+    comes from one elimination over the stack [M, M]; ``_radius_below``
+    gives each matrix the same pivots as alone.
     """
     surplus = 1.0 - np.sum(v * b, axis=-1)
     M = A + b[:, :, None] * l[:, None, :]
-    productive, profitable, not_losing = _radius_below(
-        np.stack([A, M, M]), [[1.0], [1.0 - _SIGN_TOL], [1.0 + _SIGN_TOL]])
-    if not np.all(productive):
-        raise NotProductive("input matrix spectral radius must be < 1")
+    profitable, not_losing = _radius_below(
+        np.stack([M, M]), [[1.0 - _SIGN_TOL], [1.0 + _SIGN_TOL]])
     rest, own = numeraire_values(M, np.arange(l.shape[-1]))
     profit = np.where(profitable, 1, np.where(not_losing, 0, -1))
     return surplus, profit, rest, own

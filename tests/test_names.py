@@ -1,7 +1,8 @@
 """Names that other code counts on: the benchmark's traced layers, an error
 class for every error the package raises and no other, no private name
 shared between the package's modules, and the one place each input fault is
-named: the scenario and CLI naming helpers, and the float guard."""
+named: ``errors.named_by``, which the scenario and CLI boundaries share,
+and the float guard."""
 
 import ast
 import importlib.util
@@ -94,14 +95,46 @@ def test_error_class_is_raised(cls):
     assert cls.__name__ in _raised_names()
 
 
+def test_every_input_fault_is_out_of_range():
+    # a bound, a growth condition, an all-zero distribution and an
+    # unproductive matrix are each OutOfRange naming a field
+    assert {cls.__name__ for _, cls in inspect.getmembers(errors, inspect.isclass)
+            if issubclass(cls, errors.IneqLabError)
+            and cls is not errors.IneqLabError} == {
+        "OutOfRange", "WrongRegime", "ShootingFailed", "StateLeftDomain",
+        "DecompositionInconsistent", "ParseError", "ValidationError"}
+
+
+@pytest.mark.parametrize("fault", [errors.OutOfRange("dt", "dt must be > 0"),
+                                   errors.ValidationError("dt", "dt must be > 0")],
+                         ids=lambda fault: type(fault).__name__)
+def test_named_by_renames_a_mapped_field(fault):
+    with pytest.raises(errors.ValidationError) as info:
+        with errors.named_by({"dt": "--dt"}):
+            raise fault
+    assert info.value.field == "--dt"
+    assert str(info.value) == "--dt: dt must be > 0"
+    assert info.value.__cause__ is fault
+
+
+@pytest.mark.parametrize("fault", [errors.OutOfRange("values", "all-zero"),
+                                   errors.ValidationError("values", "all-zero")],
+                         ids=lambda fault: type(fault).__name__)
+def test_named_by_passes_an_unmapped_field_through(fault):
+    with pytest.raises(type(fault)) as info:
+        with errors.named_by({"dt": "--dt"}):
+            raise fault
+    assert info.value is fault and fault.field == "values"
+
+
 def test_no_module_imports_a_private_name_of_another():
     assert _private_imports() == []
 
 
 def test_only_the_naming_helpers_catch_out_of_range():
-    # an owner names its field; only the scenario and CLI boundaries rename it
-    assert _catchers({"OutOfRange"}) == [("cli", "_named_by_option"),
-                                         ("scenario", "_named_by_key")]
+    # an owner names its field; the scenario and CLI boundaries rename it
+    # through the one helper
+    assert _catchers({"OutOfRange"}) == [("errors", "named_by")]
 
 
 def test_only_the_float_guard_catches_float_faults():

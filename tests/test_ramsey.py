@@ -28,6 +28,7 @@ from ineqlab import (
 from ineqlab.errors import (
     OutOfRange,
     ShootingFailed,
+    StateLeftDomain,
     WrongRegime,
 )
 from ineqlab.core import MAX_STEPS
@@ -498,6 +499,20 @@ class TestShootMarketExog:
         # household assets aggregate exactly to the per-capita path
         assert np.max(np.abs(traj.holdings.mean(axis=1) - traj.mean_holding)) \
             <= 1e-8 * np.max(traj.mean_holding)
+
+    def test_a_household_that_must_borrow_leaves_the_domain(self):
+        # k* = 25: a household far below the mean draws its assets down
+        # while the mean rides up, and with 1 of [1, 60] it must borrow
+        p = replace(FAST_EXOG, population=2)
+        config = ShootingConfig(dt=0.05, terminal_band=1e-3)
+        with pytest.raises(StateLeftDomain, match="asset path left the positive"):
+            shoot_saddle_path(WealthDistribution([1.0, 60.0]), p,
+                              RAMSEY_MARKET_EXOG, config)
+        traj = shoot_saddle_path(WealthDistribution([3.0, 60.0]), p,
+                                 RAMSEY_MARKET_EXOG, config)
+        least = int(np.argmin(traj.holdings[:, 0]))
+        assert traj.holdings[least, 0] == pytest.approx(1.375, abs=1e-3)
+        assert traj.times[least] == pytest.approx(89.0, abs=0.5)
 
 
 AK_MARKET = EconomyParams(tfp=3.0, alpha=0.5, theta=0.1, gamma=2.0, population=2)

@@ -23,7 +23,7 @@ from ineqlab import (
     render_scenario,
     run_scenario,
 )
-from ineqlab.cli import EXIT_CONFIG, EXIT_SOLVER, _apply_overrides, main
+from ineqlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, _apply_overrides, main
 from ineqlab.core import MAX_STEPS
 from ineqlab.errors import ParseError, ValidationError
 
@@ -338,6 +338,22 @@ horizon.dt = 1e-9
         assert err.startswith(f"config error: {option}: ")
         assert not (tmp_path / "out").exists()
 
+    def test_cli_cobweb_writes_only_the_csv_by_default(self, tmp_path, capsys):
+        path = SCENARIO_DIR / "olg_autarky_converge.scn"
+        assert main(["cobweb", str(path), "--out", str(tmp_path)]) == EXIT_OK
+        assert [p.name for p in tmp_path.iterdir()] == [
+            "olg-autarky-converge_cobweb.csv"]
+
+    @pytest.mark.parametrize("command, bare", [
+        ("simulate", "both, of the outputs the scenario lists"),
+        ("figure", "both"),
+        ("cobweb", "csv only"),
+    ])
+    def test_cli_help_states_the_format_default(self, command, bare, capsys):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert f"(default: {bare})" in " ".join(capsys.readouterr().out.split())
+
     def test_cli_overrides_replace_the_horizon_keys(self):
         ramsey, olg = (parse_scenario((SCENARIO_DIR / f"{stem}.scn").read_text(
             encoding="utf-8")) for stem in ("ramsey_market_growth",
@@ -507,6 +523,21 @@ outputs = [csv]
         out = tmp_path / "out"
         assert main(["simulate", str(path), "--out", str(out)]) == EXIT_SOLVER
         assert "no arrival in the terminal band" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_household_that_must_borrow_is_a_solver_error(self, tmp_path, capsys):
+        path = tmp_path / "borrow.scn"
+        path.write_text("\n".join([
+            'name = "borrow"', "regime.family = ramsey", "regime.market = market",
+            "regime.technology = exogenous", "params.tfp = 1.0",
+            "params.alpha = 0.5", "params.theta = 0.1", "params.gamma = 1.0",
+            "initial_distribution = [1.0, 60.0]", "horizon.dt = 0.05",
+            "horizon.terminal_band = 1e-3"]), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["simulate", str(path), "--out", str(out)]) == EXIT_SOLVER
+        assert capsys.readouterr().err == (
+            "solver error: a household asset path left the positive domain "
+            "during decomposition\n")
         assert not out.exists()
 
     def test_summary_contains_steady_state_and_r_minus_g(self, tmp_path):

@@ -21,7 +21,7 @@ from ineqlab import (
 )
 from ineqlab import value_theory
 from ineqlab.cli import EXIT_CONFIG, EXIT_OK, main
-from ineqlab.errors import IneqLabError, NotProductive, OutOfRange
+from ineqlab.errors import IneqLabError, OutOfRange
 from ineqlab.value_theory import _draw, _labor_values, _radius_below, _trial_block
 
 
@@ -239,13 +239,13 @@ class TestEmbodiedValues:
             assert np.max(np.abs(v - approx)) <= bound * 10.0
 
     def test_not_productive(self):
-        with pytest.raises(NotProductive):
+        with pytest.raises(OutOfRange, match="spectral radius"):
             LeontiefEconomy(np.array([[1.0]]), np.array([1.0]), np.array([0.1]))
-        with pytest.raises(NotProductive):
+        with pytest.raises(OutOfRange, match="spectral radius"):
             LeontiefEconomy(np.array([[0.6, 0.6], [0.6, 0.6]]),
                             np.array([1.0, 1.0]), np.array([0.0, 0.0]))
         # periodic: rho = 1 exactly, with -1 just as large
-        with pytest.raises(NotProductive):
+        with pytest.raises(OutOfRange, match="spectral radius"):
             LeontiefEconomy(np.array([[0.0, 1.0], [1.0, 0.0]]),
                             np.array([1.0, 1.0]), np.array([0.0, 0.0]))
 
@@ -424,6 +424,18 @@ class TestDraw:
             assert econ.labor.tobytes() == l.tobytes()
             assert rng.bit_generator.state == oracle.bit_generator.state
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_drawn_input_matrices_are_productive(self, n, seed):
+        # the judge takes a drawn A as productive: every row sums below 0.4,
+        # so rho(A) < 0.4, and random_economy rejects none of them
+        _, A, _, _ = _draw(np.random.default_rng(seed), n,
+                           np.arange(400) % 3 != 2)
+        assert np.all(A.sum(axis=-1) < 0.4)
+        rng = np.random.default_rng(seed)
+        for scale in np.linspace(0.3, 1.7, 50):
+            assert random_economy(rng, n, scale).n == n
+
     @pytest.mark.parametrize("n", [1, 5, 10])
     def test_block_makes_one_draw_and_two_eliminations(self, n, monkeypatch):
         calls = []
@@ -437,7 +449,8 @@ class TestDraw:
         block = _trial_block(rng, range(32, 64), n)
         assert len(block.profit_sign) == 32
         assert rng.calls == 1
-        assert len(calls) == 2
+        # the judge's elimination over [M, M], then the rest blocks
+        assert len(calls) == 2 and calls[0] == (2, 32, n, n)
 
 
 class TestSweep:
