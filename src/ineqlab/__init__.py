@@ -5,15 +5,15 @@ without a capital market, fixed or spillover technology), their solvers and
 steady states, inequality metrics, Leontief value-theory theorems, and a CLI
 for scenario runs and figure reproduction.
 
-Each model law has one public function, an array kernel:
-``household_production`` (output and marginal product), ``ramsey_rhs``
-(asset drift and Euler growth), ``rk4_step`` (the one integrator) and
-``olg_step`` (one generation's bequests). They validate nothing. Each input
-bound is checked once, by the type or function that owns it, which raises
-``errors.OutOfRange`` naming its field, and a float fault in a solver entry
-point is ``OutOfRange("params")``. The scenario module names the scenario
-key of that field, and the CLI the option, both through
-``errors.named_by``.
+Three public array kernels state the shared laws: ``household_production``
+(output and marginal product), ``rk4_step`` (the one integrator) and
+``olg_step`` (one generation's bequests). They validate nothing. The
+dynasty solvers state asset drift and Euler growth in the derived form each
+one integrates. Each input bound is checked once, by the type or function
+that owns it, which raises ``errors.OutOfRange`` naming its field, and a
+float fault in a solver entry point is ``OutOfRange("params")``. The
+scenario module names the scenario key of that field, and the CLI the
+option, both through ``errors.named_by``.
 """
 
 from .core import (
@@ -50,14 +50,9 @@ from .olg import (
     olg_steady_state,
     olg_step,
 )
-from .production import (
-    AllocationCheck,
-    equal_allocation_is_optimal,
-    household_production,
-)
+from .production import household_production
 from .ramsey import (
     ShootingConfig,
-    ramsey_rhs,
     ramsey_steady_state,
     rk4_step,
     shoot_saddle_path,

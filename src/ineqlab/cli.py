@@ -205,9 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_cob = sub.add_parser("cobweb", help="emit the bequest-map cobweb data")
     p_cob.add_argument("config")
     add_common(p_cob, "csv only")
-    p_cob.add_argument("--min", type=float, default=None)
-    p_cob.add_argument("--max", type=float, default=None)
-    p_cob.add_argument("--points", type=int, default=200)
+    p_cob.add_argument("--min", type=float, default=None,
+                       help="least bequest level (default: the smaller of "
+                            "0.05 b* and half the least holding)")
+    p_cob.add_argument("--max", type=float, default=None,
+                       help="largest bequest level (default: 2.5 times the "
+                            "largest of b* and the holdings)")
+    p_cob.add_argument("--points", type=int, default=200,
+                       help="levels on the grid (default: %(default)s)")
     p_cob.set_defaults(func=_cmd_cobweb)
     return parser
 

@@ -10,6 +10,10 @@ distribution (``"values"``) or an unproductive input matrix
 (``"input_matrix"``). A boundary renames the field through
 :func:`named_by`: the scenario module to the scenario key, the CLI to the
 option.
+
+A solve that truly fails raises ShootingFailed when no saddle path is found,
+and StateLeftDomain when a market household's share of the mean's ride
+leaves the positive domain.
 """
 
 from contextlib import contextmanager
@@ -32,7 +36,8 @@ class WrongRegime(IneqLabError):
 
 
 class StateLeftDomain(IneqLabError):
-    """An integration step produced a non-positive holding or consumption."""
+    """A household's share of a market's saddle ride reaches a non-positive
+    holding or initial consumption."""
 
 
 class ShootingFailed(IneqLabError):
@@ -42,11 +47,6 @@ class ShootingFailed(IneqLabError):
     solve, or the autarky spillover Newton solve did not converge within
     ``max_iterations`` or left the positive domain at every damping.
     """
-
-
-class DecompositionInconsistent(IneqLabError):
-    """Household asset paths of a market failed to aggregate back to the
-    mean's saddle ride that they were split from."""
 
 
 class ParseError(IneqLabError):

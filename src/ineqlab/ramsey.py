@@ -17,9 +17,9 @@ whose stable manifold is one policy c = phi(k). It is computed once per
 solve by time elimination (integrating dc/dk outward from the steady state),
 and every path then rides the 1-D equation k' = f(k) - phi(k), all
 households as one vector. A fixed-technology market economy rides it once,
-from its mean, and that one ride decomposes into household asset paths that
-are linear in the aggregate prices; each household's consumption gap solves
-a linear equation. The autarky spillover case needs a genuinely
+from its mean, and that one ride splits into household paths: each
+household's gap to the mean is its start gap times one common factor, run
+backward along the ride. The autarky spillover case needs a genuinely
 multidimensional search: multiple shooting, one Newton solve over every
 segment of [0, T] at once, with the Jacobian from the variational equations
 integrated alongside the state. Equal autarky households are on the
@@ -41,7 +41,6 @@ from .core import (
     EconomyParams,
     Regime,
     SteadyState,
-    Technology,
     Trajectory,
     WealthDistribution,
     check_population,
@@ -49,7 +48,6 @@ from .core import (
     validate_params,
 )
 from .errors import (
-    DecompositionInconsistent,
     OutOfRange,
     ShootingFailed,
     StateLeftDomain,
@@ -113,26 +111,7 @@ def _steps(T: float, dt: float, given: bool = False) -> int:
 
 
 # ---------------------------------------------------------------------------
-# vector field
-
-
-def ramsey_rhs(k: np.ndarray, c: np.ndarray, params: EconomyParams,
-               regime: Regime):
-    """Time derivatives (dk, dc) of per-household holdings and consumption.
-
-    ``k`` and ``c`` are arrays with one entry per household; nothing is
-    validated. Under a capital market a household earns the wage, labour's
-    share of the mean's output, plus interest on its own assets; under
-    autarky it keeps its own output. Consumption grows at the Euler rate
-    (mpk - theta) / gamma, which a market sets from the mean.
-    """
-    y, mpk = household_production(k, k.sum() / k.size, params,
-                                  regime.technology, regime.is_market)
-    if regime.is_market:
-        dk = (1.0 - params.alpha) * y + mpk * k - c
-    else:
-        dk = y - c
-    return dk, ((mpk - params.theta) / params.gamma) * c
+# the integrator and the steady state
 
 
 def rk4_step(f, x, y, h):
@@ -391,64 +370,60 @@ def market_decompose(policy: _Policy, k_path: np.ndarray, c_path: np.ndarray,
     ``k_path`` and ``c_path`` are the mean capital and consumption ridden
     along ``policy`` at step ``dt`` from the mean of the holdings ``a``;
     the rows (assets, consumption) have one column per household. Each
-    consumes its own initial level grown by the common factor, and its
-    assets obey da = wage + r a - c. In deviations from the mean,
-    a_i = kbar + phi * (a_i0 - kbar0) - (c_i0 - cbar0) * pg, the initial
-    consumption gap of each household is the root of a linear equation: it
-    makes the deviation's drift vanish at the end of the path, which kills
-    its growing mode. A household whose initial consumption or assets
-    leave the positive domain raises StateLeftDomain. Deviations are
-    mean-zero by construction, so the household paths must aggregate back
-    to the mean path; failure raises DecompositionInconsistent.
+    consumes its own initial level grown by the common factor G = c / cbar0,
+    and its assets obey da = wage + r a - c, so its deviation x = a - kbar
+    obeys x' = r x - dc G, with dc its initial consumption gap. The solution
+    whose drift vanishes at the end of the path, which kills its growing
+    mode, is x = dc P for the one factor P of _deviation_factor. Hence
+    a_i = kbar + (a_i0 - kbar0) P / P(0) and dc = (a_i0 - kbar0) / P(0):
+    the deviations are the start gaps, whose mean is zero, times one factor,
+    so the households aggregate to the mean path. A household whose initial
+    consumption or assets leave the positive domain raises StateLeftDomain.
     """
     kbar0 = float(k_path[0])
     cbar0 = float(c_path[0])
-    growth_factor = c_path / cbar0
-    phi, pg = _aggregate_bases(policy, params, k_path, cbar0, dt)
-
-    # terminal drift of the deviation, dc G_T - r_T (phi_T da - dc pg_T),
-    # is zero at this consumption gap
-    r_T = household_production(None, k_path[-1], params, Technology.EXOGENOUS, True)[1]
-    G_T, phi_T, pg_T = growth_factor[-1], phi[-1], pg[-1]
-    dc = r_T * phi_T * (a - kbar0) / (G_T + r_T * pg_T)
-
-    c0 = cbar0 + dc
+    P = _deviation_factor(policy, params, k_path, c_path, dt)
+    gap = a - kbar0
+    c0 = cbar0 + gap / P[0]
     if np.any(c0 <= 0.0):
         raise StateLeftDomain("a household initial consumption left the positive domain")
-    assets = k_path[:, None] + np.outer(phi, a - kbar0) - np.outer(pg, dc)
-    consumption = np.outer(growth_factor, c0)
+    assets = k_path[:, None] + np.outer(P / P[0], gap)
     if np.any(assets <= 0.0):
         raise StateLeftDomain("a household asset path left the positive domain "
                               "during decomposition")
-    agg_err = np.max(np.abs(assets.mean(axis=1) - k_path) / np.abs(k_path))
-    if agg_err > 1e-8:
-        raise DecompositionInconsistent(f"household paths do not aggregate to the mean "
-                                        f"path (max relative error {agg_err:.3e})")
-    return assets, consumption
+    return assets, np.outer(c_path / cbar0, c0)
 
 
-def _aggregate_bases(policy, params, k_path, cbar0, dt):
-    """The decomposition's bases phi and pg along the aggregate's ride.
+def _deviation_factor(policy, params, k_path, c_path, dt):
+    """The factor P of every household deviation along the mean's ride.
 
-    They solve phi' = r phi with phi(0) = 1, and pg' = r pg + c / cbar0 with
-    pg(0) = 0, where r and c follow the aggregate k, all three by RK4 at dt.
-    Both equations are linear, so one step maps (phi, pg) to (M phi,
-    M pg + N): one RK4 step of every row at once, from phi = 1 and pg = 0,
-    gives M and N, and the bases are then a running product and sum.
+    P' = r P - G is the value of the future consumption factor G at the
+    interest r, with P_T = G_T / r_T, where a deviation's drift vanishes;
+    r and c follow the mean's k. RK4 at dt maps P_n to M_n P_n - N_n: one
+    RK4 step of every row at once, of phi' = r phi from phi = 1 and of
+    q' = r q + G from q = 0, gives M and N. Run backward (reverse shooting,
+    Judd 1998, ch. 10), P_n = (P_(n+1) + N_n) / M_n contracts. With phi
+    the running product of M, that recurrence is the reverse sum
+    P_n / phi_n = P_T / phi_T + sum_(j >= n) N_j / phi_(j+1), whose terms
+    are all positive, so nothing cancels. A phi beyond float64 is
+    shoot_saddle_path's OutOfRange("params").
     """
     A, alpha = params.tfp, params.alpha
+    cbar0 = float(c_path[0])
 
     def joint(_, z):
-        k, phi, pg = z
+        k, phi, q = z
         c = np.interp(k, policy.grid, policy.consumption)
         r = alpha * A * k ** (alpha - 1.0)
-        return np.array([A * k ** alpha - c, r * phi, r * pg + c / cbar0])
+        return np.array([A * k ** alpha - c, r * phi, r * q + c / cbar0])
 
     n = k_path.size - 1
     start = np.array([k_path[:-1], np.ones(n), np.zeros(n)])
     _, M, N = rk4_step(joint, 0.0, start, dt)
     phi = np.concatenate([[1.0], np.cumprod(M)])
-    return phi, phi * np.concatenate([[0.0], np.cumsum(N / phi[1:])])
+    P_T = c_path[-1] / cbar0 / (alpha * A * k_path[-1] ** (alpha - 1.0))
+    terms = np.append(N / phi[1:], P_T / phi[-1])
+    return phi * np.cumsum(terms[::-1])[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -134,9 +134,9 @@ INLINE_GOLDEN = {
     },
     "ramsey_market_exog": {
         "ramsey-market-exog.svg": "392815b60660a295e8b289782ea931eac172931e10f03aa92475a036afd54883",
-        "ramsey-market-exog_metrics.csv": "008dfd74e52d978aff36e310109cfc74f9e2cfce666240594e115a59482f3740",
-        "ramsey-market-exog_trajectory.csv": "294fbbe34f13edfc359f7f6f0c050b137edef3c5ae10cc7ea223a6df6a8aa016",
-        "summary": "eab3c9c20a724c1998e6a05e1dba87924846d8be99d5ce6de6a99f20a7fd8689",
+        "ramsey-market-exog_metrics.csv": "7b188dfc247166ac5d7c808504789601cb573e3b21e1c2664861dc841261a1d7",
+        "ramsey-market-exog_trajectory.csv": "0e34460764979c9640e435f35d19d70d660f16f69e8c59687f81d495913a8cd1",
+        "summary": "fb70e8ae565ad960742dbb474eb1d29c5f9e5d21dd100320de81d0127bb75051",
     },
     "ramsey_autarky_ak": {
         "ramsey-autarky-ak.svg": "1629c9ecc4b1a55bcd1902c62e278282c33bf82a3218b3d7c65a871744c812fe",

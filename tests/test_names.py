@@ -102,7 +102,7 @@ def test_every_input_fault_is_out_of_range():
             if issubclass(cls, errors.IneqLabError)
             and cls is not errors.IneqLabError} == {
         "OutOfRange", "WrongRegime", "ShootingFailed", "StateLeftDomain",
-        "DecompositionInconsistent", "ParseError", "ValidationError"}
+        "ParseError", "ValidationError"}
 
 
 @pytest.mark.parametrize("fault", [errors.OutOfRange("dt", "dt must be > 0"),

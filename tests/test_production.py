@@ -1,4 +1,4 @@
-"""Production technologies: anchor points, derivatives, allocation search."""
+"""Production technologies: anchor points, derivatives, the equal split."""
 
 import itertools
 import math
@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 from ineqlab import (
     EconomyParams,
     Technology,
-    equal_allocation_is_optimal,
     household_production,
 )
-from ineqlab.errors import OutOfRange
 
 EXOG = Technology.EXOGENOUS
 AK = Technology.ENDOGENOUS_AK
@@ -262,72 +260,36 @@ class TestAllocationOutput:
 
 
 class TestEqualAllocation:
-    def test_two_households(self):
-        check = equal_allocation_is_optimal(10.0, 2, economy(), grid_step=0.1)
-        assert np.allclose(check.argmax, [5.0, 5.0])
-        assert np.max(np.abs(check.argmax - 10.0 / 2)) <= check.grid_step
-        assert check.equal_minus_max >= -1e-12
+    """Output is strictly concave in own capital, so an equal split of K
+    yields at least the total output of any split of K: under fixed
+    technology, and under AK at a fixed spillover."""
 
-    def test_three_households(self):
-        check = equal_allocation_is_optimal(6.0, 3, economy(), grid_step=0.2)
-        assert np.allclose(check.argmax, [2.0, 2.0, 2.0])
-        assert np.max(np.abs(check.argmax - 6.0 / 3)) <= check.grid_step
+    @pytest.mark.parametrize("technology", [EXOG, AK])
+    @given(shares=st.lists(st.floats(0.01, 1.0), min_size=2, max_size=50),
+           K=st.floats(0.1, 1e4), alpha=st.floats(0.05, 0.95),
+           tfp=st.floats(0.1, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_split_yields_the_most_output(self, technology, shares, K,
+                                                alpha, tfp):
+        w = np.asarray(shares)
+        L = w.size
+        p = economy(tfp=tfp, alpha=alpha, population=L)
 
-    def test_matches_direct_enumeration(self):
-        # independent brute-force oracle with simple loops
-        K, L, step = 4.0, 2, 0.2
-        p = economy(alpha=0.3)
-        best, best_out = None, -1.0
-        n = int(round(K / step))
-        for i in range(1, n):
-            alloc = (i * step, K - i * step)
-            out = sum(a ** 0.3 for a in alloc)
-            if out > best_out:
-                best, best_out = alloc, out
-        check = equal_allocation_is_optimal(K, L, p, grid_step=step)
-        assert np.allclose(check.argmax, best)
-        assert check.argmax_output == pytest.approx(best_out, rel=1e-12)
+        def total(split):
+            return float(np.sum(household_production(split, K / L, p, technology)[0]))
 
-    @pytest.mark.parametrize("K", [4.0, 4.3])
-    def test_four_households_match_direct_enumeration(self, K):
-        # every allocation of the grid against the closed form; at K = 4.3
-        # the 43 units do not split evenly, and the maxima are permutations
-        # of one multiset whose sums can differ in the last bit
-        L, step, alpha = 4, 0.1, 0.3
+        assert total(np.full(L, K / L)) >= total(K * w / w.sum()) * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("K, L, step, alpha", [
+        (10.0, 2, 0.1, 0.5), (6.0, 3, 0.2, 0.5), (4.0, 2, 0.2, 0.3),
+        (4.0, 4, 0.1, 0.3), (4.3, 4, 0.1, 0.3), (7.3, 3, 0.1, 0.6)])
+    def test_equal_split_beats_every_grid_split(self, K, L, step, alpha):
+        # every split of K into whole units of about ``step``; at K = 4.3 the
+        # 43 units do not split evenly among four
+        n = round(K / step)
+        heads = np.array(list(itertools.product(range(1, n), repeat=L - 1)))
+        heads = heads[heads.sum(axis=1) < n]
+        splits = (K / n) * np.column_stack([heads, n - heads.sum(axis=1)])
         p = economy(alpha=alpha)
-        n = int(round(K / step))
-        best, best_out = None, -1.0
-        for head in itertools.product(range(1, n), repeat=L - 1):
-            if sum(head) < n:
-                alloc = [u * step for u in (*head, n - sum(head))]
-                out = sum(a ** alpha for a in alloc)
-                if out > best_out:
-                    best, best_out = alloc, out
-        check = equal_allocation_is_optimal(K, L, p, grid_step=step)
-        assert np.allclose(np.sort(check.argmax), np.sort(best))
-        assert check.argmax_output == pytest.approx(best_out, rel=1e-15)
-        # the lexicographically first balanced composition
-        assert np.all(np.diff(check.argmax) >= 0.0)
-        assert np.max(np.abs(check.argmax - K / L)) <= check.grid_step
-
-    @pytest.mark.parametrize("K, L", [(0.0, 2), (-1.0, 2), (math.nan, 2),
-                                      (1.0, 0)])
-    def test_rejects_nonpositive(self, K, L):
-        with pytest.raises(OutOfRange) as info:
-            equal_allocation_is_optimal(K, L, economy())
-        assert info.value.field == ("L" if L < 1 else "K")
-
-    def test_grid_too_coarse(self):
-        with pytest.raises(OutOfRange) as info:
-            equal_allocation_is_optimal(10.0, 2, economy(), grid_step=0.6)
-        assert info.value.field == "grid_step"
-        # the rule binds at step > K / (10 L)
-        with pytest.raises(OutOfRange) as info:
-            equal_allocation_is_optimal(6.0, 3, economy(), grid_step=0.5)
-        assert info.value.field == "grid_step"
-
-    @pytest.mark.parametrize("L", [2, 3, 5, 50])
-    def test_equal_split_beats_grid(self, L):
-        check = equal_allocation_is_optimal(7.3, L, economy(alpha=0.6))
-        assert check.equal_minus_max >= -1e-12
-        assert np.max(np.abs(check.argmax - 7.3 / L)) <= check.grid_step
+        outputs = household_production(splits, None, p, EXOG)[0].sum(axis=1)
+        assert allocation_output(np.full(L, K / L), p) >= outputs.max() * (1.0 - 1e-12)

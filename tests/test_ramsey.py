@@ -1,11 +1,11 @@
-"""Dynasty models: vector field, RK4, steady states, saddle-path shooting."""
+"""Dynasty models: the vector field oracle, RK4, steady states, saddle paths."""
 
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ineqlab import (
@@ -19,13 +19,14 @@ from ineqlab import (
     ShootingConfig,
     WealthDistribution,
     olg_simulate,
+    household_production,
     ramsey,
-    ramsey_rhs,
     ramsey_steady_state,
     rk4_step,
     shoot_saddle_path,
 )
 from ineqlab.errors import (
+    IneqLabError,
     OutOfRange,
     ShootingFailed,
     StateLeftDomain,
@@ -35,6 +36,26 @@ from ineqlab.core import MAX_STEPS
 from ineqlab.ramsey import _ride, _saddle_policy, _steps
 
 CLASSIC = EconomyParams(tfp=1.0, alpha=0.5, theta=0.05, gamma=1.0, population=1)
+
+
+def ramsey_rhs(k, c, params, regime):
+    """Time derivatives (dk, dc) of per-household holdings and consumption.
+
+    The solvers integrate derived forms of this law: the saddle policy, the
+    market's deviation factor, the variational field and the balanced path.
+    ``k`` and ``c`` are arrays with one entry per household. Under a capital
+    market a household earns the wage, labour's share of the mean's output,
+    plus interest on its own assets; under autarky it keeps its own output.
+    Consumption grows at the Euler rate (mpk - theta) / gamma, which a
+    market sets from the mean.
+    """
+    y, mpk = household_production(k, k.sum() / k.size, params,
+                                  regime.technology, regime.is_market)
+    if regime.is_market:
+        dk = (1.0 - params.alpha) * y + mpk * k - c
+    else:
+        dk = y - c
+    return dk, ((mpk - params.theta) / params.gamma) * c
 
 
 def rhs(k, c, params, regime):
@@ -142,6 +163,24 @@ class TestRhs:
                 assert national_income < bound
             else:
                 assert national_income == pytest.approx(bound, rel=1e-12)
+
+    @pytest.mark.parametrize("regime", [RAMSEY_AUTARKY_EXOG, RAMSEY_MARKET_EXOG])
+    def test_solved_rows_obey_the_field(self, regime):
+        # an autarky ride keeps k' = f(k) - c, and a market's households
+        # da = wage + r a - c: five-point differences of the rows match the
+        # field to within the saddle policy table's accuracy, both for
+        # holdings and for the Euler growth of consumption
+        p = EconomyParams(tfp=1.0, alpha=0.5, theta=0.1, gamma=1.0, population=4)
+        dt = 0.05
+        traj = shoot_saddle_path(WealthDistribution([5.0, 12.0, 40.0, 60.0]), p,
+                                 regime, ShootingConfig(dt=dt, terminal_band=1e-3))
+        field = [ramsey_rhs(k, c, p, regime)
+                 for k, c in zip(traj.holdings[2:-2], traj.consumption[2:-2])]
+        for rows, drift, bound in zip((traj.holdings, traj.consumption),
+                                      np.array(field).transpose(1, 0, 2), (1e-8, 1e-5)):
+            slope = (rows[:-4] - 8.0 * rows[1:-3] + 8.0 * rows[3:-1]
+                     - rows[4:]) / (12.0 * dt)
+            assert np.max(np.abs(slope - drift)) <= bound * np.max(np.abs(drift))
 
 
 class TestRk4Step:
@@ -513,6 +552,83 @@ class TestShootMarketExog:
         least = int(np.argmin(traj.holdings[:, 0]))
         assert traj.holdings[least, 0] == pytest.approx(1.375, abs=1e-3)
         assert traj.times[least] == pytest.approx(89.0, abs=0.5)
+
+
+    @pytest.mark.parametrize("params, holdings", [
+        (EconomyParams(tfp=1.7337, alpha=0.7266, theta=0.6371, gamma=1.0517,
+                       population=2), [79.83, 7.716]),
+        (EconomyParams(tfp=10.7288, alpha=0.3973, theta=0.0749, gamma=5.2372,
+                       population=5), [94.909, 10.976, 19.25, 34.803, 3.326]),
+    ], ids=["41-time-units", "407-time-units"])
+    def test_long_rides_split_to_rounding(self, params, holdings):
+        # along these rides e^(integral of r) reaches 7.6e10 and 3.3e16, so
+        # a deviation that grew forward would carry rounding of that size;
+        # in the second every household's assets rise from their start
+        config = ShootingConfig(dt=0.05, terminal_band=1e-3)
+        traj = shoot_saddle_path(WealthDistribution(holdings), params,
+                                 RAMSEY_MARKET_EXOG, config)
+        mean = shoot_saddle_path(WealthDistribution([np.mean(holdings)]),
+                                 replace(params, population=1), RAMSEY_MARKET_EXOG,
+                                 config)
+        assert np.max(np.abs(traj.holdings.mean(axis=1) / mean.holdings[:, 0]
+                             - 1.0)) <= 1e-14
+        if params.population == 5:
+            assert np.all(traj.holdings >= np.asarray(holdings) * (1.0 - 1e-14))
+
+    @given(tfp=st.floats(-1.0, 1.0), theta=st.floats(-2.0, 0.0),
+           gamma=st.floats(-0.7, 1.0), alpha=st.floats(0.05, 0.95),
+           holdings=st.lists(st.floats(-2.0, 4.0), min_size=2, max_size=5))
+    @settings(max_examples=30, deadline=None)
+    def test_a_split_aggregates_or_leaves_the_domain(self, tfp, theta, gamma,
+                                                     alpha, holdings):
+        # tfp, theta, gamma and the holdings drawn log-uniform; of markets
+        # whose mean ride succeeds, each split either averages back to that
+        # ride or has a household that would have to borrow
+        params = EconomyParams(tfp=10.0 ** tfp, alpha=alpha, theta=10.0 ** theta,
+                               gamma=10.0 ** gamma, population=1)
+        dist = WealthDistribution(10.0 ** np.asarray(holdings))
+        config = ShootingConfig(dt=0.2, terminal_band=1e-3)
+        try:
+            mean = shoot_saddle_path(WealthDistribution([dist.as_array().mean()]),
+                                     params, RAMSEY_MARKET_EXOG, config)
+        except IneqLabError:
+            assume(False)
+        try:
+            traj = shoot_saddle_path(dist, replace(params, population=len(holdings)),
+                                     RAMSEY_MARKET_EXOG, config)
+        except StateLeftDomain:
+            return
+        for rows, path in ((traj.holdings, mean.holdings), (traj.consumption,
+                                                            mean.consumption)):
+            assert np.max(np.abs(rows.mean(axis=1) / path[:, 0] - 1.0)) <= 1e-14
+
+    def test_the_split_is_the_backward_recurrence(self):
+        # reference: with one RK4 step of phi' = r phi from 1 and of
+        # q' = r q + c / cbar0 from 0 giving M and N, a per-step loop runs
+        # P_n = (P_(n+1) + N_n) / M_n back from P_T = G_T / r_T, and each
+        # household is a = kbar + (a_0 - kbar_0) P / P_0
+        p = replace(FAST_EXOG, population=4)
+        a = np.array([5.0, 12.0, 40.0, 60.0])
+        dt = 0.05
+        policy, k, c = ramsey._ride_into_band(a.mean(keepdims=True), FAST_EXOG,
+                                              ShootingConfig(dt=dt, terminal_band=1e-3))
+        k, c = k[:, 0], c[:, 0]
+
+        def field(_, z):
+            cc = np.interp(z[0], policy.grid, policy.consumption)
+            r = 0.5 * z[0] ** -0.5
+            return np.array([z[0] ** 0.5 - cc, r * z[1], r * z[2] + cc / c[0]])
+
+        P = [c[-1] / c[0] / (0.5 * k[-1] ** -0.5)]
+        for n in range(k.size - 2, -1, -1):
+            _, M, N = rk4_step(field, 0.0, np.array([k[n], 1.0, 0.0]), dt)
+            P.append((P[-1] + N) / M)
+        P = np.array(P[::-1])
+        assets, consumption = ramsey.market_decompose(policy, k, c, dt, a, p)
+        expected = k[:, None] + np.outer(P / P[0], a - a.mean())
+        assert np.max(np.abs(assets / expected - 1.0)) <= 5e-14
+        assert np.max(np.abs(consumption[0] / (c[0] + (a - a.mean()) / P[0])
+                             - 1.0)) <= 1e-15
 
 
 AK_MARKET = EconomyParams(tfp=3.0, alpha=0.5, theta=0.1, gamma=2.0, population=2)

@@ -354,6 +354,20 @@ horizon.dt = 1e-9
             main([command, "--help"])
         assert f"(default: {bare})" in " ".join(capsys.readouterr().out.split())
 
+    @pytest.mark.parametrize("option, default", [
+        ("--min MIN", "the smaller of 0.05 b* and half the least holding"),
+        ("--max MAX", "2.5 times the largest of b* and the holdings"),
+        ("--points POINTS", "200"),
+    ])
+    def test_cli_cobweb_help_states_the_range_defaults(self, option, default,
+                                                       capsys):
+        with pytest.raises(SystemExit):
+            main(["cobweb", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        # the option's own entry, up to the next option
+        entry = text.split(f" {option} ", 1)[1].split(" --", 1)[0]
+        assert f"(default: {default})" in entry
+
     def test_cli_overrides_replace_the_horizon_keys(self):
         ramsey, olg = (parse_scenario((SCENARIO_DIR / f"{stem}.scn").read_text(
             encoding="utf-8")) for stem in ("ramsey_market_growth",
