@@ -265,20 +265,23 @@ class Trajectory:
     """Time-indexed record of a simulated economy.
 
     ``times`` is the generation index (OLG) or the real time grid (Ramsey).
-    ``holdings`` and ``consumption`` are (T, L) matrices. Aggregate channels:
-    ``mean_holding``, ``mean_output`` (mean output of the capital households
-    operate in the recorded state, which under a capital market is the
-    output of the mean holding), ``interest`` (market rate, or mean private
-    return under autarky), and ``growth`` (net average growth over the step
-    ending at each time; zero, by convention, at the initial row for OLG and
-    the instantaneous consumption-growth rate for Ramsey). Inequality
-    channels ``gini``, ``cv`` and ``ratio_max_min`` are computed on holdings
-    once per trajectory, each row with the bits of its own 1-D statistic.
+    ``holdings`` and ``consumption`` are (T, L) matrices, and ``output``
+    that of the capital each household operates: (T, L) under autarky, and
+    (T, 1) under a capital market, where every household operates the mean.
+    Aggregate channels: ``mean_holding``, ``mean_output`` (the row means of
+    ``output``), ``interest`` (market rate, or mean private return under
+    autarky), and ``growth`` (net average growth over the step ending at
+    each time; zero, by convention, at the initial row for OLG and the
+    instantaneous consumption-growth rate for Ramsey). Inequality channels
+    ``gini``, ``cv`` and ``ratio_max_min`` are of the holdings, each row
+    with the bits of its own 1-D statistic. ``metrics.record_trajectory``
+    takes every derived channel once per trajectory.
     """
 
     times: np.ndarray
     holdings: np.ndarray
     consumption: np.ndarray
+    output: np.ndarray
     mean_holding: np.ndarray
     mean_output: np.ndarray
     interest: np.ndarray
@@ -295,11 +298,13 @@ class Trajectory:
         n = self.times.shape[0]
         if self.holdings.shape[0] != n or self.consumption.shape != self.holdings.shape:
             raise OutOfRange("trajectory", "channel lengths disagree")
-        for name in ("mean_holding", "mean_output", "interest", "growth",
-                     "gini", "cv", "ratio_max_min"):
+        # under a market every household operates the mean: one output column
+        output = (n, 1 if self.regime.is_market else self.holdings.shape[1])
+        for name in ("output", "mean_holding", "mean_output", "interest",
+                     "growth", "gini", "cv", "ratio_max_min"):
             ch = getattr(self, name)
-            if ch.shape != (n,):
-                raise OutOfRange("trajectory", f"channel {name} has wrong length")
+            if ch.shape != (output if name == "output" else (n,)):
+                raise OutOfRange("trajectory", f"channel {name} has wrong shape")
             if not np.all(np.isfinite(ch)):
                 raise OutOfRange("trajectory", f"channel {name} must be finite")
         if np.any(self.holdings <= 0.0) or np.any(self.consumption <= 0.0):

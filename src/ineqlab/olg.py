@@ -5,11 +5,12 @@ of income / (2 + theta); the bequest becomes the next generation's capital.
 ``olg_step`` states this law once for all four regimes. With a capital
 market every household operates the pooled capital, the mean bequest, and
 earns the wage plus interest on its own bequest at the common rate; under
-autarky each household farms its own holding. The recorded ``mean_output``
-is the output of the capital households operate, so under a market it is
-the output of the mean bequest that the next bequests are paid from. The
-endogenous variants replace the concave aggregate technology with the
-capital spillover, turning the steady state into a balanced growth ray.
+autarky each household farms its own holding. The recorded ``output`` is
+the output of the capital each household operates, so under a market it is
+one column, the output of the mean bequest that the next bequests are paid
+from, and ``mean_output`` is its row mean. The endogenous variants replace
+the concave aggregate technology with the capital spillover, turning the
+steady state into a balanced growth ray.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from .core import (
     validate_params,
 )
 from .errors import OutOfRange, WrongRegime
-from .metrics import coefficient_of_variation, gini, ratio_max_min
+# bench/spans.py wraps gini, coefficient_of_variation and ratio_max_min here
+from .metrics import coefficient_of_variation, gini, ratio_max_min, record_trajectory
 from .production import household_production
 
 
@@ -125,9 +127,8 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
     check_population(dist0, params)
     check_horizon(max_generations, stop_tol)
 
-    b_star = None
-    if not regime.is_endogenous:
-        b_star = olg_steady_state(params, regime).holding_star
+    b_star = (None if regime.is_endogenous
+              else olg_steady_state(params, regime).holding_star)
 
     def settled(b: np.ndarray, bbar: float) -> bool:
         if b_star is not None:
@@ -150,45 +151,24 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
                 nxt, rate = olg_step(b, params, regime)
             b, previous, bbar = nxt, bbar, float(nxt.mean())
             if not math.isfinite(bbar):
-                raise OutOfRange(
-                    "params",
-                    f"generation {len(rows_b)} leaves float64; lower "
-                    f"max_generations or raise stop_tol ({params})",
-                )
+                raise OutOfRange("params", f"generation {len(rows_b)} leaves float64; "
+                                 f"lower max_generations or raise stop_tol ({params})")
             if b.min() < POSITIVITY_FLOOR:
-                raise OutOfRange(
-                    "params",
-                    f"generation {len(rows_b)} falls below the positivity "
-                    f"floor {POSITIVITY_FLOOR} (its least holding is {b.min()}; "
-                    f"{params})",
-                )
+                raise OutOfRange("params", f"generation {len(rows_b)} falls below the "
+                                 f"positivity floor {POSITIVITY_FLOOR} (its least "
+                                 f"holding is {b.min()}; {params})")
             rows_b.append(b)
             interest.append(rate)
             growth.append(bbar / previous - 1.0)
             converged = settled(b, bbar)
 
     holdings = np.stack(rows_b)
-    n = holdings.shape[0]
-    mean_holding = holdings.mean(axis=1)
-    # the output of the capital households operate: the mean's under a market
-    mean_output = household_production(
-        holdings, mean_holding[:, None], params, regime.technology,
-        regime.is_market)[0].mean(axis=1)
-    return Trajectory(
-        times=np.arange(n, dtype=float),
-        holdings=holdings,
-        consumption=(1.0 + params.theta) * holdings,
-        mean_holding=mean_holding,
-        mean_output=mean_output,
-        interest=np.asarray(interest),
-        growth=np.asarray(growth),
-        gini=gini(holdings),
-        cv=coefficient_of_variation(holdings),
-        ratio_max_min=ratio_max_min(holdings),
-        regime=regime,
-        converged=converged,
-        savings_rate=1.0 / (2.0 + params.theta),
+    return record_trajectory(
+        np.arange(holdings.shape[0], dtype=float), holdings,
+        (1.0 + params.theta) * holdings, np.asarray(interest),
+        np.asarray(growth), params, regime, converged=converged,
         note="" if converged else "did not settle within max_generations",
+        savings_rate=1.0 / (2.0 + params.theta),
     )
 
 

@@ -8,8 +8,9 @@ given. That wedge between private and social marginal products is the whole
 point of the endogenous regimes.
 
 ``household_production`` is the one home of a household's output and
-marginal product: the solvers, the trajectory recorders and the CSV writer
-all take them from it, on raw arrays. Output is strictly concave in own
+marginal product: the solvers and the one trajectory recorder,
+``metrics.record_trajectory``, take them from it, on raw arrays, and the
+CSV writer reads the recorded output. Output is strictly concave in own
 capital, so under fixed technology an equal split of a capital stock yields
 the most output of any split.
 """

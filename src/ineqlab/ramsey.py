@@ -47,13 +47,9 @@ from .core import (
     float_guard,
     validate_params,
 )
-from .errors import (
-    OutOfRange,
-    ShootingFailed,
-    StateLeftDomain,
-    WrongRegime,
-)
-from .metrics import coefficient_of_variation, gini, ratio_max_min
+from .errors import OutOfRange, ShootingFailed, StateLeftDomain, WrongRegime
+# bench/spans.py wraps gini, coefficient_of_variation and ratio_max_min here
+from .metrics import coefficient_of_variation, gini, ratio_max_min, record_trajectory
 from .production import household_production
 
 _EPS = float(np.finfo(float).eps)
@@ -310,34 +306,6 @@ def _ride_into_band(k0: np.ndarray, params: EconomyParams,
     return policy, K, np.interp(K, policy.grid, policy.consumption)
 
 
-def _ramsey_trajectory(times, K, C, params, regime, note=""):
-    mean_holding = K.mean(axis=1)
-    y, mpk = household_production(K, mean_holding[:, None], params,
-                                  regime.technology, regime.is_market)
-    # a market's (T, 1) column, or its AK constant, is the mean's
-    r = np.broadcast_to(mpk, y.shape).mean(axis=1)
-    if regime.is_market:
-        growth = (r - params.theta) / params.gamma
-    else:
-        rates = (mpk - params.theta) / params.gamma
-        growth = (rates * C).sum(axis=1) / C.sum(axis=1)
-    return Trajectory(
-        times=times,
-        holdings=K,
-        consumption=C,
-        mean_holding=mean_holding,
-        mean_output=y.mean(axis=1),
-        interest=r,
-        growth=growth,
-        gini=gini(K),
-        cv=coefficient_of_variation(K),
-        ratio_max_min=ratio_max_min(K),
-        regime=regime,
-        converged=True,
-        note=note,
-    )
-
-
 # ---------------------------------------------------------------------------
 # balanced spillover paths in closed form; fixed-technology market households
 
@@ -524,8 +492,11 @@ def _shoot_autarky_endog(k0, params, regime, config):
     their variational equations run as one RK4 batch; a Newton step that
     takes a segment out of the positive domain is halved. T is the time the
     linearised dispersion needs to fall to half the band, capped by the
-    horizon. The rows (K, C) come from the converged segments and stop at
-    arrival.
+    horizon. A path that has not arrived by T is solved again over twice the
+    time, until it arrives or the horizon (without one, MAX_STEPS steps)
+    caps it; a path that leaves float64 before it arrives, or one at its
+    cap, raises ShootingFailed. The rows (K, C) come from the converged
+    segments and stop at arrival.
     """
     L = k0.size
     n = 2 * L
@@ -542,15 +513,18 @@ def _shoot_autarky_endog(k0, params, regime, config):
              else math.inf)
     S = max(1, math.ceil(min(T / seg, limit / steps)))
     _steps(S * seg, dt)  # and the steps the segments take
+    # a path that has not arrived is solved again over twice the segments,
+    # up to the horizon, or without one up to the step cap
+    most = MAX_STEPS // steps if limit == math.inf else math.ceil(limit / steps)
     field = _variational_field(params, L)
     # the terminal conditions are linear in the state: B s(T) = 0
     centre = np.eye(L) - 1.0 / L
     B = np.block([[-mu * slope * centre[:-1], centre[:-1]],
                   [np.full((1, L), -mu / L), np.full((1, L), 1.0 / L)]])
-    sensitivity = np.broadcast_to(np.eye(n), (S, n, n))
 
     def evaluate(nodes):
         """(gaps, terminal residual, Jacobians, rows), or None off the domain."""
+        sensitivity = np.broadcast_to(np.eye(n), (len(nodes), n, n))
         Y = np.concatenate([nodes[:, :, None], sensitivity], axis=2)
         rows = [nodes]
         with np.errstate(all="ignore"):  # checked below
@@ -562,54 +536,59 @@ def _shoot_autarky_endog(k0, params, regime, config):
         ends = decay * Y[:, :, 0]
         return ends[:-1] - nodes[1:], B @ ends[-1], decay * Y[:, :, 1:], rows
 
-    # first guess: the linearised stable manifold, taken in logs so that it
-    # stays positive far from the ray: log(k_i / kbar) decays like
-    # e^(lam_minus t), and c_i = mu kbar (k_i / kbar)^slope
-    rel = (k0 / kbar0) ** np.exp(lam_minus * seg * np.arange(S))[:, None]
-    nodes = np.hstack([rel, mu * rel ** slope])
-    out = evaluate(nodes)
-    if out is None:
-        raise ShootingFailed("the first guess of the saddle path left the positive "
-                             "domain; take a smaller dt")
-    for iteration in range(config.max_iterations + 1):
-        gap, tail, G, rows = out
-        residual = max(np.max(np.abs(gap), initial=0.0), np.max(np.abs(tail)))
-        if residual <= _NEWTON_TOL:
-            break
-        if iteration == config.max_iterations:
-            raise ShootingFailed(
-                f"Newton did not converge in {config.max_iterations} "
-                f"iterations (residual {residual:.3e})")
-        try:
-            step = _newton_step(G, gap, tail, B, L)
-        except np.linalg.LinAlgError:
-            raise ShootingFailed("singular multiple-shooting Newton system") from None
-        damping = 1.0
-        while (trial := evaluate(nodes + damping * step)) is None:
-            damping *= 0.5
-            if damping < _MIN_DAMPING:
+    while True:
+        # first guess: the linearised stable manifold, taken in logs so that
+        # it stays positive far from the ray: log(k_i / kbar) decays like
+        # e^(lam_minus t), and c_i = mu kbar (k_i / kbar)^slope
+        rel = (k0 / kbar0) ** np.exp(lam_minus * seg * np.arange(S))[:, None]
+        nodes = np.hstack([rel, mu * rel ** slope])
+        out = evaluate(nodes)
+        if out is None:
+            raise ShootingFailed("the first guess of the saddle path left the "
+                                 "positive domain; take a smaller dt")
+        for iteration in range(config.max_iterations + 1):
+            gap, tail, G, rows = out
+            residual = max(np.max(np.abs(gap), initial=0.0), np.max(np.abs(tail)))
+            if residual <= _NEWTON_TOL:
+                break
+            if iteration == config.max_iterations:
                 raise ShootingFailed(
-                    "every damped Newton step left the positive domain")
-        nodes, out = nodes + damping * step, trial
+                    f"Newton did not converge in {config.max_iterations} "
+                    f"iterations (residual {residual:.3e})")
+            try:
+                step = _newton_step(G, gap, tail, B, L)
+            except np.linalg.LinAlgError:
+                raise ShootingFailed("singular multiple-shooting Newton system") from None
+            damping = 1.0
+            while (trial := evaluate(nodes + damping * step)) is None:
+                damping *= 0.5
+                if damping < _MIN_DAMPING:
+                    raise ShootingFailed(
+                        "every damped Newton step left the positive domain")
+            nodes, out = nodes + damping * step, trial
 
-    # the path from the converged segments, rescaled: segment j's rows
-    # start at node j, and the last segment's end closes the path
-    rows = np.stack(rows)
-    w = kbar0 * np.exp(g * seg * np.arange(S))
-    path = np.vstack([(rows[:-1] * w[:, None]).transpose(1, 0, 2)
-                      .reshape(S * steps, n), w[-1] * rows[-1, -1]])
-    K, C = path[:, :L], path[:, L:]
-    kbar = K.mean(axis=1)
-    off = np.maximum(np.max(np.abs(K / kbar[:, None] - 1.0), axis=1),
-                     np.abs(C.mean(axis=1) / (mu * kbar) - 1.0))
-    arrived = 1 + np.flatnonzero(off[1:] <= band)
-    if not arrived.size or arrived[0] > limit:
-        cap = "" if config.horizon is None else f" (horizon cap {config.horizon:g})"
-        raise ShootingFailed(
-            f"autarky spillover path did not arrive in the band {band} by "
-            f"t={min(S * seg, limit * dt):g}{cap}; widen the horizon or the band")
-    end = arrived[0] + 1
-    return K[:end], C[:end]
+        # the path from the converged segments, rescaled: segment j's rows
+        # start at node j, and the last segment's end closes the path; past
+        # a row that leaves float64 it is inf or nan, and never arrives
+        rows = np.stack(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = kbar0 * np.exp(g * seg * np.arange(S))
+            path = np.vstack([(rows[:-1] * w[:, None]).transpose(1, 0, 2)
+                              .reshape(S * steps, n), w[-1] * rows[-1, -1]])
+            K, C = path[:, :L], path[:, L:]
+            kbar = K.mean(axis=1)
+            off = np.maximum(np.max(np.abs(K / kbar[:, None] - 1.0), axis=1),
+                             np.abs(C.mean(axis=1) / (mu * kbar) - 1.0))
+        arrived = 1 + np.flatnonzero(off[1:] <= band)
+        if arrived.size and arrived[0] <= limit:
+            end = arrived[0] + 1
+            return K[:end], C[:end]
+        if S >= most or not math.isfinite(off[-1]):
+            cap = "" if config.horizon is None else f" (horizon cap {config.horizon:g})"
+            raise ShootingFailed(
+                f"autarky spillover path did not arrive in the band {band} by "
+                f"t={min(S * seg, limit * dt):g}{cap}; widen the horizon or the band")
+        S = min(2 * S, most)
 
 
 @float_guard
@@ -628,7 +607,8 @@ def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,
 
     * spillover with a market, or equal holdings: on the ray from t = 0,
       so the closed-form balanced path over the whole horizon;
-    * spillover autarky, unequal holdings: multiple shooting;
+    * spillover autarky, unequal holdings: multiple shooting, again over
+      twice the time while the path has not arrived;
     * fixed-technology market, more than one household: the mean rides
       the saddle policy once, and market_decompose splits that ride;
     * otherwise every household rides the saddle policy.
@@ -657,4 +637,14 @@ def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,
         # at stride 1 the rows stay uncopied
         rows = np.unique(np.r_[rows[::config.record_stride], rows[-1]])
         K, C = K[rows], C[rows]
-    return _ramsey_trajectory(config.dt * rows, K, C, params, regime, note)
+    # the rates from the MPK of the kept rows: a market's (T, 1) column, or
+    # its AK constant, is the mean's
+    y, mpk = household_production(K, K.mean(axis=1)[:, None], params,
+                                  regime.technology, regime.is_market)
+    r = np.broadcast_to(mpk, y.shape).mean(axis=1)
+    if regime.is_market:
+        growth = (r - params.theta) / params.gamma
+    else:
+        growth = (((mpk - params.theta) / params.gamma) * C).sum(axis=1) / C.sum(axis=1)
+    return record_trajectory(config.dt * rows, K, C, r, growth, params, regime,
+                             note=note)

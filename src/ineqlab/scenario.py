@@ -33,13 +33,16 @@ The trajectory CSV has L household lines and one ``agg`` line per time step;
 the metrics CSV has one line per time step. The six columns both write
 (``SHARED_COLUMNS``: t, r, g, gini, cv and r - g) are formatted once per
 trajectory, by :func:`shared_texts`, and both writers join those texts. The
-metrics writer formats only ``ratio_max_min``. The trajectory writer formats
-blocks of about ``_BLOCK_CELLS`` household cells: one ``tolist()`` per
-column of the block, ``repr`` on each float, and one ``",".join`` per line;
-each block also formats its rows of the three mean columns and slices the
-shared texts. So the only lists of cell texts held for the whole trajectory
-are the shared ones, and the whole text is built once, from the blocks'
-strings. ``atomic_write`` then encodes it a slice at a time.
+metrics writer formats only ``ratio_max_min``. The writers call no model
+code: the household output cells are the trajectory's ``output``, and the
+only values they derive are r - g and each row's mean consumption. The
+trajectory writer formats blocks of about ``_BLOCK_CELLS`` household cells:
+one ``tolist()`` per column of the block, ``repr`` on each float, and one
+``",".join`` per line; each block also formats its rows of the three mean
+columns and slices the shared texts. So the only lists of cell texts held
+for the whole trajectory are the shared ones, and the whole text is built
+once, from the blocks' strings. ``atomic_write`` then encodes it a slice
+at a time.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from .core import (
 )
 from .errors import ParseError, ValidationError, named_by
 from .olg import check_horizon, olg_simulate, olg_steady_state
-from .production import household_production
 from .ramsey import ShootingConfig, ramsey_steady_state, shoot_saddle_path
 from .svgplot import line_chart
 
@@ -357,8 +359,7 @@ def shared_texts(traj: Trajectory) -> dict[str, list[str]]:
             for name, column in zip(SHARED_COLUMNS, columns)}
 
 
-def _trajectory_chunks(traj: Trajectory, y: np.ndarray,
-                       texts: dict[str, list[str]]):
+def _trajectory_chunks(traj: Trajectory, texts: dict[str, list[str]]):
     """The trajectory CSV lines after the header, one block of time steps at
     a time, each block one string ending in CRLF."""
     steps, population = traj.holdings.shape
@@ -372,10 +373,10 @@ def _trajectory_chunks(traj: Trajectory, y: np.ndarray,
     for start in range(0, steps, per_block):
         block = slice(start, start + per_block)
         times, *shared = (texts[name][block] for name in SHARED_COLUMNS)
-        if y.shape[1] == 1:  # a market's one output per time step
-            outputs = _repeat_each(_texts(y[block, 0]), population)
+        if traj.output.shape[1] == 1:  # a market's one output per time step
+            outputs = _repeat_each(_texts(traj.output[block, 0]), population)
         else:
-            outputs = _texts(y[block].ravel())
+            outputs = _texts(traj.output[block].ravel())
         # ",,,," closes each household line with the five aggregate-only
         # channels left blank
         household = map(",".join, zip(
@@ -393,16 +394,13 @@ def _trajectory_chunks(traj: Trajectory, y: np.ndarray,
         yield "\r\n".join(chain(lines, [""]))
 
 
-def trajectory_csv_text(traj: Trajectory, params: EconomyParams,
-                        regime: Regime, texts: dict[str, list[str]]) -> str:
+def trajectory_csv_text(traj: Trajectory, texts: dict[str, list[str]]) -> str:
     """The trajectory CSV of ``traj``, with the shared columns' cells taken
-    from ``texts`` (see :func:`shared_texts`)."""
-    # the output of the capital each household operates: under a market
-    # every household operates the mean, (T, 1), whoever owns the capital
-    y = household_production(traj.holdings, traj.mean_holding[:, None],
-                             params, regime.technology, regime.is_market)[0]
+    from ``texts`` (see :func:`shared_texts`) and each household's output
+    from ``traj.output``, whose one column under a market every household
+    of the step shares."""
     return "".join(chain([",".join(TRAJECTORY_COLUMNS) + "\r\n"],
-                         _trajectory_chunks(traj, y, texts)))
+                         _trajectory_chunks(traj, texts)))
 
 
 def metrics_csv_text(traj: Trajectory, texts: dict[str, list[str]]) -> str:
@@ -491,8 +489,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path = "out",
     if want_csv:
         texts = shared_texts(traj)
         traj_path = out / f"{config.name}_trajectory.csv"
-        atomic_write(traj_path, trajectory_csv_text(traj, config.params,
-                                                    config.regime, texts))
+        atomic_write(traj_path, trajectory_csv_text(traj, texts))
         metrics_path = out / f"{config.name}_metrics.csv"
         atomic_write(metrics_path, metrics_csv_text(traj, texts))
         del texts  # not held while the chart is drawn

@@ -1,8 +1,8 @@
 """Names that other code counts on: the benchmark's traced layers, an error
 class for every error the package raises and no other, no private name
-shared between the package's modules, and the one place each input fault is
+shared between the package's modules, the one place each input fault is
 named: ``errors.named_by``, which the scenario and CLI boundaries share,
-and the float guard."""
+and the float guard, and the one recorder of a trajectory."""
 
 import ast
 import importlib.util
@@ -18,13 +18,13 @@ from ineqlab.scenario import _KEY_OF
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _traced_layers():
-    """``WRAPPED`` of bench/spans.py: (module of ineqlab, name) pairs."""
+def _bench_spans():
+    """bench/spans.py, the benchmark's tracer, read and not edited."""
     spec = importlib.util.spec_from_file_location("bench_spans",
                                                   ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    return spans.WRAPPED
+    return spans
 
 
 def _raised_names():
@@ -80,11 +80,28 @@ def _catchers(names):
     return sorted(found)
 
 
-@pytest.mark.parametrize("module, name", _traced_layers(),
+@pytest.mark.parametrize("module, name", _bench_spans().WRAPPED,
                          ids=lambda part: part)
 def test_traced_layer_resolves(module, name):
     # the benchmark wraps each of these by name; a missing one fails its run
     assert callable(getattr(getattr(ineqlab, module), name))
+
+
+def test_the_benchmark_tracer_installs_and_uninstalls():
+    # a traced benchmark run starts with Tracer.install on the package; it
+    # must find every wrapped name, and uninstall must put each one back
+    spans = _bench_spans()
+    before = {pair: getattr(getattr(ineqlab, pair[0]), pair[1])
+              for pair in spans.WRAPPED}
+    tracer = spans.Tracer()
+    try:
+        tracer.install(ineqlab)
+        assert all(getattr(getattr(ineqlab, module), name) is not fn
+                   for (module, name), fn in before.items())
+    finally:
+        tracer.uninstall()
+    assert all(getattr(getattr(ineqlab, module), name) is fn
+               for (module, name), fn in before.items())
 
 
 @pytest.mark.parametrize("cls", [
@@ -155,9 +172,18 @@ def test_every_solver_field_has_a_scenario_key():
     assert "params" in fields and fields <= set(_KEY_OF)
 
 
-def test_a_ramsey_solve_is_recorded_at_one_site():
-    # every method of shoot_saddle_path returns its rows; one call records them
-    calls = [node for module, _, node in _top_level_nodes() if module == "ramsey"
-             and isinstance(node, ast.Call)
-             and getattr(node.func, "id", "") == "_ramsey_trajectory"]
-    assert len(calls) == 1
+def _calls(name):
+    """The module of every call of ``name`` in the package, one per call."""
+    return sorted(module for module, _, node in _top_level_nodes()
+                  if isinstance(node, ast.Call)
+                  and name in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None)))
+
+
+def test_both_families_record_at_one_site():
+    # every method of shoot_saddle_path returns its rows, and olg_simulate
+    # its generations; one recorder call in each module records them
+    assert _calls("record_trajectory") == ["olg", "ramsey"]
+    assert _calls("Trajectory") == ["metrics"]
+    # the CSV writer reads the recorded output
+    assert "scenario" not in _calls("household_production")

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ineqlab import (
+    OLG_AUTARKY_EXOG,
     OLG_MARKET_AK,
     OLG_MARKET_EXOG,
     RAMSEY_AUTARKY_AK,
@@ -20,6 +21,7 @@ from ineqlab import (
     WealthDistribution,
     olg_simulate,
     household_production,
+    metrics,
     ramsey,
     ramsey_steady_state,
     rk4_step,
@@ -431,9 +433,10 @@ class TestSaddlePolicy:
 
     def test_market_builds_rides_and_records_once(self, monkeypatch):
         # one policy, one ride, one Trajectory and one call of each statistic
-        names = ("_saddle_policy", "_ride", "Trajectory", "gini",
-                 "coefficient_of_variation", "ratio_max_min")
-        calls = dict.fromkeys(names, 0)
+        modules = {"_saddle_policy": ramsey, "_ride": ramsey,
+                   **dict.fromkeys(("Trajectory", "gini", "coefficient_of_variation",
+                                    "ratio_max_min"), metrics)}
+        calls = dict.fromkeys(modules, 0)
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -441,12 +444,12 @@ class TestSaddlePolicy:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in names:
-            monkeypatch.setattr(ramsey, name, counted(name, getattr(ramsey, name)))
+        for name, module in modules.items():
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         shoot_saddle_path(WealthDistribution([5.0, 12.0, 40.0, 60.0]),
                           replace(FAST_EXOG, population=4), RAMSEY_MARKET_EXOG,
                           ShootingConfig(dt=0.05, terminal_band=1e-3))
-        assert calls == dict.fromkeys(names, 1)
+        assert calls == dict.fromkeys(modules, 1)
 
     def test_holdings_must_match_population(self):
         p = EconomyParams(tfp=3.0, alpha=0.5, theta=0.1, gamma=2.0, population=2)
@@ -757,6 +760,37 @@ class TestShootAutarkyAk:
         np.testing.assert_allclose(capped.consumption[0],
                                    default.consumption[0], rtol=1e-8, atol=0.0)
 
+    # its path arrives at t = 119.5, just after the linearised estimate 118.3
+    LATE = EconomyParams(tfp=5.0654, alpha=0.9487, theta=0.2459, gamma=4.3755,
+                         population=4)
+    LATE_START = WealthDistribution([0.221, 2.186, 4.018, 5.838])
+
+    @pytest.mark.parametrize("horizon", [None, 400.0, 2000.0])
+    def test_a_late_path_is_solved_again_over_twice_the_time(self, horizon):
+        traj = shoot_saddle_path(self.LATE_START, self.LATE, RAMSEY_AUTARKY_AK,
+                                 ShootingConfig(horizon=horizon, dt=0.05,
+                                                terminal_band=1e-3))
+        assert len(traj) == 2391
+        assert traj.times[-1] == pytest.approx(119.5, abs=1e-9)
+        assert np.max(np.abs(traj.holdings[-1] / traj.mean_holding[-1] - 1.0)) <= 1e-3
+
+    def test_a_late_path_stops_at_a_given_horizon(self):
+        with pytest.raises(ShootingFailed, match=r"by t=119 \(horizon cap 119\)"):
+            shoot_saddle_path(self.LATE_START, self.LATE, RAMSEY_AUTARKY_AK,
+                              ShootingConfig(horizon=119.0, dt=0.05,
+                                             terminal_band=1e-3))
+
+    @pytest.mark.parametrize("band, end", [(1e-18, 39.5), (1e-16, 70.5)],
+                             ids=["first-path", "doubled-path"])
+    def test_a_path_that_leaves_float64_before_arriving_fails(self, band, end):
+        # growth near 20 leaves float64 near t = 35, before these bands are
+        # reached: shooting fails, and no float fault is raised
+        params = EconomyParams(tfp=20.0, alpha=0.9487, theta=0.2459, gamma=1.0,
+                               population=4)
+        with pytest.raises(ShootingFailed, match=rf"did not arrive .* by t={end:g};"):
+            shoot_saddle_path(self.LATE_START, params, RAMSEY_AUTARKY_AK,
+                              ShootingConfig(dt=0.05, terminal_band=band))
+
     def test_max_iterations_caps_newton(self):
         with pytest.raises(ShootingFailed, match="did not converge in 1 "):
             shoot_saddle_path(WealthDistribution([1.0, 2.0]), AK_AUTARKY,
@@ -791,6 +825,11 @@ class TestShootAutarkyAk:
         assert realized == pytest.approx(g_star, rel=1e-3)
 
 
+#: The names through which metrics.record_trajectory builds a trajectory.
+RECORDED_NAMES = ("Trajectory", "household_production", "gini",
+                  "coefficient_of_variation", "ratio_max_min")
+
+
 class TestRecordStride:
     # one economy per row of the method table of shoot_saddle_path
     methods = pytest.mark.parametrize("regime, params, holdings, controls", [
@@ -814,28 +853,43 @@ class TestRecordStride:
         if keep[-1] != len(full) - 1:
             keep.append(len(full) - 1)
         assert len(keep) > 10
-        for name in ("times", "holdings", "consumption", "mean_holding",
+        for name in ("times", "holdings", "consumption", "output", "mean_holding",
                      "mean_output", "interest", "growth", "gini", "cv",
                      "ratio_max_min"):
             assert np.array_equal(getattr(thin, name), getattr(full, name)[keep])
 
-    @methods
-    def test_records_once_from_the_kept_rows(self, regime, params, holdings,
-                                             controls, monkeypatch):
-        # the rows of each call through the ramsey module's names
+    @staticmethod
+    def count_recorder_calls(monkeypatch):
+        """The leading dimension of the first argument of each call made
+        through the recorder's module names, by name."""
         rows = {}
-        for name in ("Trajectory", "gini", "coefficient_of_variation",
-                     "ratio_max_min"):
-            def counted(*args, _name=name, _real=getattr(ramsey, name), **kwargs):
+        for name in RECORDED_NAMES:
+            def counted(*args, _name=name, _real=getattr(metrics, name), **kwargs):
                 first = args[0] if args else kwargs["times"]
                 rows.setdefault(_name, []).append(first.shape[0])
                 return _real(*args, **kwargs)
-            monkeypatch.setattr(ramsey, name, counted)
+            monkeypatch.setattr(metrics, name, counted)
+        return rows
+
+    @methods
+    def test_records_once_from_the_kept_rows(self, regime, params, holdings,
+                                             controls, monkeypatch):
+        rows = self.count_recorder_calls(monkeypatch)
         thin = shoot_saddle_path(WealthDistribution(holdings), params, regime,
                                  ShootingConfig(record_stride=10, **controls))
         assert len(thin) > 10
-        assert rows == dict.fromkeys(("Trajectory", "gini", "coefficient_of_variation",
-                                      "ratio_max_min"), [len(thin)])
+        assert rows == dict.fromkeys(RECORDED_NAMES, [len(thin)])
+
+    @pytest.mark.parametrize("regime", [OLG_MARKET_AK, OLG_AUTARKY_EXOG],
+                             ids=["market-ak", "autarky-exog"])
+    def test_olg_records_once(self, regime, monkeypatch):
+        # every generation is kept; the generation map is the solver's
+        rows = self.count_recorder_calls(monkeypatch)
+        params = EconomyParams(tfp=3.0, alpha=0.5, theta=0.1, population=3)
+        traj = olg_simulate(WealthDistribution([1.0, 2.0, 3.0]), params, regime,
+                            max_generations=20, stop_tol=0.0)
+        assert len(traj) == 21
+        assert rows == dict.fromkeys(RECORDED_NAMES, [21])
 
 
 class TestStepCap:

@@ -156,10 +156,20 @@ def _other_layouts(traj):
 
 class TestCsvWriters:
     @pytest.mark.parametrize("case", sorted(CASES))
+    def test_recorded_output_matches_the_oracle(self, case):
+        # the writer formats traj.output; one column under a market
+        params, regime, traj = CASES[case]()
+        expected = _oracle_output(traj, params, regime)
+        columns = 1 if regime.is_market else traj.population
+        assert traj.output.shape == (len(traj), columns)
+        assert (np.broadcast_to(traj.output, expected.shape).tobytes()
+                == expected.tobytes())
+
+    @pytest.mark.parametrize("case", sorted(CASES))
     def test_match_per_cell_oracle(self, case):
         params, regime, traj = CASES[case]()
         assert len(traj) > 1
-        assert (trajectory_csv_text(traj, params, regime, shared_texts(traj))
+        assert (trajectory_csv_text(traj, shared_texts(traj))
                 == oracle_trajectory_csv(traj, params, regime))
         assert metrics_csv_text(traj, shared_texts(traj)) == oracle_metrics_csv(traj)
 
@@ -168,7 +178,7 @@ class TestCsvWriters:
         params, regime, traj = CASES[case]()
         one = _first_rows(traj, 1)
         assert len(one) == 1
-        text = trajectory_csv_text(one, params, regime, shared_texts(one))
+        text = trajectory_csv_text(one, shared_texts(one))
         assert text == oracle_trajectory_csv(one, params, regime)
         assert text.count("\r\n") == 1 + one.population + 1
         assert metrics_csv_text(one, shared_texts(one)) == oracle_metrics_csv(one)
@@ -177,7 +187,7 @@ class TestCsvWriters:
         params, regime, traj = CASES["ramsey-market-exog-50"]()
         for other in _other_layouts(traj):
             assert np.array_equal(other.consumption, traj.consumption)
-            assert (trajectory_csv_text(other, params, regime, shared_texts(other))
+            assert (trajectory_csv_text(other, shared_texts(other))
                     == oracle_trajectory_csv(traj, params, regime))
 
     def test_csv_text_joins_with_crlf(self):
@@ -199,21 +209,21 @@ class TestTrajectoryBlocks:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_match_per_cell_oracle(self, case):
         params, regime, traj = CASES[case]()
-        assert (trajectory_csv_text(traj, params, regime, shared_texts(traj))
+        assert (trajectory_csv_text(traj, shared_texts(traj))
                 == oracle_trajectory_csv(traj, params, regime))
 
     @pytest.mark.parametrize("case", ["ramsey-market-exog-2", "olg-market-ak"])
     def test_one_row_trajectory(self, case):
         params, regime, traj = CASES[case]()
         one = _first_rows(traj, 1)
-        assert (trajectory_csv_text(one, params, regime, shared_texts(one))
+        assert (trajectory_csv_text(one, shared_texts(one))
                 == oracle_trajectory_csv(one, params, regime))
 
     def test_any_array_layout(self, block_cells):
         params, regime, traj = CASES["ramsey-market-exog-50"]()
         assert traj.population > block_cells
         for other in _other_layouts(traj):
-            assert (trajectory_csv_text(other, params, regime, shared_texts(other))
+            assert (trajectory_csv_text(other, shared_texts(other))
                     == oracle_trajectory_csv(traj, params, regime))
 
 
@@ -230,7 +240,7 @@ def test_last_block_partial(case, block_cells, monkeypatch):
     assert per_block > 1
     part = _first_rows(traj, 2 * per_block + 1)
     assert len(part) % per_block != 0
-    assert (trajectory_csv_text(part, params, regime, shared_texts(part))
+    assert (trajectory_csv_text(part, shared_texts(part))
             == oracle_trajectory_csv(part, params, regime))
 
 
@@ -244,8 +254,7 @@ def test_trajectory_text_peaks_near_its_length():
         RAMSEY_MARKET_EXOG, ShootingConfig(dt=2.0, terminal_band=1e-2))
     tracemalloc.start()
     try:
-        text = trajectory_csv_text(traj, params, RAMSEY_MARKET_EXOG,
-                                   shared_texts(traj))
+        text = trajectory_csv_text(traj, shared_texts(traj))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -350,8 +359,7 @@ class TestSharedTexts:
         tracemalloc.start()
         try:
             texts = shared_texts(traj)
-            length = len(trajectory_csv_text(traj, config.params,
-                                             config.regime, texts))
+            length = len(trajectory_csv_text(traj, texts))
             metrics_csv_text(traj, texts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
