@@ -7,13 +7,16 @@ for scenario runs and figure reproduction.
 
 Three public array kernels state the shared laws: ``household_production``
 (output and marginal product), ``rk4_step`` (the one integrator) and
-``olg_step`` (one generation's bequests). They validate nothing. The
+``olg_step`` (one generation's next bequests). They validate nothing. The
 dynasty solvers state asset drift and Euler growth in the derived form each
-one integrates. Each input bound is checked once, by the type or function
-that owns it, which raises ``errors.OutOfRange`` naming its field, and a
-float fault in a solver entry point is ``OutOfRange("params")``. The
-scenario module names the scenario key of that field, and the CLI the
-option, both through ``errors.named_by``.
+one integrates. Each solver takes the output and the rates of the rows it
+records from one ``household_production`` call, and
+``metrics.record_trajectory`` only records them. Each input bound is
+checked once, by the type or function that owns it, which raises
+``errors.OutOfRange`` naming its field, and a float fault in a solver entry
+point is ``OutOfRange("params")``. The scenario module names the scenario
+key of that field, and the CLI the option, both through
+``errors.named_by``.
 """
 
 from .core import (

@@ -1,13 +1,14 @@
 """Command-line surface: simulate, steady-state, figure, fmt-sweep, cobweb.
 
 Exit codes: 0 success, 2 configuration error, 3 solver failure, 4 a property
-sweep found a counterexample. An input outside a bound is a configuration
-error, named once at each boundary: its owner raises OutOfRange naming its
-field, a growth condition or a float fault in a solver is
-OutOfRange("params"), and ``errors.named_by`` renames the field, to the
-scenario key in the scenario module and to the option here. The output
-directory defaults to ./out and can be overridden by --out or the
-INEQ_LAB_OUT environment variable.
+sweep found a counterexample. A configuration error is a file that cannot be
+read or written (a config that is missing, a directory or not UTF-8, or an
+--out that is a file), or an input outside a bound, named once at each
+boundary: its owner raises OutOfRange naming its field, a growth condition
+or a float fault in a solver is OutOfRange("params"), and
+``errors.named_by`` renames the field, to the scenario key in the scenario
+module and to the option here. The output directory defaults to ./out and
+can be overridden by --out or the INEQ_LAB_OUT environment variable.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .errors import (
     IneqLabError,
     OutOfRange,
     ParseError,
-    ValidationError,
     WrongRegime,
     named_by,
 )
@@ -42,7 +42,7 @@ from .scenario import (
 from .svgplot import line_chart
 from .value_theory import fmt_sweep
 
-_CONFIG_ERRORS = (ParseError, ValidationError, OutOfRange, WrongRegime)
+_CONFIG_ERRORS = (ParseError, OutOfRange, WrongRegime)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -65,7 +65,7 @@ def _apply_overrides(config: ScenarioConfig, tol: float | None,
     """``config`` with --tol and --max-steps in place of its horizon keys.
 
     The overridden text is parsed again, so the values meet the same checks
-    as in a scenario file; a violated one is a ValidationError naming the
+    as in a scenario file; a violated one is an OutOfRange naming the
     option. Only the keys of the options given are named by an option.
     """
     keys = (("horizon.stop_tol", "horizon.max_generations") if config.regime.is_olg
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     except IneqLabError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

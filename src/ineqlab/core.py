@@ -272,10 +272,12 @@ class Trajectory:
     ``output``), ``interest`` (market rate, or mean private return under
     autarky), and ``growth`` (net average growth over the step ending at
     each time; zero, by convention, at the initial row for OLG and the
-    instantaneous consumption-growth rate for Ramsey). Inequality channels
-    ``gini``, ``cv`` and ``ratio_max_min`` are of the holdings, each row
-    with the bits of its own 1-D statistic. ``metrics.record_trajectory``
-    takes every derived channel once per trajectory.
+    instantaneous consumption-growth rate for Ramsey); OLG's ``interest``
+    is that of the generation that made each row, Ramsey's the row's own.
+    Inequality channels ``gini``, ``cv`` and ``ratio_max_min`` are of the
+    holdings, each row with the bits of its own 1-D statistic. The solver
+    passes ``output``, ``interest`` and ``growth``, and
+    ``metrics.record_trajectory`` takes the rest once per trajectory.
     """
 
     times: np.ndarray
@@ -291,7 +293,6 @@ class Trajectory:
     ratio_max_min: np.ndarray
     regime: Regime
     converged: bool
-    savings_rate: float | None = None
     note: str = ""
 
     def __post_init__(self):

@@ -1,15 +1,18 @@
 """Exception hierarchy used across the package.
 
-Every error raised on purpose derives from :class:`IneqLabError`, so callers
-(and the CLI) can distinguish model/config problems from genuine bugs.
+Every error raised on purpose is one of the five subclasses of
+:class:`IneqLabError`, so callers (and the CLI) can distinguish
+model/config problems from genuine bugs.
 
 Each input fault is one :class:`OutOfRange` naming its field, raised by the
 type or function that owns the bound: a parameter (``"dt"``, ``"alpha"``), a
 growth condition or a solver's float fault (``"params"``), an all-zero
-distribution (``"values"``) or an unproductive input matrix
-(``"input_matrix"``). A boundary renames the field through
-:func:`named_by`: the scenario module to the scenario key, the CLI to the
-option.
+distribution (``"values"``), an unproductive input matrix
+(``"input_matrix"``) or a scenario value of the wrong type (its key). A
+boundary renames the field through :func:`named_by`: the scenario module to
+the scenario key, the CLI to the option. A scenario line that is not
+``key = value`` is a ParseError, and an operation asked of a regime it is
+not defined in is WrongRegime.
 
 A solve that truly fails raises ShootingFailed when no saddle path is found,
 and StateLeftDomain when a market household's share of the mean's ride
@@ -57,22 +60,14 @@ class ParseError(IneqLabError):
         super().__init__(f"line {line_no}: {message}")
 
 
-class ValidationError(IneqLabError):
-    """Scenario document is well-formed but semantically invalid."""
-
-    def __init__(self, field: str, message: str = ""):
-        self.field = field
-        super().__init__(message or f"invalid value for {field}")
-
-
 @contextmanager
 def named_by(names: dict[str, str]):
-    """Re-raise an OutOfRange or ValidationError of a field in ``names`` as
-    a ValidationError naming ``names[field]``: ``"name: message"``. A fault
-    of any other field passes through unchanged."""
+    """Re-raise an OutOfRange of a field in ``names`` as an OutOfRange
+    naming ``names[field]``: ``"name: message"``. A fault of any other
+    field passes through unchanged."""
     try:
         yield
-    except (OutOfRange, ValidationError) as exc:
+    except OutOfRange as exc:
         if exc.field not in names:
             raise
-        raise ValidationError(names[exc.field], f"{names[exc.field]}: {exc}") from exc
+        raise OutOfRange(names[exc.field], f"{names[exc.field]}: {exc}") from exc

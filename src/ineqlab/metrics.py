@@ -3,17 +3,16 @@
 Each statistic takes one distribution (a WealthDistribution or a vector) and
 returns a float, or a (T, L) matrix of T distributions and returns the T row
 values, each with the bits of the 1-D call on that row. Both families record
-their solved rows through :func:`record_trajectory`, which calls each
-statistic once per trajectory.
+their solved rows, output and rates through :func:`record_trajectory`,
+which calls each statistic once per trajectory and no model code.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import EconomyParams, Regime, Trajectory, WealthDistribution
+from .core import Regime, Trajectory, WealthDistribution
 from .errors import OutOfRange
-from .production import household_production
 
 
 def _rows(dist, name: str) -> tuple[np.ndarray, bool]:
@@ -105,23 +104,15 @@ def ratio_max_min(dist) -> float | np.ndarray:
     return _result(np.where(zero, np.inf, ratio), single)
 
 
-def record_trajectory(times, K, C, interest, growth, params: EconomyParams,
-                      regime: Regime, converged: bool = True, note: str = "",
-                      savings_rate: float | None = None) -> Trajectory:
-    """The Trajectory of a solver's (T, L) holdings ``K`` and consumption
-    ``C`` at ``times``, with its ``interest`` and ``growth`` per row.
-
-    Every derived channel is taken here, once: the mean holding, the output
-    of the capital each household operates (one household_production call;
-    (T, 1) under a market), its row means, and the statistics of ``K``.
-    """
-    mean_holding = K.mean(axis=1)
-    output = household_production(K, mean_holding[:, None], params,
-                                  regime.technology, regime.is_market)[0]
+def record_trajectory(times, K, C, output, interest, growth, regime: Regime,
+                      converged: bool = True, note: str = "") -> Trajectory:
+    """The Trajectory of a solver's (T, L) holdings ``K``, consumption ``C``,
+    ``output`` ((T, 1) under a market) and per-row ``interest`` and
+    ``growth`` at ``times``. It only records: it takes the mean holding, the
+    mean output and the three statistics of ``K``, once per trajectory."""
     return Trajectory(
         times=times, holdings=K, consumption=C, output=output,
-        mean_holding=mean_holding, mean_output=output.mean(axis=1),
+        mean_holding=K.mean(axis=1), mean_output=output.mean(axis=1),
         interest=interest, growth=growth, gini=gini(K),
         cv=coefficient_of_variation(K), ratio_max_min=ratio_max_min(K),
-        regime=regime, converged=converged, savings_rate=savings_rate,
-        note=note)
+        regime=regime, converged=converged, note=note)

@@ -5,12 +5,15 @@ of income / (2 + theta); the bequest becomes the next generation's capital.
 ``olg_step`` states this law once for all four regimes. With a capital
 market every household operates the pooled capital, the mean bequest, and
 earns the wage plus interest on its own bequest at the common rate; under
-autarky each household farms its own holding. The recorded ``output`` is
-the output of the capital each household operates, so under a market it is
-one column, the output of the mean bequest that the next bequests are paid
-from, and ``mean_output`` is its row mean. The endogenous variants replace
-the concave aggregate technology with the capital spillover, turning the
-steady state into a balanced growth ray.
+autarky each household farms its own holding. ``olg_simulate`` keeps only
+the holdings, then takes every generation's output and mean marginal
+product from one ``household_production`` call. The recorded ``output`` is
+that of the capital each household operates, so under a market it is one
+column, the output of the mean bequest that the next bequests are paid
+from. A row's ``interest`` is that of the generation that made it, and row
+0's its own. The endogenous variants replace the concave aggregate
+technology with the capital spillover, turning the steady state into a
+balanced growth ray.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ from .metrics import coefficient_of_variation, gini, ratio_max_min, record_traje
 from .production import household_production
 
 
-def olg_step(b: np.ndarray, params: EconomyParams, regime: Regime):
-    """One generation on raw arrays: (next bequests, interest).
+def olg_step(b: np.ndarray, params: EconomyParams, regime: Regime) -> np.ndarray:
+    """One generation on raw arrays: the next bequests.
 
     ``b`` holds one bequest per household and is not validated. Each
     household earns its income and bequeaths income / (2 + theta). Under
@@ -51,11 +54,8 @@ def olg_step(b: np.ndarray, params: EconomyParams, regime: Regime):
     bbar = b.sum() / b.size
     y, mpk = household_production(b, bbar, params, regime.technology,
                                   regime.is_market)
-    if regime.is_market:
-        income, interest = y - mpk * (bbar - b), mpk
-    else:
-        income, interest = y, float(np.mean(mpk))
-    return income / (2.0 + params.theta), interest
+    income = y - mpk * (bbar - b) if regime.is_market else y
+    return income / (2.0 + params.theta)
 
 
 @float_guard
@@ -136,40 +136,36 @@ def olg_simulate(dist0: WealthDistribution, params: EconomyParams, regime: Regim
         return bool(np.max(np.abs(b / bbar - 1.0)) < stop_tol)
 
     b = dist0.as_array()
-    bbar = float(b.mean())
-    rows_b, growth = [b], [0.0]
-    converged = settled(b, bbar)
+    rows = [b]
+    converged = settled(b, float(b.mean()))
     # a growing economy can leave float64, and a shrinking one the floor;
     # each generation's mean and least holding are checked
     with np.errstate(over="ignore", invalid="ignore"):
-        nxt, rate = olg_step(b, params, regime)
-        # row 0 records the rate over the step from it, each later row the
-        # rate of the step that produced it
-        interest = [rate]
-        while not converged and len(rows_b) <= max_generations:
-            if len(rows_b) > 1:
-                nxt, rate = olg_step(b, params, regime)
-            b, previous, bbar = nxt, bbar, float(nxt.mean())
+        while not converged and len(rows) <= max_generations:
+            b = olg_step(b, params, regime)
+            bbar = float(b.mean())
             if not math.isfinite(bbar):
-                raise OutOfRange("params", f"generation {len(rows_b)} leaves float64; "
+                raise OutOfRange("params", f"generation {len(rows)} leaves float64; "
                                  f"lower max_generations or raise stop_tol ({params})")
             if b.min() < POSITIVITY_FLOOR:
-                raise OutOfRange("params", f"generation {len(rows_b)} falls below the "
+                raise OutOfRange("params", f"generation {len(rows)} falls below the "
                                  f"positivity floor {POSITIVITY_FLOOR} (its least "
                                  f"holding is {b.min()}; {params})")
-            rows_b.append(b)
-            interest.append(rate)
-            growth.append(bbar / previous - 1.0)
+            rows.append(b)
             converged = settled(b, bbar)
 
-    holdings = np.stack(rows_b)
+    holdings = np.stack(rows)
+    mean = holdings.mean(axis=1)
+    y, mpk = household_production(holdings, mean[:, None], params,
+                                  regime.technology, regime.is_market)
+    r = np.broadcast_to(mpk, y.shape).mean(axis=1)
+    # row 0 records the rate over the step from it, each later row the rate
+    # of the step that made it
     return record_trajectory(
-        np.arange(holdings.shape[0], dtype=float), holdings,
-        (1.0 + params.theta) * holdings, np.asarray(interest),
-        np.asarray(growth), params, regime, converged=converged,
-        note="" if converged else "did not settle within max_generations",
-        savings_rate=1.0 / (2.0 + params.theta),
-    )
+        np.arange(len(rows), dtype=float), holdings, (1.0 + params.theta) * holdings,
+        y, np.r_[r[:1], r[:-1]], np.r_[0.0, mean[1:] / mean[:-1] - 1.0], regime,
+        converged=converged,
+        note="" if converged else "did not settle within max_generations")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ given. That wedge between private and social marginal products is the whole
 point of the endogenous regimes.
 
 ``household_production`` is the one home of a household's output and
-marginal product: the solvers and the one trajectory recorder,
-``metrics.record_trajectory``, take them from it, on raw arrays, and the
-CSV writer reads the recorded output. Output is strictly concave in own
+marginal product, on raw arrays. The generation map calls it once a
+generation, and each solver once on the rows it records, for their output
+and rates; ``metrics.record_trajectory`` records what the solver passes,
+and the CSV writer reads the recorded output. Output is strictly concave in own
 capital, so under fixed technology an equal split of a capital stock yields
 the most output of any split.
 """

@@ -637,8 +637,8 @@ def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,
         # at stride 1 the rows stay uncopied
         rows = np.unique(np.r_[rows[::config.record_stride], rows[-1]])
         K, C = K[rows], C[rows]
-    # the rates from the MPK of the kept rows: a market's (T, 1) column, or
-    # its AK constant, is the mean's
+    # the output and the instantaneous rates of the kept rows: a market's
+    # (T, 1) column, or its AK constant, is the mean's
     y, mpk = household_production(K, K.mean(axis=1)[:, None], params,
                                   regime.technology, regime.is_market)
     r = np.broadcast_to(mpk, y.shape).mean(axis=1)
@@ -646,5 +646,5 @@ def shoot_saddle_path(dist0: WealthDistribution, params: EconomyParams,
         growth = (r - params.theta) / params.gamma
     else:
         growth = (((mpk - params.theta) / params.gamma) * C).sum(axis=1) / C.sum(axis=1)
-    return record_trajectory(config.dt * rows, K, C, r, growth, params, regime,
+    return record_trajectory(config.dt * rows, K, C, y, r, growth, regime,
                              note=note)

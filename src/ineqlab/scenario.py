@@ -69,7 +69,7 @@ from .core import (
     check_population,
     validate_params,
 )
-from .errors import ParseError, ValidationError, named_by
+from .errors import OutOfRange, ParseError, named_by
 from .olg import check_horizon, olg_simulate, olg_steady_state
 from .ramsey import ShootingConfig, ramsey_steady_state, shoot_saddle_path
 from .svgplot import line_chart
@@ -93,16 +93,16 @@ class ScenarioConfig:
 
 def _number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(key, f"{key} must be a number, got {value!r}")
+        raise OutOfRange(key, f"{key} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # an integer beyond float64
-        raise ValidationError(key, f"{key} must fit in a float64") from None
+        raise OutOfRange(key, f"{key} must fit in a float64") from None
 
 
 def _integer(key: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(key, f"{key} must be an integer, got {value!r}")
+        raise OutOfRange(key, f"{key} must be an integer, got {value!r}")
     return value
 
 
@@ -117,33 +117,45 @@ def _choice(kind: type[Enum]):
             return kind(value)
         except ValueError:
             choices = sorted(member.value for member in kind)
-            raise ValidationError(
+            raise OutOfRange(
                 key, f"{key} must be one of {choices}, got {value!r}") from None
     return read
 
 
+#: UTF-8 bytes of a scenario name: 255, the usual file-name limit, less the
+#: 27 of "_trajectory.csv" and atomic_write's 8 random characters and ".tmp".
+_NAME_BYTES = 228
+
+
 def _file_name(key: str, value) -> str:
     if not isinstance(value, str) or not value:
-        raise ValidationError(key, f"{key} must be a nonempty string")
+        raise OutOfRange(key, f"{key} must be a nonempty string")
     # the name becomes a file name inside the output directory
     if "/" in value or "\\" in value or value in (".", ".."):
-        raise ValidationError(
+        raise OutOfRange(
             key, f"{key} must not contain / or \\ or be . or ..; got {value!r}")
+    try:
+        fits = "\0" not in value and len(value.encode("utf-8")) <= _NAME_BYTES
+    except UnicodeEncodeError:  # a lone surrogate
+        fits = False
+    if not fits:
+        raise OutOfRange(key, f"{key}: a file name is UTF-8 text of at most "
+                              f"{_NAME_BYTES} bytes with no NUL; got {value!r}")
     return value
 
 
 def _holdings(key: str, value) -> tuple[float, ...]:
     if not isinstance(value, list):
-        raise ValidationError(key, f"{key} must be a list")
+        raise OutOfRange(key, f"{key} must be a list")
     return tuple(_number(key, x) for x in value)
 
 
 def _outputs(key: str, value) -> frozenset[str]:
     if not isinstance(value, list):
-        raise ValidationError(key, f"{key} must be a list")
+        raise OutOfRange(key, f"{key} must be a list")
     for kind in value:
         if kind not in OUTPUT_KINDS:
-            raise ValidationError(key, f"{key}: unknown output kind {kind!r}")
+            raise OutOfRange(key, f"{key}: unknown output kind {kind!r}")
     return frozenset(value)
 
 
@@ -206,7 +218,7 @@ _KEY_OF = {**dict.fromkeys(("params", "holding_star", "growth_star",
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and validate a scenario document.
 
-    Raises ParseError for malformed lines and ValidationError (naming the
+    Raises ParseError for malformed lines and OutOfRange (naming the
     offending key) for unknown keys, bad types, or violated model bounds.
     Each value's type is checked by its key's reader as its line is read.
     After the last line come the missing keys, then the bounds, checked by
@@ -224,7 +236,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         if key not in _KEYS:
-            raise ValidationError(key, f"line {line_no}: unknown key {key!r}")
+            raise OutOfRange(key, f"line {line_no}: unknown key {key!r}")
         part, field, read = _KEYS[key]
         if field in given[part]:
             raise ParseError(line_no, f"duplicate key {key!r}")
@@ -232,7 +244,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     for key in _REQUIRED:
         part, field, _ = _KEYS[key]
         if field not in given[part]:
-            raise ValidationError(key, f"missing required key {key!r}")
+            raise OutOfRange(key, f"missing required key {key!r}")
 
     holdings = given[ScenarioConfig]["initial_distribution"]
     regime = Regime(**given[Regime])
@@ -253,7 +265,7 @@ def render_scenario(config: ScenarioConfig) -> str:
 
     parse_scenario(render_scenario(c)) == c holds for every ScenarioConfig
     ``c`` that passes validation. A config that violates a model bound
-    renders, but parsing the text raises ValidationError. Choices are
+    renders, but parsing the text raises OutOfRange. Choices are
     written bare, the outputs sorted and every other value as JSON.
     """
     parts = {ScenarioConfig: config, Regime: config.regime,
@@ -466,7 +478,7 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path = "out",
     ``fmt`` narrows file outputs to "csv", "svg", or "both" (None means
     both); which artifacts exist at all is governed by ``config.outputs``.
     Identical configs produce byte-identical files. A bound or float fault
-    of the solve is a ValidationError naming its scenario key.
+    of the solve is an OutOfRange naming its scenario key.
     """
     steady = steady_state_for(config)
     with named_by(_KEY_OF):

@@ -114,11 +114,16 @@ FAULTS = [
     ("ramsey_market_growth", "horizon.dt", "1e-30", "horizon.dt"),
     ("ramsey_market_growth", "horizon.terminal_band", "1e300",
      "horizon.terminal_band"),
+    # names that cannot be a file name: a NUL, a lone surrogate, and one
+    # whose temporary trajectory file passes 255 bytes
+    ("olg_autarky_converge", "name", '"a\\u0000b"', "name"),
+    ("olg_autarky_converge", "name", '"a\\ud800b"', "name"),
+    ("olg_autarky_converge", "name", '"' + "x" * 300 + '"', "name"),
 ]
 
 
 @pytest.mark.parametrize("stem, key, value, name", FAULTS,
-                         ids=lambda part: str(part))
+                         ids=lambda part: str(part)[:40])
 def test_fault_is_a_config_error_naming_its_key(stem, key, value, name):
     code, err, made_out = _run(["simulate"], _edited(stem, key, value))
     assert (code, len(err), made_out) == (EXIT_CONFIG, 1, False)
@@ -141,6 +146,44 @@ def test_one_key_edit_keeps_the_contract(stem, data):
     assert made_out is (code == EXIT_OK)
     if code == EXIT_CONFIG:
         assert _named(err[0]) in NAMES
+
+
+class TestFileFaults:
+    """A file that cannot be read or written is a config error (exit 2)
+    with one line of standard error, not a traceback."""
+
+    @staticmethod
+    def _main(argv):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+        return code, err.getvalue().splitlines()
+
+    def test_config_that_is_a_directory(self, tmp_path):
+        code, err = self._main(["simulate", str(tmp_path)])
+        assert (code, len(err)) == (EXIT_CONFIG, 1)
+        assert err[0].startswith("config error: ")
+
+    def test_config_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "latin1.scn"
+        path.write_bytes((SCENARIO_DIR / "olg_autarky_converge.scn").read_bytes()
+                         + b"# caf\xe9\n")
+        code, err = self._main(["simulate", str(path)])
+        assert (code, len(err)) == (EXIT_CONFIG, 1)
+        assert "utf-8" in err[0]
+
+    @pytest.mark.parametrize("argv_head", [
+        ["simulate", str(SCENARIO_DIR / "olg_autarky_converge.scn")],
+        ["figure", "fig1"],
+    ], ids=["simulate", "figure"])
+    def test_out_that_is_a_file(self, argv_head, tmp_path):
+        out = tmp_path / "taken"
+        out.write_text("kept\n", encoding="utf-8")
+        code, err = self._main([*argv_head, "--out", str(out)])
+        assert (code, len(err)) == (EXIT_CONFIG, 1)
+        assert err[0].startswith("config error: ")
+        assert out.read_text(encoding="utf-8") == "kept\n"
 
 
 # a steady state that underflows to zero: alpha tfp / theta (Ramsey) or

@@ -2,17 +2,20 @@
 class for every error the package raises and no other, no private name
 shared between the package's modules, the one place each input fault is
 named: ``errors.named_by``, which the scenario and CLI boundaries share,
-and the float guard, and the one recorder of a trajectory."""
+and the float guard, and the one recorder of a trajectory, which records
+the output and rates that each solver takes from one production call."""
 
 import ast
 import importlib.util
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ineqlab
-from ineqlab import errors
+from ineqlab import errors, metrics
 from ineqlab.scenario import _KEY_OF
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,20 +116,19 @@ def test_error_class_is_raised(cls):
 
 
 def test_every_input_fault_is_out_of_range():
-    # a bound, a growth condition, an all-zero distribution and an
-    # unproductive matrix are each OutOfRange naming a field
+    # a bound, a growth condition, an all-zero distribution, an unproductive
+    # matrix and a scenario value of the wrong type are each OutOfRange
+    # naming a field
     assert {cls.__name__ for _, cls in inspect.getmembers(errors, inspect.isclass)
             if issubclass(cls, errors.IneqLabError)
             and cls is not errors.IneqLabError} == {
         "OutOfRange", "WrongRegime", "ShootingFailed", "StateLeftDomain",
-        "ParseError", "ValidationError"}
+        "ParseError"}
 
 
-@pytest.mark.parametrize("fault", [errors.OutOfRange("dt", "dt must be > 0"),
-                                   errors.ValidationError("dt", "dt must be > 0")],
-                         ids=lambda fault: type(fault).__name__)
-def test_named_by_renames_a_mapped_field(fault):
-    with pytest.raises(errors.ValidationError) as info:
+def test_named_by_renames_a_mapped_field():
+    fault = errors.OutOfRange("dt", "dt must be > 0")
+    with pytest.raises(errors.OutOfRange) as info:
         with errors.named_by({"dt": "--dt"}):
             raise fault
     assert info.value.field == "--dt"
@@ -134,11 +136,19 @@ def test_named_by_renames_a_mapped_field(fault):
     assert info.value.__cause__ is fault
 
 
-@pytest.mark.parametrize("fault", [errors.OutOfRange("values", "all-zero"),
-                                   errors.ValidationError("values", "all-zero")],
-                         ids=lambda fault: type(fault).__name__)
-def test_named_by_passes_an_unmapped_field_through(fault):
-    with pytest.raises(type(fault)) as info:
+def test_named_by_renames_through_each_boundary():
+    # the scenario module names the key, then the CLI the option
+    with pytest.raises(errors.OutOfRange) as info:
+        with errors.named_by({"horizon.stop_tol": "--tol"}):
+            with errors.named_by({"stop_tol": "horizon.stop_tol"}):
+                raise errors.OutOfRange("stop_tol", "stop_tol must be >= 0")
+    assert info.value.field == "--tol"
+    assert str(info.value) == "--tol: horizon.stop_tol: stop_tol must be >= 0"
+
+
+def test_named_by_passes_an_unmapped_field_through():
+    fault = errors.OutOfRange("values", "all-zero")
+    with pytest.raises(errors.OutOfRange) as info:
         with errors.named_by({"dt": "--dt"}):
             raise fault
     assert info.value is fault and fault.field == "values"
@@ -185,5 +195,30 @@ def test_both_families_record_at_one_site():
     # its generations; one recorder call in each module records them
     assert _calls("record_trajectory") == ["olg", "ramsey"]
     assert _calls("Trajectory") == ["metrics"]
-    # the CSV writer reads the recorded output
-    assert "scenario" not in _calls("household_production")
+
+
+def test_each_solver_produces_its_recorded_rows_once():
+    # one production call on the kept rows gives their output and rates;
+    # the generation map makes its own, and the recorder and the CSV
+    # writer make none
+    assert sorted((module, owner) for module, owner, node in _top_level_nodes()
+                  if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", None) == "household_production") == [
+        ("olg", "olg_simulate"), ("olg", "olg_step"),
+        ("ramsey", "shoot_saddle_path")]
+    assert _calls("household_production") == ["olg", "olg", "ramsey"]
+
+
+def test_the_recorder_takes_what_the_solver_found():
+    assert list(inspect.signature(metrics.record_trajectory).parameters) == [
+        "times", "K", "C", "output", "interest", "growth", "regime",
+        "converged", "note"]
+    assert "savings_rate" not in {f.name for f in fields(ineqlab.Trajectory)}
+
+
+@pytest.mark.parametrize("regime", [r for r in ineqlab.ALL_REGIMES if r.is_olg],
+                         ids=lambda regime: regime.case_label())
+def test_olg_step_returns_the_next_bequests_only(regime):
+    params = ineqlab.EconomyParams(tfp=3.0, alpha=0.5, theta=0.1, population=2)
+    nxt = ineqlab.olg_step(np.array([1.0, 4.0]), params, regime)
+    assert isinstance(nxt, np.ndarray) and nxt.shape == (2,)

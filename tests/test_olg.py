@@ -59,21 +59,23 @@ def fixed_point_oracle(params, tol=1e-10, b0=1.0):
 
 class TestOlgStep:
     def test_market_equal_distribution(self):
-        nxt, _ = olg_step(np.array([1.0, 1.0]), params_exog(), OLG_MARKET_EXOG)
+        nxt = olg_step(np.array([1.0, 1.0]), params_exog(), OLG_MARKET_EXOG)
         assert np.allclose(nxt, [0.5, 0.5], atol=1e-15)
 
     def test_market_dispersed(self):
         # direct formula evaluation oracle at mean 5: f=sqrt(5), f'=1/(2 sqrt 5)
-        nxt, interest = olg_step(np.array([1.0, 9.0]), params_exog(),
-                                 OLG_MARKET_EXOG)
+        nxt = olg_step(np.array([1.0, 9.0]), params_exog(), OLG_MARKET_EXOG)
         f, fp = math.sqrt(5.0), 0.5 / math.sqrt(5.0)
         expected = [0.5 * (f - fp * (5.0 - 1.0)), 0.5 * (f - fp * (5.0 - 9.0))]
         assert np.allclose(nxt, expected, rtol=1e-14)
         assert nxt.mean() == pytest.approx(math.sqrt(5.0) / 2.0, rel=1e-14)
-        assert interest == pytest.approx(fp, rel=1e-14)
+        # the recorded rate of the step is the marginal product at the mean
+        traj = olg_simulate(WealthDistribution([1.0, 9.0]), params_exog(),
+                            OLG_MARKET_EXOG, max_generations=1, stop_tol=0.0)
+        assert traj.interest[0] == traj.interest[1] == pytest.approx(fp, rel=1e-14)
 
     def test_autarky_dispersed(self):
-        nxt, _ = olg_step(np.array([1.0, 9.0]), params_exog(), OLG_AUTARKY_EXOG)
+        nxt = olg_step(np.array([1.0, 9.0]), params_exog(), OLG_AUTARKY_EXOG)
         assert np.allclose(nxt, [0.5, 1.5], rtol=1e-14)
         # autarky mean falls short of the market mean: output lost to dispersion
         assert nxt.mean() == pytest.approx(1.0)
@@ -82,14 +84,14 @@ class TestOlgStep:
     def test_endogenous_market_formula(self):
         p = params_ak(tfp=3.0, L=1)
         b = np.array([2.0])
-        nxt, _ = olg_step(b, p, OLG_MARKET_AK)
+        nxt = olg_step(b, p, OLG_MARKET_AK)
         # (3/2) * ((1-a) bbar + a b) with bbar = b
         assert nxt[0] == pytest.approx(3.0, rel=1e-14)
         assert nxt.mean() / b.mean() == pytest.approx(1.5, rel=1e-14)
 
     def test_endogenous_autarky_formula(self):
         p = params_ak(tfp=3.0, L=2)
-        nxt, _ = olg_step(np.array([1.0, 4.0]), p, OLG_AUTARKY_AK)
+        nxt = olg_step(np.array([1.0, 4.0]), p, OLG_AUTARKY_AK)
         m = 3.0 * 2.0 ** 0.5
         expected = (m / 2.0) * 2.5 ** 0.5 * np.array([1.0, 2.0])
         assert np.allclose(nxt, expected, rtol=1e-14)
@@ -98,7 +100,7 @@ class TestOlgStep:
         # one bequest law: income / (2 + theta), with income A b**alpha
         p = params_exog(theta=0.3, L=4, alpha=0.35, tfp=1.7)
         b = np.array([0.02, 0.7, 1.3, 9.0])
-        nxt, _ = olg_step(b, p, OLG_AUTARKY_EXOG)
+        nxt = olg_step(b, p, OLG_AUTARKY_EXOG)
         np.testing.assert_array_equal(nxt, olg_mean_map(b, p))
 
     @given(
@@ -109,6 +111,8 @@ class TestOlgStep:
     )
     @settings(max_examples=200, deadline=None)
     def test_savings_rate_identity(self, theta, holdings, case):
+        # a generation saves 1 / (2 + theta) of its income: it consumes
+        # (1 + theta) times what it bequeaths
         if case.is_endogenous:
             tfp = 2.0 + theta + 1.0
         else:
@@ -116,7 +120,8 @@ class TestOlgStep:
         p = EconomyParams(tfp=tfp, alpha=0.5, theta=theta, population=len(holdings))
         traj = olg_simulate(WealthDistribution(holdings), p, case,
                             max_generations=1)
-        assert traj.savings_rate == 1.0 / (2.0 + theta)  # bitwise
+        np.testing.assert_array_equal(traj.consumption,
+                                      (1.0 + theta) * traj.holdings)  # bitwise
 
     @given(
         holdings=st.lists(st.floats(0.05, 50.0), min_size=2, max_size=5),
@@ -129,12 +134,12 @@ class TestOlgStep:
         b = np.array(holdings)
         p = EconomyParams(tfp=1.0, alpha=alpha, theta=theta,
                           population=len(holdings))
-        nxt, _ = olg_step(b, p, OLG_MARKET_EXOG)
+        nxt = olg_step(b, p, OLG_MARKET_EXOG)
         assert nxt.mean() == pytest.approx(olg_mean_map(b.mean(), p), rel=1e-12)
 
         p_ak = EconomyParams(tfp=3.1 + theta, alpha=alpha, theta=theta,
                              population=len(holdings))
-        nxt_ak, _ = olg_step(b, p_ak, OLG_MARKET_AK)
+        nxt_ak = olg_step(b, p_ak, OLG_MARKET_AK)
         expected = p_ak.ak_scale() * b.mean() / (2.0 + theta)
         assert nxt_ak.mean() == pytest.approx(expected, rel=1e-12)
 
@@ -148,7 +153,7 @@ class TestOlgStep:
         b = np.array(holdings)
         p = EconomyParams(tfp=3.1 + theta, alpha=0.5, theta=theta,
                           population=len(holdings))
-        nxt, _ = olg_step(b, p, OLG_AUTARKY_AK)
+        nxt = olg_step(b, p, OLG_AUTARKY_AK)
         average_growth = nxt.mean() / b.mean()
         bound = p.ak_scale() / (2.0 + theta)
         assert average_growth <= bound * (1.0 + 1e-12)
@@ -173,8 +178,8 @@ class TestOlgStep:
         spread[donor] -= eps
         spread[recipient] += eps
         p = EconomyParams(tfp=3.0, alpha=0.5, theta=0.0, population=len(base))
-        before = olg_step(b, p, OLG_AUTARKY_AK)[0].mean()
-        after = olg_step(spread, p, OLG_AUTARKY_AK)[0].mean()
+        before = olg_step(b, p, OLG_AUTARKY_AK).mean()
+        after = olg_step(spread, p, OLG_AUTARKY_AK).mean()
         assert after < before
 
 
@@ -210,7 +215,7 @@ class TestSteadyState:
         # ratio oracle: iterate the step, growth factor settles at 1.5
         b = np.array([1.0])
         for _ in range(5):
-            nxt, _ = olg_step(b, p, OLG_MARKET_AK)
+            nxt = olg_step(b, p, OLG_MARKET_AK)
             assert nxt.mean() / b.mean() == pytest.approx(1.5, rel=1e-14)
             b = nxt
 
@@ -250,13 +255,19 @@ class TestSimulate:
         assert traj.converged is settles
         assert (len(traj) < max_generations + 1) is settles
         b = start.as_array()
+
+        def mean_mpk(b):
+            y, mpk = household_production(b[None, :], np.array([[b.mean()]]), p,
+                                          regime.technology, regime.is_market)
+            return np.broadcast_to(mpk, y.shape).mean()
+
         # row 0 carries the rate over the step from it
-        assert traj.interest[0] == olg_step(b, p, regime)[1]
+        assert traj.interest[0] == mean_mpk(b)
         assert traj.growth[0] == 0.0
         for t in range(1, len(traj)):
-            nxt, interest = olg_step(b, p, regime)
+            nxt = olg_step(b, p, regime)
             np.testing.assert_array_equal(traj.holdings[t], nxt)
-            assert traj.interest[t] == interest
+            assert traj.interest[t] == mean_mpk(b)
             assert traj.growth[t] == nxt.mean() / b.mean() - 1.0
             b = nxt
 
@@ -277,7 +288,7 @@ class TestSimulate:
         own = household_production(traj.holdings, bbar[:, None], p,
                                    autarky.technology)[0].mean(axis=1)
         assert np.all(traj.mean_output > own)
-        next_mean = olg_step(traj.holdings[0], p, market)[0].mean()
+        next_mean = olg_step(traj.holdings[0], p, market).mean()
         assert next_mean == pytest.approx(traj.mean_output[0] / (2.0 + p.theta),
                                           rel=1e-14)
 
@@ -369,9 +380,9 @@ class TestSimulate:
         b = start.as_array()
         with np.errstate(over="ignore", invalid="ignore"):
             for generation in range(1, named):
-                b, _ = olg_step(b, p, regime)
+                b = olg_step(b, p, regime)
                 assert np.isfinite(b.mean())
-            last, _ = olg_step(b, p, regime)
+            last = olg_step(b, p, regime)
             assert not np.isfinite(last.mean())
 
     def test_market_overflow_names_the_generation_not_its_mean(self):
@@ -424,7 +435,7 @@ class TestRatioStep:
         # the distribution-level step reproduces the scalar ratio recursion
         p = params_ak(tfp=3.0, L=2)
         b = np.array([1.0, 3.0])
-        nxt, _ = olg_step(b, p, OLG_MARKET_AK)
+        nxt = olg_step(b, p, OLG_MARKET_AK)
         for i in range(2):
             expected = ratio_step(b[i] / b.mean(), OLG_MARKET_AK, p.alpha)
             assert nxt[i] / nxt.mean() == pytest.approx(expected, rel=1e-12)
@@ -434,7 +445,7 @@ class TestRatioStep:
         # (the raw map divides by the map-of-the-mean, not the mean-of-the-map)
         p = params_ak(tfp=3.0, L=2)
         b = np.array([1.0, 4.0])
-        nxt, _ = olg_step(b, p, OLG_AUTARKY_AK)
+        nxt = olg_step(b, p, OLG_AUTARKY_AK)
         raw = np.array([
             ratio_step(b[i] / b.mean(), OLG_AUTARKY_AK, p.alpha) for i in range(2)
         ])

@@ -22,6 +22,7 @@ from ineqlab import (
     olg_simulate,
     household_production,
     metrics,
+    olg,
     ramsey,
     ramsey_steady_state,
     rk4_step,
@@ -826,8 +827,8 @@ class TestShootAutarkyAk:
 
 
 #: The names through which metrics.record_trajectory builds a trajectory.
-RECORDED_NAMES = ("Trajectory", "household_production", "gini",
-                  "coefficient_of_variation", "ratio_max_min")
+RECORDED_NAMES = ("Trajectory", "gini", "coefficient_of_variation",
+                  "ratio_max_min")
 
 
 class TestRecordStride:
@@ -859,37 +860,47 @@ class TestRecordStride:
             assert np.array_equal(getattr(thin, name), getattr(full, name)[keep])
 
     @staticmethod
-    def count_recorder_calls(monkeypatch):
-        """The leading dimension of the first argument of each call made
-        through the recorder's module names, by name."""
-        rows = {}
-        for name in RECORDED_NAMES:
-            def counted(*args, _name=name, _real=getattr(metrics, name), **kwargs):
+    def count_calls(monkeypatch, module, names):
+        """The shape of the first argument of each call made through the
+        names of ``module``, by name."""
+        shapes = {}
+        for name in names:
+            def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
                 first = args[0] if args else kwargs["times"]
-                rows.setdefault(_name, []).append(first.shape[0])
+                shapes.setdefault(_name, []).append(np.shape(first))
                 return _real(*args, **kwargs)
-            monkeypatch.setattr(metrics, name, counted)
-        return rows
+            monkeypatch.setattr(module, name, counted)
+        return shapes
 
     @methods
     def test_records_once_from_the_kept_rows(self, regime, params, holdings,
                                              controls, monkeypatch):
-        rows = self.count_recorder_calls(monkeypatch)
+        # the solver takes the output and the rates of the kept rows from
+        # one production call; the recorder makes none
+        recorded = self.count_calls(monkeypatch, metrics, RECORDED_NAMES)
+        produced = self.count_calls(monkeypatch, ramsey, ["household_production"])
         thin = shoot_saddle_path(WealthDistribution(holdings), params, regime,
                                  ShootingConfig(record_stride=10, **controls))
         assert len(thin) > 10
-        assert rows == dict.fromkeys(RECORDED_NAMES, [len(thin)])
+        assert not hasattr(metrics, "household_production")
+        assert recorded == {**dict.fromkeys(RECORDED_NAMES, [thin.holdings.shape]),
+                            "Trajectory": [thin.times.shape]}
+        assert produced == {"household_production": [thin.holdings.shape]}
 
     @pytest.mark.parametrize("regime", [OLG_MARKET_AK, OLG_AUTARKY_EXOG],
                              ids=["market-ak", "autarky-exog"])
     def test_olg_records_once(self, regime, monkeypatch):
-        # every generation is kept; the generation map is the solver's
-        rows = self.count_recorder_calls(monkeypatch)
+        # every generation is kept; each step of the generation map makes
+        # one production call on its generation, and the recorded rows one
+        recorded = self.count_calls(monkeypatch, metrics, RECORDED_NAMES)
+        produced = self.count_calls(monkeypatch, olg, ["household_production"])
         params = EconomyParams(tfp=3.0, alpha=0.5, theta=0.1, population=3)
         traj = olg_simulate(WealthDistribution([1.0, 2.0, 3.0]), params, regime,
                             max_generations=20, stop_tol=0.0)
         assert len(traj) == 21
-        assert rows == dict.fromkeys(RECORDED_NAMES, [21])
+        assert recorded == {**dict.fromkeys(RECORDED_NAMES, [(21, 3)]),
+                            "Trajectory": [(21,)]}
+        assert produced == {"household_production": [(3,)] * 20 + [(21, 3)]}
 
 
 class TestStepCap:

@@ -25,7 +25,7 @@ from ineqlab import (
 )
 from ineqlab.cli import EXIT_CONFIG, EXIT_OK, EXIT_SOLVER, _apply_overrides, main
 from ineqlab.core import MAX_STEPS
-from ineqlab.errors import ParseError, ValidationError
+from ineqlab.errors import OutOfRange, ParseError
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -52,24 +52,26 @@ class TestParse:
 
     def test_alpha_out_of_bounds(self):
         doc = MINIMAL.replace("params.alpha = 0.5", "params.alpha = 1.2")
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(OutOfRange) as err:
             parse_scenario(doc)
         assert err.value.field == "params.alpha"
 
     def test_bisection_tolerance_key_is_gone(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(OutOfRange) as err:
             parse_scenario(MINIMAL + "horizon.bisection_tol = 1e-15\n")
+        assert err.value.field == "horizon.bisection_tol"
 
     def test_distribution_length_mismatch(self):
         doc = MINIMAL + "params.population = 3\n"
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(OutOfRange) as err:
             parse_scenario(doc)
         assert err.value.field == "initial_distribution"
 
     def test_unknown_key_names_line(self):
         doc = MINIMAL + "params.depreciation = 0.1\n"
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(OutOfRange) as err:
             parse_scenario(doc)
+        assert err.value.field == "params.depreciation"
         assert "params.depreciation" in str(err.value)
         assert "line" in str(err.value)
 
@@ -85,8 +87,9 @@ class TestParse:
         doc = MINIMAL.replace("regime.technology = exogenous",
                               "regime.technology = endogenous_ak")
         doc = doc.replace("params.tfp = 1.0", "params.tfp = 1.5")
-        with pytest.raises(ValidationError):
+        with pytest.raises(OutOfRange) as err:
             parse_scenario(doc)
+        assert err.value.field == "params"
 
     @pytest.mark.parametrize("market", ["market", "autarky"])
     @pytest.mark.parametrize("tfp, alpha, theta, gamma, condition", [
@@ -108,16 +111,32 @@ params.theta = {theta}
 params.gamma = {gamma}
 initial_distribution = [1.0]
 """
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(OutOfRange) as err:
             parse_scenario(doc)
+        assert err.value.field == "params"
         assert condition in str(err.value)
 
-    @pytest.mark.parametrize("name", ["../x", "a/b", "a\\b", ".", ".."])
+    @pytest.mark.parametrize("name", ["../x", "a/b", "a\\b", ".", "..",
+                                      # no file name: a NUL, a lone surrogate,
+                                      # more than 228 UTF-8 bytes
+                                      "a\0b", "a\ud800b", "x" * 229,
+                                      "x" * 227 + "\u00e9"])
     def test_name_must_stay_inside_out_dir(self, name):
         doc = MINIMAL.replace('name = "smoke"', f"name = {json.dumps(name)}")
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(OutOfRange) as err:
             parse_scenario(doc)
         assert err.value.field == "name"
+
+    @pytest.mark.parametrize("name", ["x" * 228, "\u00e9" * 114],
+                             ids=["228-ascii", "228-bytes"])
+    def test_longest_name_writes_its_files(self, name, tmp_path):
+        doc = MINIMAL.replace('name = "smoke"', f"name = {json.dumps(name)}")
+        config = parse_scenario(doc + "outputs = [csv, svg]\n")
+        artifacts = run_scenario(config, tmp_path)
+        assert artifacts.trajectory_csv.name == f"{name}_trajectory.csv"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{name}{suffix}" for suffix in ("_trajectory.csv", "_metrics.csv",
+                                             ".svg"))
 
     @pytest.mark.parametrize("key, value", [
         ("regime.family", "Olg"),
@@ -136,7 +155,7 @@ initial_distribution = [1.0]
     def test_bad_value_names_its_key(self, key, value):
         lines = [line for line in MINIMAL.splitlines()
                  if not line.startswith(f"{key} =")]
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(OutOfRange) as err:
             parse_scenario("\n".join(lines) + f"\n{key} = {value}\n")
         assert err.value.field == key
         assert str(err.value).startswith(key)
@@ -147,7 +166,7 @@ initial_distribution = [1.0]
             self, holdings, tmp_path, capsys):
         path = tmp_path / "holdings.scn"
         path.write_text(MINIMAL.replace("[1.0, 1.0]", holdings), encoding="utf-8")
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(OutOfRange) as exc:
             parse_scenario(path.read_text(encoding="utf-8"))
         assert exc.value.field == "initial_distribution"
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) \
@@ -157,7 +176,7 @@ initial_distribution = [1.0]
 
     def test_fixed_technology_dynasty_needs_positive_theta(self):
         doc = RAMSEY_MINIMAL.replace("params.theta = 0.1", "params.theta = 0.0")
-        with pytest.raises(ValidationError) as err:
+        with pytest.raises(OutOfRange) as err:
             parse_scenario(doc)
         assert err.value.field == "params.theta"
         assert str(err.value).startswith("params.theta: ")
@@ -239,7 +258,7 @@ class TestHorizonBounds:
         base = {"olg": MINIMAL, "ramsey": RAMSEY_MINIMAL}[family]
         path = tmp_path / "bounds.scn"
         path.write_text(base + f"{key} = {value}\n", encoding="utf-8")
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(OutOfRange) as exc:
             parse_scenario(path.read_text(encoding="utf-8"))
         assert exc.value.field == key
         assert main(["simulate", str(path), "--out", str(tmp_path / "out")]) \
@@ -264,7 +283,7 @@ class TestHorizonBounds:
                                                       capsys):
         text = "\n".join(f"{key} = {value}" if line.startswith(f"{key} =")
                          else line for line in MINIMAL.splitlines())
-        with pytest.raises(ValidationError) as exc:
+        with pytest.raises(OutOfRange) as exc:
             parse_scenario(text)
         assert exc.value.field == key
         path = tmp_path / "huge.scn"
